@@ -12,20 +12,24 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import TextIO
 
-from . import eprb, ghzm
-from .config import ConfigError, RunManifest, finalize_manifest, parse_config
-from .labels import support
-from .lhv import all_eprb_sets, eprb_q_max, eprb_q_over_distribution, ghz_constrained_sets
-from .measure import Direction, heisenberg_evolve
-from .schrodinger import cross_check
-from .tensor import Operator, embed, single_factor
-
-import numpy as np
+from .config import EXPERIMENTS, ConfigError, RunManifest, finalize_manifest, parse_config
+from .eprb import EPRB, PROBABILITY_BETA, bell_q
+from .experiment import Experiment
+from .ghzm import EVEN_GAMMA, GHZM
+from .lhv import (
+    _BELL_PAIRS,
+    all_eprb_sets,
+    classical_ghz_p_eu_zero,
+    eprb_q_max,
+    eprb_q_over_distribution,
+    ghz_constrained_sets,
+)
+from .measure import Direction
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,8 +63,8 @@ class _Rendered:
     table: list[str]
     columns: list[str]
     rows: list[list]
+    #: largest verification residual; None when not verifying
     residual: float | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 def build_parser() -> _Parser:
@@ -79,26 +83,24 @@ def build_parser() -> _Parser:
             p.add_argument(f"--phi{k}", type=float, default=None, metavar="DEG")
         p.add_argument("--theta", type=float, nargs=particles, default=None, metavar="DEG")
         p.add_argument("--phi", type=float, nargs=particles, default=None, metavar="DEG")
+        p.set_defaults(particles=particles)
 
-    p = sub.add_parser("eprb", help="two-particle correlation run")
-    p.add_argument("--config", default=None, metavar="FILE")
-    angle_options(p, 2)
-    p.add_argument("--entangled", choices=["true", "false"], default=None)
-    p.add_argument("--beta-preset", dest="beta_preset",
-                   choices=["spin", "probability"], default=None)
-    run_options(p)
+    def experiment_parser(exp: Experiment, help_text: str) -> None:
+        p = sub.add_parser(exp.name, help=help_text)
+        p.add_argument("--config", default=None, metavar="FILE")
+        angle_options(p, len(exp.measurements))
+        p.add_argument("--entangled", choices=["true", "false"], default=None)
+        p.add_argument("--" + exp.preset_key.replace("_", "-"), dest=exp.preset_key,
+                       choices=list(exp.presets), default=None)
+        run_options(p)
+
+    experiment_parser(EPRB, "two-particle correlation run")
 
     p = sub.add_parser("bell-q", help="cyclic joint spin-up sum at three azimuths")
     p.add_argument("--phis", type=float, nargs=3, default=None, metavar="DEG")
     run_options(p)
 
-    p = sub.add_parser("ghzm", help="three-particle parity run")
-    p.add_argument("--config", default=None, metavar="FILE")
-    angle_options(p, 3)
-    p.add_argument("--entangled", choices=["true", "false"], default=None)
-    p.add_argument("--gamma-preset", dest="gamma_preset",
-                   choices=["even", "odd"], default=None)
-    run_options(p)
+    experiment_parser(GHZM, "three-particle parity run")
 
     p = sub.add_parser("ghz-table", help="parity probabilities at the headline orientations")
     run_options(p)
@@ -108,7 +110,7 @@ def build_parser() -> _Parser:
     run_options(p)
 
     p = sub.add_parser("analyze", help="operator support ledger per time stage")
-    p.add_argument("--experiment", choices=["eprb", "ghzm"], default=None)
+    p.add_argument("--experiment", choices=list(EXPERIMENTS), default=None)
     angle_options(p, 3)
     run_options(p)
 
@@ -120,16 +122,13 @@ def build_parser() -> _Parser:
 
 
 def _collect_angles(args, particles: int, provided: dict) -> None:
-    for group, name in ((args.theta, "theta"), (args.phi, "phi")):
-        if group is None:
-            continue
+    for name in ("theta", "phi"):
+        group = getattr(args, name)
         for k in range(1, particles + 1):
-            if getattr(args, f"{name}{k}") is not None:
+            single = getattr(args, f"{name}{k}")
+            if group is not None and single is not None:
                 raise _UsageError(f"use --{name} or --{name}{k}, not both")
-            provided[f"{name}{k}"] = group[k - 1]
-    for k in range(1, particles + 1):
-        for name in ("theta", "phi"):
-            value = getattr(args, f"{name}{k}", None)
+            value = group[k - 1] if group is not None else single
             if value is not None:
                 provided[f"{name}{k}"] = value
 
@@ -138,23 +137,16 @@ def _manifest_from_args(args) -> RunManifest:
     provided: dict[str, object] = {}
     command = args.command
 
-    if command in ("eprb", "ghzm", "analyze"):
-        _collect_angles(args, 2 if command == "eprb" else 3, provided)
+    if getattr(args, "particles", None) is not None:
+        _collect_angles(args, args.particles, provided)
     if getattr(args, "entangled", None) is not None:
         provided["entangled"] = args.entangled == "true"
-    for key in ("beta_preset", "gamma_preset", "experiment"):
+    if getattr(args, "phis", None) is not None:
+        provided["phis"] = tuple(args.phis)
+    presets = (e.preset_key for e in EXPERIMENTS.values())
+    for key in (*presets, "experiment", "which", "format", "verify", "tol"):
         if getattr(args, key, None) is not None:
             provided[key] = getattr(args, key)
-    if command == "bell-q" and args.phis is not None:
-        provided["phis"] = tuple(args.phis)
-    if command == "lhv" and args.which is not None:
-        provided["which"] = args.which
-    if args.format is not None:
-        provided["format"] = args.format
-    if args.verify is not None:
-        provided["verify"] = args.verify
-    if args.tol is not None:
-        provided["tol"] = args.tol
 
     config_path = getattr(args, "config", None)
     if config_path is not None:
@@ -163,12 +155,9 @@ def _manifest_from_args(args) -> RunManifest:
             raise ConfigError(
                 f"config section [{manifest.command}] does not match command {command!r}"
             )
-        base = dict(manifest.parameters)
-        base["format"] = manifest.output_format
-        base["verify"] = manifest.verify
-        base["tol"] = manifest.tolerance
-        base.update(provided)
-        return finalize_manifest(command, base)
+        base = {**manifest.parameters, "format": manifest.output_format,
+                "verify": manifest.verify, "tol": manifest.tolerance}
+        return finalize_manifest(command, {**base, **provided})
     return finalize_manifest(command, provided)
 
 
@@ -176,129 +165,78 @@ def _manifest_from_args(args) -> RunManifest:
 # command handlers
 
 
-def _eprb_config(p: dict, beta=None) -> eprb.EprbConfig:
-    return eprb.EprbConfig(
-        n1=_direction(p["theta1"], p["phi1"]),
-        n2=_direction(p["theta2"], p["phi2"]),
-        entangled=p["entangled"],
-        beta=beta if beta is not None else eprb.BETA_PRESETS[p["beta_preset"]],
-    )
+def _directions(exp: Experiment, angles: dict) -> tuple[Direction, ...]:
+    keys = exp.angle_keys
+    return tuple(_direction(angles[t], angles[p]) for t, p in zip(keys[::2], keys[1::2]))
 
 
-def _eprb_residual(cfg: eprb.EprbConfig) -> float:
-    seq = eprb.measurement_sequence(cfg)
-    psi0 = eprb.initial_state()
-    b1, b2 = eprb.belief_observables(cfg.beta)
-    return max(cross_check(op, seq, psi0) for op in (b1, b2, b1 @ b2))
+def _columns(exp: Experiment) -> list[str]:
+    return [*exp.angle_keys, "entangled", exp.preset_key, *(m[0] for m in exp.means)]
 
 
-def _ghzm_config(p: dict) -> ghzm.GhzmConfig:
-    return ghzm.GhzmConfig(
-        n1=_direction(p["theta1"], p["phi1"]),
-        n2=_direction(p["theta2"], p["phi2"]),
-        n3=_direction(p["theta3"], p["phi3"]),
-        entangled=p["entangled"],
-        gamma=ghzm.GAMMA_PRESETS[p["gamma_preset"]],
-    )
+def _grid(exp: Experiment, axes: dict, entangled: bool, preset: str, verify: bool):
+    """One row per point of the Cartesian angle grid, plus the largest
+    verification residual (None unless ``verify``)."""
+    points = list(product(*(axes[k] for k in exp.angle_keys)))
+    runs = [exp.run(_directions(exp, dict(zip(exp.angle_keys, point))), entangled,
+                    exp.presets[preset], verify) for point in points]
+    rows = [[*point, entangled, preset, *values.values()]
+            for point, (values, _) in zip(points, runs)]
+    return rows, max(r for _, r in runs) if verify else None
 
 
-def _ghzm_residual(cfg: ghzm.GhzmConfig) -> float:
-    seq = ghzm.measurement_sequence(cfg)
-    return cross_check(ghzm.referee_observable(cfg.gamma), seq, ghzm.initial_state())
-
-
-def _handle_eprb(man: RunManifest) -> _Rendered:
+def _handle_run(man: RunManifest) -> _Rendered:
+    exp = EXPERIMENTS[man.command]
     p = man.parameters
-    cfg = _eprb_config(p)
-    report = eprb.run_eprb(cfg)
-    residual = _eprb_residual(cfg) if man.verify else None
-    columns = ["theta1", "phi1", "theta2", "phi2", "entangled", "beta_preset",
-               "mean_b1", "mean_b2", "mean_b1b2", "p_uu"]
-    row = [p["theta1"], p["phi1"], p["theta2"], p["phi2"], p["entangled"],
-           p["beta_preset"], report.mean_b1, report.mean_b2, report.mean_b1b2,
-           report.p_uu]
-    table = [
-        "EPRB run",
-        f"  analyzer 1: theta = {_fmt(p['theta1'])} deg, phi = {_fmt(p['phi1'])} deg",
-        f"  analyzer 2: theta = {_fmt(p['theta2'])} deg, phi = {_fmt(p['phi2'])} deg",
-        f"  entangled   = {_fmt(p['entangled'])}",
-        f"  beta preset = {p['beta_preset']} {eprb.BETA_PRESETS[p['beta_preset']]}",
-        f"  <B1>    = {_fmt(report.mean_b1)}",
-        f"  <B2>    = {_fmt(report.mean_b2)}",
-        f"  <B1 B2> = {_fmt(report.mean_b1b2)}",
-        f"  P_uu    = {_fmt(report.p_uu)}",
-    ]
-    return _finish_with_residual(_Rendered(table, columns, [row]), man, residual)
+    preset = p[exp.preset_key]
+    rows, residual = _grid(exp, {k: (p[k],) for k in exp.angle_keys}, p["entangled"],
+                           preset, man.verify)
+    preset_line = exp.preset_line.format(preset=preset, eigenvalues=exp.presets[preset])
+    labels = [m[1].format(preset=preset) for m in exp.means]
+    width = max(len(label) for label in labels)
+    table = [f"{exp.name.upper()} run"]
+    table += [f"  analyzer {k}: theta = {_fmt(p[f'theta{k}'])} deg, phi = {_fmt(p[f'phi{k}'])} deg"
+              for k in range(1, len(exp.measurements) + 1)]
+    table += [f"  {'entangled':<{preset_line.index(' =')}} = {_fmt(p['entangled'])}",
+              f"  {preset_line}"]
+    table += [f"  {label:<{width}} = {_fmt(value)}"
+              for label, value in zip(labels, rows[0][-len(labels):])]
+    return _Rendered(table, _columns(exp), rows, residual)
 
 
 def _handle_bell_q(man: RunManifest) -> _Rendered:
     phis_deg = man.parameters["phis"]
-    phis = tuple(math.radians(v) for v in phis_deg)
-    terms = eprb.bell_q_terms(phis)
+    runs = [
+        EPRB.run((_direction(90.0, phis_deg[a]), _direction(90.0, phis_deg[b])), True,
+                 PROBABILITY_BETA, man.verify)
+        for a, b in _BELL_PAIRS
+    ]
+    terms = [values["p_uu"] for values, _ in runs]
     q = float(sum(terms))
-    residual = None
-    if man.verify:
-        residual = 0.0
-        pairs = ((phis_deg[0], phis_deg[1]), (phis_deg[1], phis_deg[2]),
-                 (phis_deg[2], phis_deg[0]))
-        for a, b in pairs:
-            cfg = _eprb_config(
-                {"theta1": 90.0, "phi1": a, "theta2": 90.0, "phi2": b, "entangled": True},
-                beta=eprb.PROBABILITY_BETA,
-            )
-            residual = max(residual, _eprb_residual(cfg))
-    a, b, c = (_fmt(v) for v in phis_deg)
-    table = [
-        "Bell quantity (analyzers in the theta = 90 deg plane)",
-        f"  P_uu({a}, {b}) = {_fmt(terms[0])}",
-        f"  P_uu({b}, {c}) = {_fmt(terms[1])}",
-        f"  P_uu({c}, {a}) = {_fmt(terms[2])}",
-        f"  Q = {_fmt(q)}",
-    ]
-    columns = ["phi1", "phi2", "phi3", "p_uu_12", "p_uu_23", "p_uu_31", "q"]
+    residual = max(r for _, r in runs) if man.verify else None
+    table = ["Bell quantity (analyzers in the theta = 90 deg plane)"]
+    table += [f"  P_uu({_fmt(phis_deg[a])}, {_fmt(phis_deg[b])}) = {_fmt(term)}"
+              for (a, b), term in zip(_BELL_PAIRS, terms)]
+    table.append(f"  Q = {_fmt(q)}")
+    columns = ["phi1", "phi2", "phi3", *(f"p_uu_{a + 1}{b + 1}" for a, b in _BELL_PAIRS), "q"]
     row = [*phis_deg, *terms, q]
-    return _finish_with_residual(_Rendered(table, columns, [row]), man, residual)
+    return _Rendered(table, columns, [row], residual)
 
 
-def _handle_ghzm(man: RunManifest) -> _Rendered:
-    p = man.parameters
-    cfg = _ghzm_config(p)
-    value = ghzm.run_ghzm(cfg)
-    name = "P_eu" if p["gamma_preset"] == "even" else "P_ou"
-    residual = _ghzm_residual(cfg) if man.verify else None
-    columns = ["theta1", "phi1", "theta2", "phi2", "theta3", "phi3",
-               "entangled", "gamma_preset", "probability"]
-    row = [p["theta1"], p["phi1"], p["theta2"], p["phi2"], p["theta3"], p["phi3"],
-           p["entangled"], p["gamma_preset"], value]
-    table = [
-        "GHZM run",
-        f"  analyzer 1: theta = {_fmt(p['theta1'])} deg, phi = {_fmt(p['phi1'])} deg",
-        f"  analyzer 2: theta = {_fmt(p['theta2'])} deg, phi = {_fmt(p['phi2'])} deg",
-        f"  analyzer 3: theta = {_fmt(p['theta3'])} deg, phi = {_fmt(p['phi3'])} deg",
-        f"  entangled    = {_fmt(p['entangled'])}",
-        f"  gamma preset = {p['gamma_preset']}",
-        f"  {name} = {_fmt(value)}",
-    ]
-    return _finish_with_residual(_Rendered(table, columns, [row]), man, residual)
+def _ghz_parity(phis_deg, entangled: bool, verify: bool = False):
+    """P_eu with all analyzers at theta = 90 deg, and the verification residual."""
+    directions = tuple(_direction(90.0, phi) for phi in phis_deg)
+    values, residual = GHZM.run(directions, entangled, EVEN_GAMMA, verify)
+    return values["probability"], residual
 
 
 def _handle_ghz_table(man: RunManifest) -> _Rendered:
     triples = ((0.0, 90.0, 90.0), (90.0, 0.0, 90.0), (90.0, 90.0, 0.0), (0.0, 0.0, 0.0))
     columns = ["phi1", "phi2", "phi3", "p_eu_entangled", "p_eu_nonentangled"]
-    rows = []
-    residual = 0.0 if man.verify else None
-    for phis in triples:
-        values = []
-        for entangled in (True, False):
-            cfg = _ghzm_config({
-                "theta1": 90.0, "phi1": phis[0], "theta2": 90.0, "phi2": phis[1],
-                "theta3": 90.0, "phi3": phis[2], "entangled": entangled,
-                "gamma_preset": "even",
-            })
-            values.append(ghzm.run_ghzm(cfg))
-            if man.verify:
-                residual = max(residual, _ghzm_residual(cfg))
-        rows.append([*phis, *values])
+    runs = {(phis, entangled): _ghz_parity(phis, entangled, man.verify)
+            for phis in triples for entangled in (True, False)}
+    rows = [[*phis, runs[phis, True][0], runs[phis, False][0]] for phis in triples]
+    residual = max(r for _, r in runs.values()) if man.verify else None
     table = ["GHZM parity table (theta = 90 deg)",
              "  phi1  phi2  phi3   P_eu entangled   P_eu nonentangled"]
     for row in rows:
@@ -307,181 +245,86 @@ def _handle_ghz_table(man: RunManifest) -> _Rendered:
             f"   {_fmt(row[3]):>14}   {_fmt(row[4]):>17}"
         )
     table.append("  instruction-set models force P_eu(0, 0, 0) = 0; see `sim lhv ghz`")
-    return _finish_with_residual(_Rendered(table, columns, rows), man, residual)
+    return _Rendered(table, columns, rows, residual)
+
+
+def _lhv_eprb() -> _Rendered:
+    q_max = eprb_q_max()
+    quantum_q = bell_q()
+    table = ["EPRB instruction sets (particle 2 forced opposite; 8 sets)",
+             "  responses at 0/120/240 deg   Q"]
+    rows = []
+    for k, s in enumerate(all_eprb_sets()):
+        weights = [0.0] * 8
+        weights[k] = 1.0
+        q = eprb_q_over_distribution(weights)
+        rows.append([",".join(s.outcomes), q])
+        table.append(f"  {','.join(s.outcomes):<26}   {_fmt(q)}")
+    table += [
+        f"  classical maximum Q = {_fmt(q_max.value)}"
+        f"   (witness {','.join(q_max.witness.outcomes)})",
+        f"  quantum Q           = {_fmt(quantum_q)}",
+    ]
+    return _Rendered(table, ["responses_0_120_240", "q"], rows)
+
+
+def _lhv_ghz() -> _Rendered:
+    verdicts = ghz_constrained_sets()
+    quantum, _ = _ghz_parity((0.0, 0.0, 0.0), entangled=True)
+    table = [
+        f"GHZ instruction sets: 64 candidates, {len(verdicts)} satisfy the"
+        " mixed-orientation constraints",
+        "  responses (0 deg, 90 deg) per particle      spin-up parity at (0,0,0)",
+    ]
+    rows = []
+    for v in verdicts:
+        cells = ["/".join(pair) for pair in v.instruction_set.outcomes]
+        rows.append([*cells, v.parity_at_zero])
+        table.append(f"  {'  '.join(c.ljust(12) for c in cells)}  {v.parity_at_zero}")
+    table += [
+        f"  classical P_eu(0, 0, 0) = {_fmt(classical_ghz_p_eu_zero())}",
+        f"  quantum   P_eu(0, 0, 0) = {_fmt(quantum)}",
+    ]
+    return _Rendered(table, ["particle1", "particle2", "particle3", "parity_at_zero"], rows)
 
 
 def _handle_lhv(man: RunManifest) -> _Rendered:
     which = man.parameters["which"]
-    if man.output_format == "csv" and which == "both":
+    if which != "both":
+        return {"eprb": _lhv_eprb, "ghz": _lhv_ghz}[which]()
+    if man.output_format == "csv":
         raise ConfigError("csv output needs `sim lhv eprb` or `sim lhv ghz`")
-    table: list[str] = []
-    columns: list[str] = []
-    rows: list[list] = []
-
-    if which in ("eprb", "both"):
-        q_max = eprb_q_max()
-        quantum_q = eprb.bell_q()
-        table += ["EPRB instruction sets (particle 2 forced opposite; 8 sets)",
-                  "  responses at 0/120/240 deg   Q"]
-        eprb_rows = []
-        for k, s in enumerate(all_eprb_sets()):
-            weights = [0.0] * 8
-            weights[k] = 1.0
-            q = eprb_q_over_distribution(weights)
-            eprb_rows.append([",".join(s.outcomes), q])
-            table.append(f"  {','.join(s.outcomes):<26}   {_fmt(q)}")
-        table += [
-            f"  classical maximum Q = {_fmt(q_max.value)}"
-            f"   (witness {','.join(q_max.witness.outcomes)})",
-            f"  quantum Q           = {_fmt(quantum_q)}",
-        ]
-        if which == "eprb":
-            columns = ["responses_0_120_240", "q"]
-            rows = eprb_rows
-
-    if which in ("ghz", "both"):
-        verdicts = ghz_constrained_sets()
-        cfg = ghzm.GhzmConfig(
-            n1=_direction(90.0, 0.0), n2=_direction(90.0, 0.0), n3=_direction(90.0, 0.0)
-        )
-        quantum = ghzm.run_ghzm(cfg)
-        classical = sum(v.parity_at_zero == "even" for v in verdicts) / len(verdicts)
-        table += [
-            f"GHZ instruction sets: 64 candidates, {len(verdicts)} satisfy the"
-            " mixed-orientation constraints",
-            "  responses (0 deg, 90 deg) per particle      spin-up parity at (0,0,0)",
-        ]
-        ghz_rows = []
-        for v in verdicts:
-            cells = ["/".join(pair) for pair in v.instruction_set.outcomes]
-            ghz_rows.append([*cells, v.parity_at_zero])
-            table.append(f"  {'  '.join(c.ljust(12) for c in cells)}  {v.parity_at_zero}")
-        table += [
-            f"  classical P_eu(0, 0, 0) = {_fmt(classical)}",
-            f"  quantum   P_eu(0, 0, 0) = {_fmt(quantum)}",
-        ]
-        if which == "ghz":
-            columns = ["particle1", "particle2", "particle3", "parity_at_zero"]
-            rows = ghz_rows
-
-    return _Rendered(table, columns, rows)
-
-
-_SPIN_COMPONENT = np.diag([1.0, -1.0]).astype(complex)
-
-
-def _support_rows(observables: dict[str, Operator], stages, tol: float):
-    """(observable, stage) -> support labels + per-label residuals."""
-    rows = []
-    for name, op in observables.items():
-        for stage_name, seq in stages:
-            evolved = heisenberg_evolve(op, seq) if seq is not None else op
-            sup = support(evolved, tol)
-            ordered = [lbl for lbl in evolved.layout.labels if lbl in sup.labels]
-            residuals = [sup.residuals[lbl] for lbl in evolved.layout.labels]
-            rows.append([name, stage_name, ",".join(ordered), *residuals])
-    return rows
+    return _Rendered(_lhv_eprb().table + _lhv_ghz().table, [], [])
 
 
 def _handle_analyze(man: RunManifest) -> _Rendered:
     p = man.parameters
-    tol = man.tolerance
-    if p["experiment"] == "eprb":
-        layout = eprb.eprb_layout()
-        base = {"theta1": p["theta1"], "phi1": p["phi1"],
-                "theta2": p["theta2"], "phi2": p["phi2"]}
-        seq_plain = eprb.measurement_sequence(_eprb_config({**base, "entangled": False,
-                                                            "beta_preset": "spin"}))
-        seq_ent = eprb.measurement_sequence(_eprb_config({**base, "entangled": True,
-                                                          "beta_preset": "spin"}))
-        b1, b2 = eprb.belief_observables(eprb.SPIN_BETA)
-        observables = {
-            "B1": b1,
-            "B2": b2,
-            "A1": embed(Operator(single_factor("S1", 2), _SPIN_COMPONENT), layout),
-            "A2": embed(Operator(single_factor("S2", 2), _SPIN_COMPONENT), layout),
-        }
-        stages = [("t0", None), ("t2-nonentangled", seq_plain), ("t2-entangled", seq_ent)]
-        heading = "Label support ledger (EPRB)"
-    else:
-        layout = ghzm.ghzm_layout()
-        def cfg(entangled: bool) -> ghzm.GhzmConfig:
-            return ghzm.GhzmConfig(
-                n1=_direction(p["theta1"], p["phi1"]),
-                n2=_direction(p["theta2"], p["phi2"]),
-                n3=_direction(p["theta3"], p["phi3"]),
-                entangled=entangled,
-            )
-        seq_plain = ghzm.measurement_sequence(cfg(False))
-        seq_ent = ghzm.measurement_sequence(cfg(True))
-        observables = {"G": ghzm.referee_observable(ghzm.EVEN_GAMMA)}
-        for k, label in enumerate(ghzm.OBSERVERS, start=1):
-            spec = Operator(single_factor(label, 3), np.diag([0.0, 1.0, -1.0]).astype(complex))
-            observables[f"B{k}"] = embed(spec, layout)
-        stages = [("t0", None), ("t3-nonentangled", seq_plain), ("t3-entangled", seq_ent)]
-        heading = "Label support ledger (GHZM)"
-
-    rows = _support_rows(observables, stages, tol)
-    columns = ["observable", "stage", "support"] + [f"res_{lbl}" for lbl in layout.labels]
-    table = [heading, f"  triviality threshold = {_fmt(tol)}"]
+    exp = EXPERIMENTS[p["experiment"]]
+    labels = exp.layout.labels
+    rows = exp.support_ledger(_directions(exp, p), man.tolerance)
+    columns = ["observable", "stage", "support"] + [f"res_{lbl}" for lbl in labels]
+    table = [f"Label support ledger ({exp.name.upper()})",
+             f"  triviality threshold = {_fmt(man.tolerance)}"]
     for row in rows:
-        residuals = "  ".join(
-            f"{lbl}={_fmt(res)}" for lbl, res in zip(layout.labels, row[3:])
-        )
+        residuals = "  ".join(f"{lbl}={_fmt(res)}" for lbl, res in zip(labels, row[3:]))
         table.append(f"  {row[0]:<3} {row[1]:<16} support=[{row[2]}]  {residuals}")
     return _Rendered(table, columns, rows)
 
 
 def _handle_sweep(man: RunManifest) -> _Rendered:
     p = man.parameters
-    residual = 0.0 if man.verify else None
-    if p["experiment"] == "eprb":
-        axes = ("theta1", "phi1", "theta2", "phi2")
-        columns = [*axes, "entangled", "beta_preset",
-                   "mean_b1", "mean_b2", "mean_b1b2", "p_uu"]
-        rows = []
-        for point in product(*(p[a] for a in axes)):
-            angles = dict(zip(axes, point))
-            cfg = _eprb_config({**angles, "entangled": p["entangled"],
-                                "beta_preset": p["beta_preset"]})
-            report = eprb.run_eprb(cfg)
-            if man.verify:
-                residual = max(residual, _eprb_residual(cfg))
-            rows.append([*point, p["entangled"], p["beta_preset"], report.mean_b1,
-                         report.mean_b2, report.mean_b1b2, report.p_uu])
-    else:
-        axes = ("theta1", "phi1", "theta2", "phi2", "theta3", "phi3")
-        columns = [*axes, "entangled", "gamma_preset", "probability"]
-        rows = []
-        for point in product(*(p[a] for a in axes)):
-            angles = dict(zip(axes, point))
-            cfg = _ghzm_config({**angles, "entangled": p["entangled"],
-                                "gamma_preset": p["gamma_preset"]})
-            value = ghzm.run_ghzm(cfg)
-            if man.verify:
-                residual = max(residual, _ghzm_residual(cfg))
-            rows.append([*point, p["entangled"], p["gamma_preset"], value])
-
-    table = [f"Sweep ({p['experiment']}, {len(rows)} grid points)",
-             "  " + "  ".join(columns)]
-    for row in rows:
-        table.append("  " + "  ".join(_fmt(v) for v in row))
-    return _finish_with_residual(_Rendered(table, columns, rows), man, residual)
-
-
-def _finish_with_residual(rendered: _Rendered, man: RunManifest, residual) -> _Rendered:
-    if man.verify and residual is not None:
-        rendered.residual = residual
-        rendered.columns = [*rendered.columns, "residual"]
-        rendered.rows = [[*row, residual] for row in rendered.rows]
-        rendered.table.append(f"  verification residual = {_fmt(residual)}")
-    return rendered
+    exp = EXPERIMENTS[p["experiment"]]
+    rows, residual = _grid(exp, p, p["entangled"], p[exp.preset_key], man.verify)
+    columns = _columns(exp)
+    table = [f"Sweep ({exp.name}, {len(rows)} grid points)", "  " + "  ".join(columns)]
+    table += ["  " + "  ".join(_fmt(v) for v in row) for row in rows]
+    return _Rendered(table, columns, rows, residual)
 
 
 _HANDLERS = {
-    "eprb": _handle_eprb,
+    "eprb": _handle_run,
     "bell-q": _handle_bell_q,
-    "ghzm": _handle_ghzm,
+    "ghzm": _handle_run,
     "ghz-table": _handle_ghz_table,
     "lhv": _handle_lhv,
     "analyze": _handle_analyze,
@@ -514,8 +357,13 @@ def run(manifest: RunManifest, out: TextIO | None = None) -> int:
     """Execute a manifest, emit its report, and return the exit code."""
     out = out if out is not None else sys.stdout
     rendered = _HANDLERS[manifest.command](manifest)
+    residual = rendered.residual
+    if residual is not None:
+        rendered.columns.append("residual")
+        rendered.rows = [[*row, residual] for row in rendered.rows]
+        rendered.table.append(f"  verification residual = {_fmt(residual)}")
     _emit(manifest, rendered, out)
-    if manifest.verify and rendered.residual is not None and rendered.residual > manifest.tolerance:
+    if residual is not None and residual > manifest.tolerance:
         print(
             f"verification failed: residual {rendered.residual:.3e} exceeds "
             f"tolerance {manifest.tolerance:.3e}",

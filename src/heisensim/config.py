@@ -10,13 +10,19 @@ radians happens once, where directions are built for the pipelines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .eprb import EPRB
+from .ghzm import GHZM
 from .tensor import DEFAULT_TOL
 
 COMMANDS = ("eprb", "bell-q", "ghzm", "ghz-table", "lhv", "analyze", "sweep")
 CONFIG_SECTIONS = ("eprb", "ghzm", "sweep")
+#: The experiment definitions by name: the ``eprb``/``ghzm`` commands and
+#: the values of the ``experiment`` key.
+EXPERIMENTS = {e.name: e for e in (EPRB, GHZM)}
 
 _REQUIRED = object()
 
@@ -106,38 +112,27 @@ _RUN_KEYS = {
     "tol": _float_key(DEFAULT_TOL),
 }
 
+
+def _experiment_keys(experiment, angle_key: Callable[..., _Key], theta_default) -> dict[str, _Key]:
+    """Angles (theta defaulting, phi required), entangler switch and preset
+    (default: the first) of one experiment definition."""
+    keys = {k: angle_key(theta_default) if k.startswith("theta") else angle_key()
+            for k in experiment.angle_keys}
+    preset = _choice_key(tuple(experiment.presets), next(iter(experiment.presets)))
+    return {**keys, "entangled": _bool_key(True), experiment.preset_key: preset}
+
+
+# the experiment with the most angles goes first, so that sweep keys keep the
+# order theta1, phi1, ..., entangled, preset whichever experiment is chosen
+_SWEEP_KEYS = {k: v for e in sorted(EXPERIMENTS.values(), key=lambda e: -len(e.measurements))
+               for k, v in _experiment_keys(e, _floats_key, (90.0,)).items()}
+
 _SCHEMAS: dict[str, dict[str, _Key]] = {
-    "eprb": {
-        "theta1": _float_key(90.0),
-        "phi1": _float_key(),
-        "theta2": _float_key(90.0),
-        "phi2": _float_key(),
-        "entangled": _bool_key(True),
-        "beta_preset": _choice_key(("spin", "probability"), "spin"),
-        **_RUN_KEYS,
-    },
-    "ghzm": {
-        "theta1": _float_key(90.0),
-        "phi1": _float_key(),
-        "theta2": _float_key(90.0),
-        "phi2": _float_key(),
-        "theta3": _float_key(90.0),
-        "phi3": _float_key(),
-        "entangled": _bool_key(True),
-        "gamma_preset": _choice_key(("even", "odd"), "even"),
-        **_RUN_KEYS,
-    },
+    **{name: {**_experiment_keys(e, _float_key, 90.0), **_RUN_KEYS}
+       for name, e in EXPERIMENTS.items()},
     "sweep": {
-        "experiment": _choice_key(("eprb", "ghzm")),
-        "theta1": _floats_key((90.0,)),
-        "phi1": _floats_key(),
-        "theta2": _floats_key((90.0,)),
-        "phi2": _floats_key(),
-        "theta3": _floats_key((90.0,)),
-        "phi3": _floats_key(),
-        "entangled": _bool_key(True),
-        "beta_preset": _choice_key(("spin", "probability"), "spin"),
-        "gamma_preset": _choice_key(("even", "odd"), "even"),
+        "experiment": _choice_key(tuple(EXPERIMENTS)),
+        **_SWEEP_KEYS,
         **{**_RUN_KEYS, "format": _choice_key(("table", "csv"), "csv")},
     },
     "bell-q": {
@@ -150,7 +145,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         **_RUN_KEYS,
     },
     "analyze": {
-        "experiment": _choice_key(("eprb", "ghzm"), "eprb"),
+        "experiment": _choice_key(tuple(EXPERIMENTS), "eprb"),
         "theta1": _float_key(90.0),
         "phi1": _float_key(0.0),
         "theta2": _float_key(90.0),
@@ -161,9 +156,13 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     },
 }
 
-# keys that only make sense for one sweep experiment
-_SWEEP_EPRB_ONLY = ("beta_preset",)
-_SWEEP_GHZM_ONLY = ("theta3", "phi3", "gamma_preset")
+
+def _foreign_keys(experiment: str) -> tuple[str, ...]:
+    """Keys that belong only to experiments other than ``experiment``."""
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    own = EXPERIMENTS[experiment].keys
+    return tuple(k for e in EXPERIMENTS.values() for k in e.keys if k not in own)
 
 
 def finalize_manifest(command: str, provided: dict[str, object]) -> RunManifest:
@@ -175,15 +174,16 @@ def finalize_manifest(command: str, provided: dict[str, object]) -> RunManifest:
     if unknown:
         raise ConfigError(f"unknown keys for {command!r}: {sorted(unknown)}")
 
+    # sweep and analyze take the keys of one experiment, named by a key
     dropped: tuple[str, ...] = ()
-    if command == "sweep":
-        experiment = provided.get("experiment")
-        if experiment is None:
-            raise ConfigError("missing required key 'experiment' for 'sweep'")
-        dropped = _SWEEP_GHZM_ONLY if experiment == "eprb" else _SWEEP_EPRB_ONLY
+    if "experiment" in schema:
+        experiment = provided.get("experiment", schema["experiment"].default)
+        if experiment is _REQUIRED:
+            raise ConfigError(f"missing required key 'experiment' for {command!r}")
+        dropped = _foreign_keys(experiment)
         for key in dropped:
             if key in provided:
-                raise ConfigError(f"key {key!r} does not apply to a {experiment} sweep")
+                raise ConfigError(f"key {key!r} does not apply to experiment {experiment!r}")
 
     values: dict[str, object] = {}
     for key, spec in schema.items():
@@ -202,8 +202,8 @@ def finalize_manifest(command: str, provided: dict[str, object]) -> RunManifest:
     output_format = values.pop("format")
     verify = values.pop("verify")
     tolerance = values.pop("tol")
-    if tolerance <= 0:
-        raise ConfigError(f"tolerance must be positive, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
     return RunManifest(command, values, output_format, verify, tolerance)
 
 

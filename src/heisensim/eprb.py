@@ -1,4 +1,4 @@
-"""EPRB pipeline: two spin-1/2 particles, two observers.
+"""EPRB: two spin-1/2 particles, two observers.
 
 The composite space is the fixed four-factor layout
 ``[O1:3, O2:3, S1:2, S2:2]``. The initial state has both observers
@@ -6,7 +6,8 @@ ignorant, particle 1 spin-up along z and particle 2 spin-down. An optional
 entangler rotates the particle pair into the singlet state before each
 observer measures its particle along a chosen direction; correlation
 functions are then expectation values of evolved belief operators in the
-fixed initial state.
+fixed initial state. :data:`EPRB` is the whole definition; the functions
+below are forms of it over :class:`EprbConfig`.
 """
 
 from __future__ import annotations
@@ -16,23 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import (
-    Direction,
-    InteractionSequence,
-    ObserverSpec,
-    SPIN_OUTCOMES,
-    heisenberg_evolve,
-    measurement_unitary,
-    spin_projector,
-)
-from .tensor import (
-    DEFAULT_TOL,
-    Operator,
-    StateVector,
-    SubsystemLayout,
-    embed,
-    real_expectation,
-)
+from .experiment import Experiment
+from .lhv import _BELL_PAIRS
+from .measure import Direction, InteractionSequence, ObserverSpec
+from .tensor import DEFAULT_TOL, Operator, StateVector, SubsystemLayout, embed, single_factor
 
 OBSERVER_1, OBSERVER_2 = "O1", "O2"
 PARTICLE_1, PARTICLE_2 = "S1", "S2"
@@ -57,7 +45,7 @@ def eprb_layout() -> SubsystemLayout:
 
 def initial_state() -> StateVector:
     """Both observers ignorant; particle 1 up, particle 2 down along z."""
-    return StateVector.basis(_LAYOUT, (0, 0, 0, 1))
+    return EPRB.initial_state()
 
 
 @dataclass(frozen=True)
@@ -75,6 +63,10 @@ class EprbConfig:
         # coincide with an outcome (the probability preset reuses 0)
         if self.beta[1] == self.beta[2]:
             raise ValueError(f"outcome eigenvalues must differ, got {self.beta}")
+
+    @property
+    def directions(self) -> tuple[Direction, Direction]:
+        return (self.n1, self.n2)
 
 
 @dataclass(frozen=True)
@@ -107,23 +99,6 @@ def singlet_entangler() -> Operator:
     return Operator(SubsystemLayout(((PARTICLE_1, 2), (PARTICLE_2, 2))), m)
 
 
-def _spin_measurement(n: Direction, observer: str, particle: str, beta) -> Operator:
-    projectors = [spin_projector(n, o, particle) for o in SPIN_OUTCOMES]
-    return measurement_unitary(
-        _LAYOUT, observer, particle, projectors, ObserverSpec(observer, beta)
-    )
-
-
-def measurement_sequence(cfg: EprbConfig) -> InteractionSequence:
-    """Entangler (when enabled) followed by the two measurements."""
-    steps = []
-    if cfg.entangled:
-        steps.append(("t1:entangle", embed(singlet_entangler(), _LAYOUT)))
-    steps.append(("t2:measure-1", _spin_measurement(cfg.n1, OBSERVER_1, PARTICLE_1, cfg.beta)))
-    steps.append(("t2:measure-2", _spin_measurement(cfg.n2, OBSERVER_2, PARTICLE_2, cfg.beta)))
-    return InteractionSequence(tuple(steps))
-
-
 def belief_observables(beta) -> tuple[Operator, Operator]:
     """The two observers' belief operators on the full layout (time t0)."""
     b1 = embed(ObserverSpec(OBSERVER_1, beta).belief_operator(), _LAYOUT)
@@ -131,42 +106,57 @@ def belief_observables(beta) -> tuple[Operator, Operator]:
     return b1, b2
 
 
-def _belief_means(
-    seq: InteractionSequence, psi0: StateVector, beta
-) -> tuple[float, float, float]:
-    b1, b2 = belief_observables(beta)
-    b1_t2 = heisenberg_evolve(b1, seq)
-    b2_t2 = heisenberg_evolve(b2, seq)
-    return (
-        real_expectation(psi0, b1_t2),
-        real_expectation(psi0, b2_t2),
-        real_expectation(psi0, b1_t2 @ b2_t2),
-    )
+def _ledger() -> dict[str, Operator]:
+    # belief operators beside the spin components they come to record
+    b1, b2 = belief_observables(SPIN_BETA)
+    spin = {f"A{k}": embed(Operator(single_factor(s, 2), np.diag([1.0, -1.0])), _LAYOUT)
+            for k, s in enumerate((PARTICLE_1, PARTICLE_2), 1)}
+    return {"B1": b1, "B2": b2, **spin}
+
+
+#: ``p_uu`` is the product mean re-run under the probability preset rather
+#: than post-processed from the configured eigenvalues.
+EPRB = Experiment(
+    name="eprb",
+    layout=_LAYOUT,
+    initial_indices=(0, 0, 0, 1),
+    measurements=((OBSERVER_1, PARTICLE_1), (OBSERVER_2, PARTICLE_2)),
+    entangler=singlet_entangler,
+    readout=(),
+    stage="t2",
+    preset_key="beta_preset",
+    presets=BETA_PRESETS,
+    preset_line="beta preset = {preset} {eigenvalues}",
+    beliefs=lambda beta: dict(zip(("B1", "B2"), belief_observables(beta))),
+    means=(
+        ("mean_b1", "<B1>", ("B1",), None),
+        ("mean_b2", "<B2>", ("B2",), None),
+        ("mean_b1b2", "<B1 B2>", ("B1", "B2"), None),
+        ("p_uu", "P_uu", ("B1", "B2"), PROBABILITY_BETA),
+    ),
+    ledger=_ledger,
+    probabilities=("p_uu",),
+)
+
+
+def measurement_sequence(cfg: EprbConfig) -> InteractionSequence:
+    """Entangler (when enabled) followed by the two measurements."""
+    return EPRB.sequence(cfg.directions, cfg.entangled)
 
 
 def run_eprb(cfg: EprbConfig) -> EprbReport:
-    """Evolve both belief operators and evaluate the report fields.
-
-    ``p_uu`` is the same product mean re-run under the probability preset
-    rather than post-processed from the configured eigenvalues. The
-    measurement unitaries do not depend on the eigenvalues, so the one
-    sequence serves both evaluations.
-    """
-    seq = measurement_sequence(cfg)
-    psi0 = initial_state()
-    mean_b1, mean_b2, mean_b1b2 = _belief_means(seq, psi0, cfg.beta)
-    _, _, p_uu = _belief_means(seq, psi0, PROBABILITY_BETA)
-    return EprbReport(mean_b1, mean_b2, mean_b1b2, p_uu)
+    """Evolve both belief operators and evaluate the report fields."""
+    values, _ = EPRB.run(cfg.directions, cfg.entangled, cfg.beta)
+    return EprbReport(**values)
 
 
 def bell_q_terms(
     phis: tuple[float, float, float] = BELL_PHIS, theta: float = math.pi / 2.0
 ) -> tuple[float, float, float]:
     """Joint spin-up probabilities at the three cyclic analyzer pairings."""
-    pairs = ((phis[0], phis[1]), (phis[1], phis[2]), (phis[2], phis[0]))
     return tuple(
-        run_eprb(EprbConfig(Direction(theta, a), Direction(theta, b), entangled=True)).p_uu
-        for a, b in pairs
+        run_eprb(EprbConfig(Direction(theta, phis[a]), Direction(theta, phis[b]))).p_uu
+        for a, b in _BELL_PAIRS
     )
 
 

@@ -6,7 +6,8 @@ After the three spin measurements, the referee observer O0 interrogates
 O1..O3 through a parity measurement: its awareness shifts according to
 whether an odd or an even number of them saw spin-up. With the referee
 eigenvalues ``(0, 0, 1)`` the evolved referee observable evaluates the
-even-spin-up probability directly.
+even-spin-up probability directly. :data:`GHZM` is the whole definition;
+the functions below are forms of it over :class:`GhzmConfig`.
 """
 
 from __future__ import annotations
@@ -18,25 +19,9 @@ from itertools import product
 
 import numpy as np
 
-from .measure import (
-    Direction,
-    InteractionSequence,
-    ObserverSpec,
-    SPIN_OUTCOMES,
-    heisenberg_evolve,
-    measurement_unitary,
-    shift_operator,
-    spin_projector,
-)
-from .tensor import (
-    Operator,
-    StateVector,
-    SubsystemLayout,
-    embed,
-    identity,
-    kron,
-    real_expectation,
-)
+from .experiment import Experiment
+from .measure import Direction, InteractionSequence, ObserverSpec, shift_operator
+from .tensor import Operator, StateVector, SubsystemLayout, embed, identity, kron
 
 REFEREE = "O0"
 OBSERVERS = ("O1", "O2", "O3")
@@ -48,8 +33,8 @@ EVEN_GAMMA = (0.0, 0.0, 1.0)
 ODD_GAMMA = (0.0, 1.0, 0.0)
 GAMMA_PRESETS = {"even": EVEN_GAMMA, "odd": ODD_GAMMA}
 
-#: Spin-observer eigenvalues; the parity pipeline only uses the basis
-#: structure of O1..O3, never these values.
+#: Spin-observer eigenvalues of the support ledger; the parity pipeline
+#: only uses the basis structure of O1..O3, never these values.
 _OBSERVER_BETA = (0.0, 1.0, -1.0)
 
 _LAYOUT = SubsystemLayout(
@@ -71,7 +56,7 @@ def ghzm_layout() -> SubsystemLayout:
 
 def initial_state() -> StateVector:
     """All four observers ignorant, all three particles spin-up along z."""
-    return StateVector.basis(_LAYOUT, (0,) * 7)
+    return GHZM.initial_state()
 
 
 @dataclass(frozen=True)
@@ -167,26 +152,6 @@ def _parity_unitary() -> Operator:
     return Operator(_LAYOUT, total)
 
 
-@lru_cache(maxsize=1)
-def _entangler_embedded() -> Operator:
-    return embed(ghz_entangler(), _LAYOUT)
-
-
-def measurement_sequence(cfg: GhzmConfig) -> InteractionSequence:
-    """Entangler (when enabled), three spin measurements, parity readout."""
-    steps = []
-    if cfg.entangled:
-        steps.append(("t1:entangle", _entangler_embedded()))
-    for i, (observer, particle, n) in enumerate(zip(OBSERVERS, PARTICLES, cfg.directions)):
-        projectors = [spin_projector(n, o, particle) for o in SPIN_OUTCOMES]
-        u = measurement_unitary(
-            _LAYOUT, observer, particle, projectors, ObserverSpec(observer, _OBSERVER_BETA)
-        )
-        steps.append((f"t2:measure-{i + 1}", u))
-    steps.append(("t3:parity", parity_measurement_unitary(ObserverSpec(REFEREE, cfg.gamma))))
-    return InteractionSequence(tuple(steps))
-
-
 @lru_cache(maxsize=4)
 def _referee_observable_cached(gamma: tuple[float, float, float]) -> Operator:
     return embed(ObserverSpec(REFEREE, gamma).belief_operator(), _LAYOUT)
@@ -197,13 +162,40 @@ def referee_observable(gamma) -> Operator:
     return _referee_observable_cached(tuple(float(g) for g in gamma))
 
 
-def run_ghzm(cfg: GhzmConfig) -> float:
-    """Expectation of the evolved referee observable in the initial state.
+def _ledger() -> dict[str, Operator]:
+    # the referee beside the three observers it interrogates
+    beliefs = {f"B{k}": embed(ObserverSpec(o, _OBSERVER_BETA).belief_operator(), _LAYOUT)
+               for k, o in enumerate(OBSERVERS, 1)}
+    return {"G": referee_observable(EVEN_GAMMA), **beliefs}
 
-    Under the even preset this is the probability that the referee finds
-    an even number of spin-up results; under the odd preset, its
-    complement.
-    """
-    seq = measurement_sequence(cfg)
-    g_t3 = heisenberg_evolve(referee_observable(cfg.gamma), seq)
-    return real_expectation(initial_state(), g_t3)
+
+#: Under the even preset the mean is the probability that the referee finds
+#: an even number of spin-up results (table label P_eu); under the odd
+#: preset, its complement (P_ou). Other eigenvalues give other means, so
+#: the value is not checked as a probability.
+GHZM = Experiment(
+    name="ghzm",
+    layout=_LAYOUT,
+    initial_indices=(0,) * 7,
+    measurements=tuple(zip(OBSERVERS, PARTICLES)),
+    entangler=ghz_entangler,
+    readout=(("t3:parity", _parity_unitary),),
+    stage="t3",
+    preset_key="gamma_preset",
+    presets=GAMMA_PRESETS,
+    preset_line="gamma preset = {preset}",
+    beliefs=lambda gamma: {"G": referee_observable(gamma)},
+    means=(("probability", "P_{preset[0]}u", ("G",), None),),
+    ledger=_ledger,
+)
+
+
+def measurement_sequence(cfg: GhzmConfig) -> InteractionSequence:
+    """Entangler (when enabled), three spin measurements, parity readout."""
+    return GHZM.sequence(cfg.directions, cfg.entangled)
+
+
+def run_ghzm(cfg: GhzmConfig) -> float:
+    """Expectation of the evolved referee observable in the initial state."""
+    values, _ = GHZM.run(cfg.directions, cfg.entangled, cfg.gamma)
+    return values["probability"]

@@ -21,7 +21,8 @@ from .measure import DOWN, UP
 #: enumeration never does trigonometry.
 EPRB_ANGLES = (0, 120, 240)
 
-#: Cyclic orientation pairings entering the Bell quantity.
+#: Cyclic orientation pairings entering the Bell quantity, as indices into
+#: the three orientations; the quantum Bell quantity pairs the same way.
 _BELL_PAIRS = ((0, 1), (1, 2), (2, 0))
 
 #: GHZ analyzer alphabet per particle, degrees.

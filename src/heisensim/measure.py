@@ -94,6 +94,11 @@ class Direction:
     theta: float
     phi: float
 
+    def __post_init__(self):
+        for name, value in (("theta", self.theta), ("phi", self.phi)):
+            if not math.isfinite(value):
+                raise ValueError(f"analyzer angle {name} must be finite, got {value}")
+
     @property
     def unit_vector(self) -> np.ndarray:
         st = math.sin(self.theta)

@@ -207,6 +207,42 @@ class TestSweep:
         assert code == EXIT_USAGE
 
 
+class TestInvalidInput:
+    def test_nan_tolerance_cannot_disable_verification(self, capsys):
+        code, out, err = run_cli(
+            ["eprb", "--phi1", "0", "--phi2", "90", "--verify", "--tol", "nan"], capsys
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize("argv, angle", [
+        (["eprb", "--phi1", "nan", "--phi2", "0"], "phi"),
+        (["eprb", "--phi1", "0", "--phi2", "0", "--theta2", "inf"], "theta"),
+    ])
+    def test_non_finite_angle_named(self, argv, angle, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE
+        assert f"angle {angle} must be finite" in err
+
+    def test_analyze_rejects_keys_of_the_other_experiment(self, capsys):
+        code, out, err = run_cli(
+            ["analyze", "--experiment", "eprb", "--theta3", "5", "--phi3", "77",
+             "--format", "csv"],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "theta3" in err
+
+    def test_analyze_echoes_only_its_experiment_keys(self, capsys):
+        code, out, _ = run_cli(["analyze", "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        echo = out.splitlines()[1]
+        assert "phi2=120" in echo
+        assert "theta3" not in echo and "phi3" not in echo
+
+
 class TestRunStream:
     def test_run_writes_to_given_stream(self):
         from heisensim.cli import run

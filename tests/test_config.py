@@ -99,8 +99,10 @@ class TestFinalize:
             finalize_manifest("bell-q", {"spin": 1})
 
     def test_nonpositive_tolerance(self):
-        with pytest.raises(ConfigError, match="tolerance"):
-            finalize_manifest("bell-q", {"tol": 0.0})
+        # a NaN tolerance would make every residual comparison false
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="tolerance"):
+                finalize_manifest("bell-q", {"tol": tol})
 
     def test_bell_q_needs_three_azimuths(self):
         with pytest.raises(ConfigError, match="three"):

@@ -64,6 +64,13 @@ class TestDirection:
         n = random_direction(rng)
         assert n.dot(n) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, bad):
+        with pytest.raises(ValueError, match="theta"):
+            Direction(bad, 0.0)
+        with pytest.raises(ValueError, match="phi"):
+            Direction(0.0, bad)
+
 
 class TestShiftOperator:
     SPEC = ObserverSpec("O", (0.0, 1.0, -1.0))
