@@ -322,9 +322,8 @@ def _handle_sweep(man: RunManifest) -> _Rendered:
 
 
 _HANDLERS = {
-    "eprb": _handle_run,
+    **dict.fromkeys(EXPERIMENTS, _handle_run),
     "bell-q": _handle_bell_q,
-    "ghzm": _handle_run,
     "ghz-table": _handle_ghz_table,
     "lhv": _handle_lhv,
     "analyze": _handle_analyze,

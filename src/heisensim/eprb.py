@@ -19,14 +19,19 @@ import numpy as np
 
 from .experiment import Experiment
 from .lhv import _BELL_PAIRS
-from .measure import Direction, InteractionSequence, ObserverSpec
-from .tensor import DEFAULT_TOL, Operator, StateVector, SubsystemLayout, embed, single_factor
+from .measure import SPIN_BETA, Direction, InteractionSequence, ObserverSpec
+from .tensor import (
+    DEFAULT_TOL,
+    Operator,
+    StateVector,
+    SubsystemLayout,
+    embed,
+    single_factor,
+)
 
 OBSERVER_1, OBSERVER_2 = "O1", "O2"
 PARTICLE_1, PARTICLE_2 = "S1", "S2"
 
-#: Belief eigenvalues matching the spin labels: up maps to +1, down to -1.
-SPIN_BETA = (0.0, 1.0, -1.0)
 #: Belief eigenvalues turning <B1 B2> into the joint spin-up probability.
 PROBABILITY_BETA = (0.0, 1.0, 0.0)
 BETA_PRESETS = {"spin": SPIN_BETA, "probability": PROBABILITY_BETA}
@@ -63,10 +68,6 @@ class EprbConfig:
         # coincide with an outcome (the probability preset reuses 0)
         if self.beta[1] == self.beta[2]:
             raise ValueError(f"outcome eigenvalues must differ, got {self.beta}")
-
-    @property
-    def directions(self) -> tuple[Direction, Direction]:
-        return (self.n1, self.n2)
 
 
 @dataclass(frozen=True)
@@ -135,18 +136,18 @@ EPRB = Experiment(
         ("p_uu", "P_uu", ("B1", "B2"), PROBABILITY_BETA),
     ),
     ledger=_ledger,
-    probabilities=("p_uu",),
+    report=EprbReport,
 )
 
 
 def measurement_sequence(cfg: EprbConfig) -> InteractionSequence:
     """Entangler (when enabled) followed by the two measurements."""
-    return EPRB.sequence(cfg.directions, cfg.entangled)
+    return EPRB.sequence((cfg.n1, cfg.n2), cfg.entangled)
 
 
 def run_eprb(cfg: EprbConfig) -> EprbReport:
     """Evolve both belief operators and evaluate the report fields."""
-    values, _ = EPRB.run(cfg.directions, cfg.entangled, cfg.beta)
+    values, _ = EPRB.run((cfg.n1, cfg.n2), cfg.entangled, cfg.beta)
     return EprbReport(**values)
 
 

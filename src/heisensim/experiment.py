@@ -19,16 +19,20 @@ from operator import matmul
 from typing import Callable, Mapping, Sequence
 
 from .labels import support
-from .measure import (Direction, InteractionSequence, ObserverSpec, SPIN_OUTCOMES,
-                      heisenberg_evolve, measurement_unitary, spin_projector)
+from .measure import (
+    SPIN_BETA,
+    SPIN_OUTCOMES,
+    Direction,
+    InteractionSequence,
+    ObserverSpec,
+    heisenberg_evolve,
+    measurement_unitary,
+    spin_projector,
+)
 from .schrodinger import cross_check
-from .tensor import DEFAULT_TOL, Operator, StateVector, SubsystemLayout, embed, real_expectation
+from .tensor import Operator, StateVector, SubsystemLayout, embed, real_expectation
 
 Eigenvalues = tuple[float, ...]
-
-#: Observer eigenvalues for building measurement unitaries; the unitaries
-#: depend only on the number of outcomes, never on these values.
-_MEASURING_BETA = (0.0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,8 @@ class Experiment:
     means: tuple[tuple[str, str, tuple[str, ...], Eigenvalues | None], ...]
     #: named time-t0 observables whose support the ledger follows
     ledger: Callable[[], dict[str, Operator]]
-    #: mean columns that must lie in [0, 1]
-    probabilities: tuple[str, ...] = ()
+    #: called with the means by column; raises if they break an invariant
+    report: Callable[..., object] = dict
 
     @property
     def angle_keys(self) -> tuple[str, ...]:
@@ -84,16 +88,17 @@ class Experiment:
         return embed(self.entangler(), self.layout)
 
     def sequence(self, directions: Sequence[Direction], entangled: bool) -> InteractionSequence:
-        """Entangler (when enabled), one spin measurement per pair, readout."""
-        if len(directions) != len(self.measurements):
-            raise ValueError(
-                f"{self.name} needs {len(self.measurements)} directions, got {len(directions)}"
-            )
+        """Entangler (when enabled), one spin measurement per pair, readout.
+
+        The measurement unitaries depend only on the number of outcomes, not
+        on the observer eigenvalues, so any valid eigenvalues build them.
+        """
         steps = [("t1:entangle", self._entangler_step)] if entangled else []
-        for k, ((observer, particle), n) in enumerate(zip(self.measurements, directions), 1):
+        pairs = zip(self.measurements, directions, strict=True)
+        for k, ((observer, particle), n) in enumerate(pairs, 1):
             projectors = [spin_projector(n, o, particle) for o in SPIN_OUTCOMES]
             u = measurement_unitary(self.layout, observer, particle, projectors,
-                                    ObserverSpec(observer, _MEASURING_BETA))
+                                    ObserverSpec(observer, SPIN_BETA))
             steps.append((f"t2:measure-{k}", u))
         steps += [(tag, step()) for tag, step in self.readout]
         return InteractionSequence(tuple(steps))
@@ -117,9 +122,7 @@ class Experiment:
         for fixed in dict.fromkeys(m[3] for m in self.means):
             group = [m for m in self.means if m[3] == fixed]
             values.update(self._evaluate(seq, psi0, fixed or eigenvalues, group))
-        for column in self.probabilities:
-            if not -DEFAULT_TOL <= values[column] <= 1.0 + DEFAULT_TOL:
-                raise ValueError(f"{column} = {values[column]} is not a probability")
+        self.report(**values)
         residual = None
         if verify:
             observables = self.beliefs(eigenvalues)

@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .experiment import Experiment
-from .measure import Direction, InteractionSequence, ObserverSpec, shift_operator
+from .measure import SPIN_BETA, Direction, InteractionSequence, ObserverSpec, shift_operator
 from .tensor import Operator, StateVector, SubsystemLayout, embed, identity, kron
 
 REFEREE = "O0"
@@ -32,10 +32,6 @@ EVEN_GAMMA = (0.0, 0.0, 1.0)
 #: Complementary preset: P(odd spin-up).
 ODD_GAMMA = (0.0, 1.0, 0.0)
 GAMMA_PRESETS = {"even": EVEN_GAMMA, "odd": ODD_GAMMA}
-
-#: Spin-observer eigenvalues of the support ledger; the parity pipeline
-#: only uses the basis structure of O1..O3, never these values.
-_OBSERVER_BETA = (0.0, 1.0, -1.0)
 
 _LAYOUT = SubsystemLayout(
     ((REFEREE, 3),)
@@ -163,8 +159,9 @@ def referee_observable(gamma) -> Operator:
 
 
 def _ledger() -> dict[str, Operator]:
-    # the referee beside the three observers it interrogates
-    beliefs = {f"B{k}": embed(ObserverSpec(o, _OBSERVER_BETA).belief_operator(), _LAYOUT)
+    # the referee beside the three observers it interrogates; the parity
+    # pipeline only uses the basis structure of O1..O3, never their eigenvalues
+    beliefs = {f"B{k}": embed(ObserverSpec(o, SPIN_BETA).belief_operator(), _LAYOUT)
                for k, o in enumerate(OBSERVERS, 1)}
     return {"G": referee_observable(EVEN_GAMMA), **beliefs}
 

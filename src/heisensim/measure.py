@@ -32,6 +32,9 @@ from .tensor import (
 UP = "up"
 DOWN = "down"
 SPIN_OUTCOMES = (UP, DOWN)
+#: Observer belief eigenvalues matching the spin labels: ignorant 0, up +1,
+#: down -1.
+SPIN_BETA = (0.0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Each case in ``CASES`` has one file ``tests/golden/<name>.txt`` holding the
 command line, the exit code, and the exact stdout and stderr. Values that
 are zero in exact arithmetic print their rounding noise, so these files pin
-the order of every floating-point operation on the way to the output.
+the order of every floating-point operation on the way to the output. They
+were written with the OpenBLAS build of the numpy wheels on x86_64; another
+BLAS or CPU may round differently in the last digits.
 
 After an intended output change, rewrite the files with
 
