@@ -165,9 +165,9 @@ def _manifest_from_args(args) -> RunManifest:
 # command handlers
 
 
-def _directions(exp: Experiment, angles: dict) -> tuple[Direction, ...]:
-    keys = exp.angle_keys
-    return tuple(_direction(angles[t], angles[p]) for t, p in zip(keys[::2], keys[1::2]))
+def _directions(angles) -> tuple[Direction, ...]:
+    """Degrees ``(theta1, phi1, theta2, phi2, ...)`` to one direction per analyzer."""
+    return tuple(_direction(t, p) for t, p in zip(angles[::2], angles[1::2]))
 
 
 def _columns(exp: Experiment) -> list[str]:
@@ -178,8 +178,8 @@ def _grid(exp: Experiment, axes: dict, entangled: bool, preset: str, verify: boo
     """One row per point of the Cartesian angle grid, plus the largest
     verification residual (None unless ``verify``)."""
     points = list(product(*(axes[k] for k in exp.angle_keys)))
-    runs = [exp.run(_directions(exp, dict(zip(exp.angle_keys, point))), entangled,
-                    exp.presets[preset], verify) for point in points]
+    runs = [exp.run(_directions(point), entangled, exp.presets[preset], verify)
+            for point in points]
     rows = [[*point, entangled, preset, *values.values()]
             for point, (values, _) in zip(points, runs)]
     return rows, max(r for _, r in runs) if verify else None
@@ -301,7 +301,7 @@ def _handle_analyze(man: RunManifest) -> _Rendered:
     p = man.parameters
     exp = EXPERIMENTS[p["experiment"]]
     labels = exp.layout.labels
-    rows = exp.support_ledger(_directions(exp, p), man.tolerance)
+    rows = exp.support_ledger(_directions([p[k] for k in exp.angle_keys]), man.tolerance)
     columns = ["observable", "stage", "support"] + [f"res_{lbl}" for lbl in labels]
     table = [f"Label support ledger ({exp.name.upper()})",
              f"  triviality threshold = {_fmt(man.tolerance)}"]
