@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .eprb import EPRB
+from .experiment import Experiment
 from .ghzm import GHZM
 from .tensor import DEFAULT_TOL
 
@@ -113,7 +114,9 @@ _RUN_KEYS = {
 }
 
 
-def _experiment_keys(experiment, angle_key: Callable[..., _Key], theta_default) -> dict[str, _Key]:
+def _experiment_keys(
+    experiment: Experiment, angle_key: Callable[..., _Key], theta_default
+) -> dict[str, _Key]:
     """Angles (theta defaulting, phi required), entangler switch and preset
     (default: the first) of one experiment definition."""
     keys = {k: angle_key(theta_default) if k.startswith("theta") else angle_key()
