@@ -71,10 +71,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sim", description="Heisenberg-picture measurement simulator")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def run_options(p: _Parser) -> None:
+    def run_options(p: _Parser, verify: bool = True) -> None:
         p.add_argument("--format", choices=["table", "csv"], default=None)
-        p.add_argument("--verify", action="store_true", default=None,
-                       help="cross-check operator evolution against state evolution")
+        if verify:
+            p.add_argument("--verify", action="store_true", default=None,
+                           help="cross-check operator evolution against state evolution")
         p.add_argument("--tol", type=float, default=None)
 
     def angle_options(p: _Parser, particles: int) -> None:
@@ -107,12 +108,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lhv", help="instruction-set bounds by brute force")
     p.add_argument("which", nargs="?", choices=["eprb", "ghz", "both"], default=None)
-    run_options(p)
+    run_options(p, verify=False)
 
     p = sub.add_parser("analyze", help="operator support ledger per time stage")
     p.add_argument("--experiment", choices=list(EXPERIMENTS), default=None)
     angle_options(p, 3)
-    run_options(p)
+    run_options(p, verify=False)
 
     p = sub.add_parser("sweep", help="Cartesian angle grid from a config file")
     p.add_argument("--config", required=True, metavar="FILE")

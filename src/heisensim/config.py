@@ -112,6 +112,8 @@ _RUN_KEYS = {
     "verify": _bool_key(False),
     "tol": _float_key(DEFAULT_TOL),
 }
+#: run keys of the commands that have no state-evolution cross-check
+_UNVERIFIED_KEYS = {k: v for k, v in _RUN_KEYS.items() if k != "verify"}
 
 
 def _experiment_keys(
@@ -145,7 +147,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     "ghz-table": dict(_RUN_KEYS),
     "lhv": {
         "which": _choice_key(("eprb", "ghz", "both"), "both"),
-        **_RUN_KEYS,
+        **_UNVERIFIED_KEYS,
     },
     "analyze": {
         "experiment": _choice_key(tuple(EXPERIMENTS), "eprb"),
@@ -155,7 +157,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "phi2": _float_key(120.0),
         "theta3": _float_key(90.0),
         "phi3": _float_key(240.0),
-        **_RUN_KEYS,
+        **_UNVERIFIED_KEYS,
     },
 }
 
@@ -203,7 +205,7 @@ def finalize_manifest(command: str, provided: dict[str, object]) -> RunManifest:
         raise ConfigError("bell-q needs exactly three analyzer azimuths")
 
     output_format = values.pop("format")
-    verify = values.pop("verify")
+    verify = values.pop("verify", False)
     tolerance = values.pop("tol")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")

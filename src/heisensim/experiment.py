@@ -30,7 +30,7 @@ from .measure import (
     spin_projector,
 )
 from .schrodinger import cross_check
-from .tensor import Operator, StateVector, SubsystemLayout, embed, real_expectation
+from .tensor import Operator, StateVector, SubsystemLayout, conjugate_by, embed, real_expectation
 
 Eigenvalues = tuple[float, ...]
 
@@ -93,6 +93,8 @@ class Experiment:
         The measurement unitaries depend only on the number of outcomes, not
         on the observer eigenvalues, so any valid eigenvalues build them.
         """
+        # cached readout steps first, for the reason given in ``run``
+        readout = [(tag, step()) for tag, step in self.readout]
         steps = [("t1:entangle", self._entangler_step)] if entangled else []
         pairs = zip(self.measurements, directions, strict=True)
         for k, ((observer, particle), n) in enumerate(pairs, 1):
@@ -100,8 +102,7 @@ class Experiment:
             u = measurement_unitary(self.layout, observer, particle, projectors,
                                     ObserverSpec(observer, SPIN_BETA))
             steps.append((f"t2:measure-{k}", u))
-        steps += [(tag, step()) for tag, step in self.readout]
-        return InteractionSequence(tuple(steps))
+        return InteractionSequence(tuple(steps + readout))
 
     def run(
         self,
@@ -116,38 +117,42 @@ class Experiment:
         One sequence serves both: the measurement unitaries do not depend
         on the eigenvalues.
         """
+        # observables before the dense steps: cached ones outlive the run, and
+        # allocated among its temporaries they pin the malloc heap above them
+        # (measured on GHZM: peak RSS +5%, dense products about 10% slower)
+        beliefs = {fixed: self.beliefs(fixed or eigenvalues)
+                   for fixed in dict.fromkeys(m[3] for m in self.means)}
         seq = self.sequence(directions, entangled)
         psi0 = self.initial_state()
         values: dict[str, float] = {}
-        for fixed in dict.fromkeys(m[3] for m in self.means):
+        for fixed, observables in beliefs.items():
             group = [m for m in self.means if m[3] == fixed]
-            values.update(self._evaluate(seq, psi0, fixed or eigenvalues, group))
+            values.update(self._evaluate(seq, psi0, observables, group))
         self.report(**values)
         residual = None
         if verify:
-            observables = self.beliefs(eigenvalues)
-            residual = max(cross_check(_product(observables, m[2]), seq, psi0)
+            residual = max(cross_check(_product(beliefs[None], m[2]), seq, psi0)
                            for m in self.means if m[3] is None)
         return values, residual
 
-    def _evaluate(self, seq, psi0, eigenvalues, means) -> dict[str, float]:
+    def _evaluate(self, seq, psi0, observables, means) -> dict[str, float]:
         # evolved operators die with this frame, before any cross-check
-        evolved = {name: heisenberg_evolve(op, seq)
-                   for name, op in self.beliefs(eigenvalues).items()}
+        evolved = {name: heisenberg_evolve(op, seq) for name, op in observables.items()}
         return {m[0]: real_expectation(psi0, _product(evolved, m[2])) for m in means}
 
     def support_ledger(self, directions: Sequence[Direction], tol: float) -> list[list]:
         """Rows ``[observable, stage, support labels, residual per label...]``
         at t0 and after the sequence without and with the entangler."""
+        # one product per stage, of steps checked unitary when the sequence was built
         stages = [
             ("t0", None),
-            (f"{self.stage}-nonentangled", self.sequence(directions, False)),
-            (f"{self.stage}-entangled", self.sequence(directions, True)),
+            (f"{self.stage}-nonentangled", self.sequence(directions, False).total_unitary()),
+            (f"{self.stage}-entangled", self.sequence(directions, True).total_unitary()),
         ]
         rows = []
         for name, op in self.ledger().items():
-            for stage, seq in stages:
-                evolved = heisenberg_evolve(op, seq) if seq is not None else op
+            for stage, u in stages:
+                evolved = conjugate_by(op, u, check=False) if u is not None else op
                 sup = support(evolved, tol)
                 ordered = [lbl for lbl in self.layout.labels if lbl in sup.labels]
                 residuals = [sup.residuals[lbl] for lbl in self.layout.labels]

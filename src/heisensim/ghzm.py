@@ -21,7 +21,7 @@ import numpy as np
 
 from .experiment import Experiment
 from .measure import SPIN_BETA, Direction, InteractionSequence, ObserverSpec, shift_operator
-from .tensor import Operator, StateVector, SubsystemLayout, embed, identity, kron
+from .tensor import Operator, StateVector, SubsystemLayout, embed, kron
 
 REFEREE = "O0"
 OBSERVERS = ("O1", "O2", "O3")
@@ -140,12 +140,11 @@ def _parity_unitary() -> Operator:
     # the parity blocks enter
     spec = ObserverSpec(REFEREE, ODD_GAMMA)
     pp = parity_projectors()
-    odd_full = embed(pp.p_odd, _LAYOUT)
-    even_full = embed(pp.p_even, _LAYOUT)
-    total = identity(_LAYOUT).matrix - odd_full.matrix - even_full.matrix
-    total = total + embed(kron(shift_operator(spec, 1), pp.p_odd), _LAYOUT).matrix
-    total = total + embed(kron(shift_operator(spec, 2), pp.p_even), _LAYOUT).matrix
-    return Operator(_LAYOUT, total)
+    odd = kron(shift_operator(spec, 1), pp.p_odd)
+    even = kron(shift_operator(spec, 2), pp.p_even)
+    # the 81-dim block on [O0, O1, O2, O3], embedded once
+    ignorant = np.eye(81) - np.kron(np.eye(3), pp.p_odd.matrix + pp.p_even.matrix)
+    return embed(Operator(odd.layout, ignorant + odd.matrix + even.matrix), _LAYOUT)
 
 
 @lru_cache(maxsize=4)

@@ -19,14 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import (
-    DEFAULT_TOL,
-    LayoutError,
-    Operator,
-    embed,
-    partial_trace,
-    single_factor,
-)
+from .tensor import DEFAULT_TOL, LayoutError, Operator, embed, single_factor
 
 
 class NotLocallySupportedError(ValueError):
@@ -54,19 +47,16 @@ class SupportSet:
 def acts_trivially_on(op: Operator, label: str, tol: float = DEFAULT_TOL) -> TrivialityCheck:
     """Test whether ``op`` is identity-like on one factor.
 
-    Reconstructs the operator from its normalized partial trace over the
-    factor and measures the Frobenius distance to the original.
+    Traces the factor's two axes of the ``dims + dims`` tensor, restores the
+    identity there and measures the Frobenius distance to the original.
     """
     layout = op.layout
-    d = layout.dim_of(label)
-    if len(layout) == 1:
-        # single-factor space: trivial means a multiple of the identity
-        scale = np.trace(op.matrix) / d
-        residual = float(np.linalg.norm(op.matrix - scale * np.eye(d)))
-        return TrivialityCheck(residual < tol, residual)
-    reduced = partial_trace(op, label)
-    rebuilt = embed(Operator(reduced.layout, reduced.matrix / d), layout)
-    residual = float(np.linalg.norm(op.matrix - rebuilt.matrix))
+    k, m, d = layout.position(label), len(layout), layout.dim_of(label)
+    tensor = op.matrix.reshape(layout.dims + layout.dims)
+    reduced = np.trace(tensor, axis1=k, axis2=m + k) / d
+    # the identity on the factor's axes, size 1 on every other axis
+    eye = np.eye(d).reshape([d if j in (k, m + k) else 1 for j in range(2 * m)])
+    residual = float(np.linalg.norm(tensor - np.expand_dims(reduced, (k, m + k)) * eye))
     return TrivialityCheck(residual < tol, residual)
 
 
@@ -94,13 +84,13 @@ def local_factor(op: Operator, label: str, tol: float = DEFAULT_TOL) -> Operator
         raise NotLocallySupportedError(
             f"support is {sorted(sup.labels)}, not [{label!r}]; no local factor exists"
         )
-    reduced = op
-    for other in op.layout.labels:
-        if other == label:
-            continue
-        d = reduced.layout.dim_of(other)
-        reduced = Operator(reduced.layout.drop(other), partial_trace(reduced, other).matrix / d)
-    extracted = Operator(single_factor(label, op.layout.dim_of(label)), reduced.matrix)
+    layout = op.layout
+    k, m, d = layout.position(label), len(layout), layout.dim_of(label)
+    # the factor's row and column axes first, then one trace over the rest
+    tensor = np.moveaxis(op.matrix.reshape(layout.dims + layout.dims), (k, m + k), (0, 1))
+    rest = op.dim // d
+    reduced = np.trace(tensor.reshape(d, d, rest, rest), axis1=2, axis2=3) / rest
+    extracted = Operator(single_factor(label, d), reduced)
     residual = float(np.linalg.norm(embed(extracted, op.layout).matrix - op.matrix))
     if residual >= tol:
         raise NotLocallySupportedError(

@@ -235,6 +235,16 @@ class TestInvalidInput:
         assert out == ""
         assert "theta3" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["lhv", "eprb", "--verify", "--format", "csv"],
+        ["analyze", "--verify", "--format", "csv"],
+    ])
+    def test_verify_rejected_where_nothing_is_verified(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--verify" in err
+
     def test_analyze_echoes_only_its_experiment_keys(self, capsys):
         code, out, _ = run_cli(["analyze", "--format", "csv"], capsys)
         assert code == EXIT_OK

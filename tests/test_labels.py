@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from heisensim import (
@@ -164,3 +165,50 @@ class TestPeeling:
                 )
             rebuilt = embed(reduced, layout)
             assert float(np.linalg.norm(rebuilt.matrix - op.matrix)) < 1e-10
+
+
+@st.composite
+def layouts(draw):
+    dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    return SubsystemLayout(tuple((f"F{i}", d) for i, d in enumerate(dims)))
+
+
+def random_matrix(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout=layouts(), seed=st.integers(0, 2**31))
+def test_triviality_matches_partial_trace_reconstruction(layout, seed):
+    rng = np.random.default_rng(seed)
+    # a generic operator and a local one, so both verdicts occur
+    local = layout.labels[int(rng.integers(len(layout)))]
+    ops = [Operator(layout, random_matrix(rng, layout.total_dim)),
+           embed(Operator(single_factor(local, layout.dim_of(local)),
+                          random_matrix(rng, layout.dim_of(local))), layout)]
+    for op in ops:
+        for label in layout.labels:
+            d = layout.dim_of(label)
+            if len(layout) == 1:
+                rebuilt = np.trace(op.matrix) / d * np.eye(d)
+            else:
+                reduced = partial_trace(op, label)
+                rebuilt = embed(Operator(reduced.layout, reduced.matrix / d), layout).matrix
+            expected = float(np.linalg.norm(op.matrix - rebuilt))
+            check = acts_trivially_on(op, label)
+            assert check.trivial == (expected < 1e-10)
+            assert abs(check.residual - expected) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout=layouts(), seed=st.integers(0, 2**31))
+def test_local_factor_recovers_embedded_operator(layout, seed):
+    rng = np.random.default_rng(seed)
+    label = layout.labels[int(rng.integers(len(layout)))]
+    d = layout.dim_of(label)
+    m = random_matrix(rng, d)
+    local = Operator(single_factor(label, d), m)
+    assume(not acts_trivially_on(local, label).trivial)
+    out = local_factor(embed(local, layout), label)
+    assert out.layout == local.layout
+    assert float(np.linalg.norm(out.matrix - m)) < 1e-12
