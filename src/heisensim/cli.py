@@ -1,7 +1,7 @@
 """Command-line front-end: ``sim <command> [options]``.
 
 Angles are taken in degrees on the command line and in config files and
-converted to radians in one place (:func:`_direction`); that conversion is
+converted to radians in one place (:func:`_directions`); that conversion is
 the only unit change in the system. Exit codes: 0 success, 1 usage or
 config error, 2 verification failure.
 """
@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import TextIO
 
 from .config import EXPERIMENTS, ConfigError, RunManifest, finalize_manifest, parse_config
-from .eprb import EPRB, PROBABILITY_BETA, bell_q
+from .eprb import EPRB, bell_q
 from .experiment import Experiment
-from .ghzm import EVEN_GAMMA, GHZM
+from .ghzm import GHZM
 from .lhv import (
     _BELL_PAIRS,
     all_eprb_sets,
@@ -43,11 +43,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse hook
         raise _UsageError(message)
-
-
-def _direction(theta_deg: float, phi_deg: float) -> Direction:
-    """Degrees in, radians out: the system's single unit conversion."""
-    return Direction(math.radians(theta_deg), math.radians(phi_deg))
 
 
 def _fmt(value) -> str:
@@ -167,31 +162,30 @@ def _manifest_from_args(args) -> RunManifest:
 
 
 def _directions(angles) -> tuple[Direction, ...]:
-    """Degrees ``(theta1, phi1, theta2, phi2, ...)`` to one direction per analyzer."""
-    return tuple(_direction(t, p) for t, p in zip(angles[::2], angles[1::2]))
+    """Degrees ``(theta1, phi1, theta2, phi2, ...)`` in, one direction per
+    analyzer in radians out: the system's single unit conversion."""
+    return tuple(Direction(math.radians(theta), math.radians(phi))
+                 for theta, phi in zip(angles[::2], angles[1::2]))
 
 
 def _columns(exp: Experiment) -> list[str]:
     return [*exp.angle_keys, "entangled", exp.preset_key, *(m[0] for m in exp.means)]
 
 
-def _grid(exp: Experiment, axes: dict, entangled: bool, preset: str, verify: bool):
-    """One row per point of the Cartesian angle grid, plus the largest
-    verification residual (None unless ``verify``)."""
-    points = list(product(*(axes[k] for k in exp.angle_keys)))
+def _grid(exp: Experiment, points, entangled: bool, preset: str, verify: bool):
+    """The means by column at each point ``(theta1, phi1, theta2, ...)`` in
+    degrees, plus the largest verification residual (None unless ``verify``)."""
     runs = [exp.run(_directions(point), entangled, exp.presets[preset], verify)
             for point in points]
-    rows = [[*point, entangled, preset, *values.values()]
-            for point, (values, _) in zip(points, runs)]
-    return rows, max(r for _, r in runs) if verify else None
+    return [values for values, _ in runs], max(r for _, r in runs) if verify else None
 
 
 def _handle_run(man: RunManifest) -> _Rendered:
     exp = EXPERIMENTS[man.command]
     p = man.parameters
     preset = p[exp.preset_key]
-    rows, residual = _grid(exp, {k: (p[k],) for k in exp.angle_keys}, p["entangled"],
-                           preset, man.verify)
+    point = tuple(p[k] for k in exp.angle_keys)
+    (values,), residual = _grid(exp, [point], p["entangled"], preset, man.verify)
     preset_line = exp.preset_line.format(preset=preset, eigenvalues=exp.presets[preset])
     labels = [m[1].format(preset=preset) for m in exp.means]
     width = max(len(label) for label in labels)
@@ -201,20 +195,17 @@ def _handle_run(man: RunManifest) -> _Rendered:
     table += [f"  {'entangled':<{preset_line.index(' =')}} = {_fmt(p['entangled'])}",
               f"  {preset_line}"]
     table += [f"  {label:<{width}} = {_fmt(value)}"
-              for label, value in zip(labels, rows[0][-len(labels):])]
-    return _Rendered(table, _columns(exp), rows, residual)
+              for label, value in zip(labels, values.values())]
+    row = [*point, p["entangled"], preset, *values.values()]
+    return _Rendered(table, _columns(exp), [row], residual)
 
 
 def _handle_bell_q(man: RunManifest) -> _Rendered:
     phis_deg = man.parameters["phis"]
-    runs = [
-        EPRB.run((_direction(90.0, phis_deg[a]), _direction(90.0, phis_deg[b])), True,
-                 PROBABILITY_BETA, man.verify)
-        for a, b in _BELL_PAIRS
-    ]
-    terms = [values["p_uu"] for values, _ in runs]
+    points = [(90.0, phis_deg[a], 90.0, phis_deg[b]) for a, b in _BELL_PAIRS]
+    means, residual = _grid(EPRB, points, True, "probability", man.verify)
+    terms = [values["p_uu"] for values in means]
     q = float(sum(terms))
-    residual = max(r for _, r in runs) if man.verify else None
     table = ["Bell quantity (analyzers in the theta = 90 deg plane)"]
     table += [f"  P_uu({_fmt(phis_deg[a])}, {_fmt(phis_deg[b])}) = {_fmt(term)}"
               for (a, b), term in zip(_BELL_PAIRS, terms)]
@@ -224,20 +215,20 @@ def _handle_bell_q(man: RunManifest) -> _Rendered:
     return _Rendered(table, columns, [row], residual)
 
 
-def _ghz_parity(phis_deg, entangled: bool, verify: bool = False):
-    """P_eu with all analyzers at theta = 90 deg, and the verification residual."""
-    directions = tuple(_direction(90.0, phi) for phi in phis_deg)
-    values, residual = GHZM.run(directions, entangled, EVEN_GAMMA, verify)
-    return values["probability"], residual
+def _ghz_parity(triples, entangled: bool, verify: bool = False):
+    """P_eu at theta = 90 deg for each azimuth triple, and the verification residual."""
+    points = [tuple(angle for phi in phis for angle in (90.0, phi)) for phis in triples]
+    means, residual = _grid(GHZM, points, entangled, "even", verify)
+    return [values["probability"] for values in means], residual
 
 
 def _handle_ghz_table(man: RunManifest) -> _Rendered:
     triples = ((0.0, 90.0, 90.0), (90.0, 0.0, 90.0), (90.0, 90.0, 0.0), (0.0, 0.0, 0.0))
     columns = ["phi1", "phi2", "phi3", "p_eu_entangled", "p_eu_nonentangled"]
-    runs = {(phis, entangled): _ghz_parity(phis, entangled, man.verify)
-            for phis in triples for entangled in (True, False)}
-    rows = [[*phis, runs[phis, True][0], runs[phis, False][0]] for phis in triples]
-    residual = max(r for _, r in runs.values()) if man.verify else None
+    on, on_residual = _ghz_parity(triples, True, man.verify)
+    off, off_residual = _ghz_parity(triples, False, man.verify)
+    rows = [[*phis, p_on, p_off] for phis, p_on, p_off in zip(triples, on, off)]
+    residual = max(on_residual, off_residual) if man.verify else None
     table = ["GHZM parity table (theta = 90 deg)",
              "  phi1  phi2  phi3   P_eu entangled   P_eu nonentangled"]
     for row in rows:
@@ -271,7 +262,7 @@ def _lhv_eprb() -> _Rendered:
 
 def _lhv_ghz() -> _Rendered:
     verdicts = ghz_constrained_sets()
-    quantum, _ = _ghz_parity((0.0, 0.0, 0.0), entangled=True)
+    (quantum,), _ = _ghz_parity([(0.0, 0.0, 0.0)], entangled=True)
     table = [
         f"GHZ instruction sets: 64 candidates, {len(verdicts)} satisfy the"
         " mixed-orientation constraints",
@@ -315,7 +306,10 @@ def _handle_analyze(man: RunManifest) -> _Rendered:
 def _handle_sweep(man: RunManifest) -> _Rendered:
     p = man.parameters
     exp = EXPERIMENTS[p["experiment"]]
-    rows, residual = _grid(exp, p, p["entangled"], p[exp.preset_key], man.verify)
+    points = list(product(*(p[k] for k in exp.angle_keys)))
+    entangled, preset = p["entangled"], p[exp.preset_key]
+    means, residual = _grid(exp, points, entangled, preset, man.verify)
+    rows = [[*point, entangled, preset, *values.values()] for point, values in zip(points, means)]
     columns = _columns(exp)
     table = [f"Sweep ({exp.name}, {len(rows)} grid points)", "  " + "  ".join(columns)]
     table += ["  " + "  ".join(_fmt(v) for v in row) for row in rows]

@@ -19,7 +19,6 @@ from .experiment import Experiment
 from .ghzm import GHZM
 from .tensor import DEFAULT_TOL
 
-COMMANDS = ("eprb", "bell-q", "ghzm", "ghz-table", "lhv", "analyze", "sweep")
 CONFIG_SECTIONS = ("eprb", "ghzm", "sweep")
 #: The experiment definitions by name: the ``eprb``/``ghzm`` commands and
 #: the values of the ``experiment`` key.
@@ -131,6 +130,11 @@ def _experiment_keys(
 # order theta1, phi1, ..., entangled, preset whichever experiment is chosen
 _SWEEP_KEYS = {k: v for e in sorted(EXPERIMENTS.values(), key=lambda e: -len(e.measurements))
                for k, v in _experiment_keys(e, _floats_key, (90.0,)).items()}
+#: analyze's analyzers lie in the theta = 90 deg plane, the k-th at phi = 120 (k - 1) deg
+_ANALYZE_ANGLES = {
+    k: _float_key(90.0 if k.startswith("theta") else 120.0 * (int(k.removeprefix("phi")) - 1))
+    for k in max((e.angle_keys for e in EXPERIMENTS.values()), key=len)
+}
 
 _SCHEMAS: dict[str, dict[str, _Key]] = {
     **{name: {**_experiment_keys(e, _float_key, 90.0), **_RUN_KEYS}
@@ -151,12 +155,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     },
     "analyze": {
         "experiment": _choice_key(tuple(EXPERIMENTS), "eprb"),
-        "theta1": _float_key(90.0),
-        "phi1": _float_key(0.0),
-        "theta2": _float_key(90.0),
-        "phi2": _float_key(120.0),
-        "theta3": _float_key(90.0),
-        "phi3": _float_key(240.0),
+        **_ANALYZE_ANGLES,
         **_UNVERIFIED_KEYS,
     },
 }

@@ -47,16 +47,19 @@ class SupportSet:
 def acts_trivially_on(op: Operator, label: str, tol: float = DEFAULT_TOL) -> TrivialityCheck:
     """Test whether ``op`` is identity-like on one factor.
 
-    Traces the factor's two axes of the ``dims + dims`` tensor, restores the
-    identity there and measures the Frobenius distance to the original.
+    Views rows and columns as ``(outer factors, factor, inner factors)``,
+    subtracts the factor's normalized trace from its diagonal and takes the
+    Frobenius norm of what is left.
     """
     layout = op.layout
-    k, m, d = layout.position(label), len(layout), layout.dim_of(label)
-    tensor = op.matrix.reshape(layout.dims + layout.dims)
-    reduced = np.trace(tensor, axis1=k, axis2=m + k) / d
-    # the identity on the factor's axes, size 1 on every other axis
-    eye = np.eye(d).reshape([d if j in (k, m + k) else 1 for j in range(2 * m)])
-    residual = float(np.linalg.norm(tensor - np.expand_dims(reduced, (k, m + k)) * eye))
+    k, d = layout.position(label), layout.dim_of(label)
+    inner = int(np.prod(layout.dims[k + 1 :], dtype=int))
+    tensor = op.matrix.reshape(2 * (op.dim // (d * inner), d, inner))
+    reduced = np.trace(tensor, axis1=1, axis2=4) / d
+    rest = tensor.copy()
+    for i in range(d):
+        rest[:, i, :, :, i, :] -= reduced
+    residual = float(np.linalg.norm(rest))
     return TrivialityCheck(residual < tol, residual)
 
 

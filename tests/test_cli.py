@@ -262,3 +262,25 @@ class TestRunStream:
         manifest = finalize_manifest("bell-q", {})
         assert run(manifest, buffer) == EXIT_OK
         assert "Q = 1.125" in buffer.getvalue()
+
+
+class TestVerifyChecksPrintedMeans:
+    """``--verify`` compares every printed mean, fixed-eigenvalue ones
+    included, with state evolution: a fault in operator evolution alone
+    must fail it."""
+
+    @pytest.mark.parametrize("argv, residual", [
+        # only p_uu (fixed probability eigenvalues) moves: 0.25 (1 + 1e-6)^2
+        (["eprb", "--phi1", "0", "--phi2", "90", "--verify", "--format", "csv"], 5e-7),
+        (["ghzm", "--phi", "0", "0", "0", "--verify", "--format", "csv"], 1e-6),
+    ])
+    def test_scaled_operator_evolution_fails(self, argv, residual, capsys, monkeypatch):
+        import heisensim.experiment as experiment
+
+        evolve = experiment.heisenberg_evolve
+        monkeypatch.setattr(experiment, "heisenberg_evolve",
+                            lambda op, seq: evolve(op, seq) * (1 + 1e-6))
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_VERIFY
+        assert "verification failed" in err
+        assert float(out.splitlines()[-1].split(",")[-1]) == pytest.approx(residual, rel=1e-3)
