@@ -70,7 +70,7 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=["table", "csv"], default=None)
         if verify:
             p.add_argument("--verify", action="store_true", default=None,
-                           help="cross-check operator evolution against state evolution")
+                           help="compare every printed mean with one state evolution")
         p.add_argument("--tol", type=float, default=None)
 
     def angle_options(p: _Parser, particles: int) -> None:
