@@ -10,6 +10,7 @@ factors an evolved observable has picked up support on.
 
 from .tensor import (
     DEFAULT_TOL,
+    InvariantError,
     LayoutError,
     NonUnitaryError,
     Operator,

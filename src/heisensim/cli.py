@@ -3,7 +3,7 @@
 Angles are taken in degrees on the command line and in config files and
 converted to radians in one place (:func:`_directions`); that conversion is
 the only unit change in the system. Exit codes: 0 success, 1 usage or
-config error, 2 verification failure.
+config error, 2 verification failure, 3 internal error (a broken invariant).
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ from .lhv import (
     ghz_constrained_sets,
 )
 from .measure import Direction
+from .tensor import InvariantError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
+EXIT_INTERNAL = 3
 
 
 class _UsageError(Exception):
@@ -373,6 +375,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         manifest = _manifest_from_args(args)
         return run(manifest)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,6 +22,7 @@ from .lhv import _BELL_PAIRS
 from .measure import SPIN_BETA, Direction, InteractionSequence, ObserverSpec
 from .tensor import (
     DEFAULT_TOL,
+    InvariantError,
     Operator,
     StateVector,
     SubsystemLayout,
@@ -79,7 +80,7 @@ class EprbReport:
 
     def __post_init__(self):
         if not -DEFAULT_TOL <= self.p_uu <= 1.0 + DEFAULT_TOL:
-            raise ValueError(f"p_uu = {self.p_uu} is not a probability")
+            raise InvariantError(f"p_uu = {self.p_uu} is not a probability")
 
 
 def singlet_entangler() -> Operator:

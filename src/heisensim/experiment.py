@@ -26,19 +26,11 @@ from .measure import (
     InteractionSequence,
     ObserverSpec,
     heisenberg_evolve,
-    measurement_unitary,
+    measurement_block,
     spin_projector,
 )
 from .schrodinger import schrodinger_evolve
-from .tensor import (
-    Operator,
-    StateVector,
-    SubsystemLayout,
-    conjugate_by,
-    embed,
-    expectation,
-    real_expectation,
-)
+from .tensor import Operator, StateVector, SubsystemLayout, expectation, real_expectation
 
 Eigenvalues = tuple[float, ...]
 
@@ -61,7 +53,7 @@ class Experiment:
     measurements: tuple[tuple[str, str], ...]
     #: unitary on the particle factors alone, applied first when enabled
     entangler: Callable[[], Operator]
-    #: ``(tag, full-layout unitary)`` steps after the measurements
+    #: ``(tag, unitary on some factors of the layout)`` steps after the measurements
     readout: tuple[tuple[str, Callable[[], Operator]], ...]
     #: time stage after the last step, as named in the support ledger
     stage: str
@@ -92,7 +84,7 @@ class Experiment:
 
     @cached_property
     def _entangler_step(self) -> Operator:
-        return embed(self.entangler(), self.layout)
+        return self.entangler()
 
     def sequence(self, directions: Sequence[Direction], entangled: bool) -> InteractionSequence:
         """Entangler (when enabled), one spin measurement per pair, readout.
@@ -100,16 +92,14 @@ class Experiment:
         The measurement unitaries depend only on the number of outcomes, not
         on the observer eigenvalues, so any valid eigenvalues build them.
         """
-        # cached readout steps first, for the reason given in ``run``
-        readout = [(tag, step()) for tag, step in self.readout]
         steps = [("t1:entangle", self._entangler_step)] if entangled else []
         pairs = zip(self.measurements, directions, strict=True)
         for k, ((observer, particle), n) in enumerate(pairs, 1):
             projectors = [spin_projector(n, o, particle) for o in SPIN_OUTCOMES]
-            u = measurement_unitary(self.layout, observer, particle, projectors,
-                                    ObserverSpec(observer, SPIN_BETA))
+            u = measurement_block(observer, particle, projectors, ObserverSpec(observer, SPIN_BETA))
             steps.append((f"t2:measure-{k}", u))
-        return InteractionSequence(tuple(steps + readout))
+        steps += [(tag, step()) for tag, step in self.readout]
+        return InteractionSequence(tuple(steps), self.layout)
 
     def run(
         self,
@@ -125,11 +115,8 @@ class Experiment:
         eigenvalues, since its unitaries do not depend on them.
         """
         resolved = [m[3] or eigenvalues for m in self.means]
-        # observables before the dense steps: cached ones outlive the run, and
-        # allocated among its temporaries they pin the malloc heap above them
-        # (measured on GHZM: peak RSS +5%, dense products about 10% slower)
-        beliefs = {e: self.beliefs(e) for e in dict.fromkeys(resolved)}
         seq = self.sequence(directions, entangled)
+        beliefs = {e: self.beliefs(e) for e in dict.fromkeys(resolved)}
         psi0 = self.initial_state()
         evolved = {e: {name: heisenberg_evolve(op, seq) for name, op in observables.items()}
                    for e, observables in beliefs.items()}
@@ -145,17 +132,13 @@ class Experiment:
     def support_ledger(self, directions: Sequence[Direction], tol: float) -> list[list]:
         """Rows ``[observable, stage, support labels, residual per label...]``
         at t0 and after the sequence without and with the entangler."""
-        # one product per stage, of steps checked unitary when the sequence was built
-        stages = [
-            ("t0", None),
-            (f"{self.stage}-nonentangled", self.sequence(directions, False).total_unitary()),
-            (f"{self.stage}-entangled", self.sequence(directions, True).total_unitary()),
-        ]
+        stages = {"t0": InteractionSequence((), self.layout),
+                  f"{self.stage}-nonentangled": self.sequence(directions, False),
+                  f"{self.stage}-entangled": self.sequence(directions, True)}
         rows = []
         for name, op in self.ledger().items():
-            for stage, u in stages:
-                evolved = conjugate_by(op, u, check=False) if u is not None else op
-                sup = support(evolved, tol)
+            for stage, seq in stages.items():
+                sup = support(heisenberg_evolve(op, seq), tol)
                 ordered = [lbl for lbl in self.layout.labels if lbl in sup.labels]
                 residuals = [sup.residuals[lbl] for lbl in self.layout.labels]
                 rows.append([name, stage, ",".join(ordered), *residuals])

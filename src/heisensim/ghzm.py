@@ -131,20 +131,20 @@ def parity_measurement_unitary(spec: ObserverSpec) -> Operator:
         raise ValueError(f"referee spec must be labeled {REFEREE!r}, got {spec.label!r}")
     if spec.dim != 3:
         raise ValueError("referee needs the two parity outcomes plus ignorance")
-    return _parity_unitary()
+    return embed(_parity_block(), _LAYOUT)
 
 
 @lru_cache(maxsize=1)
-def _parity_unitary() -> Operator:
+def _parity_block() -> Operator:
+    """The referee interaction on its 81-dim block ``[O0, O1, O2, O3]``."""
     # independent of the referee eigenvalues: only the shift structure and
     # the parity blocks enter
     spec = ObserverSpec(REFEREE, ODD_GAMMA)
     pp = parity_projectors()
     odd = kron(shift_operator(spec, 1), pp.p_odd)
     even = kron(shift_operator(spec, 2), pp.p_even)
-    # the 81-dim block on [O0, O1, O2, O3], embedded once
     ignorant = np.eye(81) - np.kron(np.eye(3), pp.p_odd.matrix + pp.p_even.matrix)
-    return embed(Operator(odd.layout, ignorant + odd.matrix + even.matrix), _LAYOUT)
+    return Operator(odd.layout, ignorant + odd.matrix + even.matrix)
 
 
 @lru_cache(maxsize=4)
@@ -175,7 +175,7 @@ GHZM = Experiment(
     initial_indices=(0,) * 7,
     measurements=tuple(zip(OBSERVERS, PARTICLES)),
     entangler=ghz_entangler,
-    readout=(("t3:parity", _parity_unitary),),
+    readout=(("t3:parity", _parity_block),),
     stage="t3",
     preset_key="gamma_preset",
     presets=GAMMA_PRESETS,

@@ -5,7 +5,7 @@ a unitary of the form ``sum_i u_i (x) P_i``: the shift operator ``u_i``
 moves the observer from its ignorant state to the awareness state for
 outcome ``i``, gated by the projector ``P_i`` onto the system eigenstate
 for that outcome. Heisenberg-picture observables then evolve by
-conjugation with the ordered product of the interaction unitaries.
+conjugation with the interaction unitaries, one local step at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,7 +25,6 @@ from .tensor import (
     Operator,
     SubsystemLayout,
     StateVector,
-    conjugate_by,
     embed,
     single_factor,
 )
@@ -155,37 +155,50 @@ def spin_projector(n: Direction, outcome: str, label: str = "S") -> Operator:
 class InteractionSequence:
     """Ordered ``(tag, unitary)`` interaction steps on one shared layout.
 
-    Order is time order: the first step acts first. Every operator is
-    verified unitary at construction, so downstream evolution can trust
-    the product.
+    Order is time order: the first step acts first. Each step acts on some
+    factors of ``layout`` (default: the first step's layout), in any order,
+    and is verified unitary on that block at construction.
     """
 
     steps: tuple[tuple[str, Operator], ...]
+    layout: SubsystemLayout | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple((str(t), u) for t, u in self.steps))
-        layouts = {u.layout for _, u in self.steps}
-        if len(layouts) > 1:
-            raise LayoutError("interaction steps live on different layouts")
+        if self.layout is None and self.steps:
+            object.__setattr__(self, "layout", self.steps[0][1].layout)
         for tag, u in self.steps:
+            if not set(u.layout.factors) <= set(self.layout.factors):
+                raise LayoutError(f"step {tag!r} is not on factors of {self.layout.factors}")
             if not u.is_unitary(DEFAULT_TOL):
                 raise NonUnitaryError(f"step {tag!r} is not unitary within {DEFAULT_TOL}")
-
-    @property
-    def layout(self) -> SubsystemLayout | None:
-        return self.steps[0][1].layout if self.steps else None
 
     @property
     def tags(self) -> tuple[str, ...]:
         return tuple(t for t, _ in self.steps)
 
+    @cached_property
+    def _local_steps(self) -> list[tuple]:
+        # per step, latest first: the axis order of the layout's dims + dims
+        # tensor with the step's row axes first and its column axes last, the
+        # inverse order, the block and its adjoint
+        m = len(self.layout)
+        plan = []
+        for _, u in reversed(self.steps):
+            rows = [self.layout.position(label) for label in u.layout.labels]
+            rest = [k for k in range(m) if k not in rows]
+            axes = (*rows, *rest, *(m + k for k in rest), *(m + k for k in rows))
+            plan.append((axes, np.argsort(axes), u.matrix, u.matrix.conj().T))
+        return plan
+
     def total_unitary(self) -> Operator:
-        """Product of all steps, earliest step rightmost."""
+        """Product of all steps embedded in the layout, earliest step
+        rightmost: the dense reference for :func:`heisenberg_evolve`."""
         if not self.steps:
             raise ValueError("empty sequence has no total unitary")
-        total = self.steps[0][1].matrix
+        total = embed(self.steps[0][1], self.layout).matrix
         for _, u in self.steps[1:]:
-            total = u.matrix @ total
+            total = embed(u, self.layout).matrix @ total
         return Operator(self.layout, total)
 
     def reordered(self, tag_order: Sequence[str]) -> "InteractionSequence":
@@ -193,39 +206,29 @@ class InteractionSequence:
         by_tag = dict(self.steps)
         if sorted(tag_order) != sorted(by_tag):
             raise ValueError(f"tag order {tag_order} does not permute {self.tags}")
-        return InteractionSequence(tuple((t, by_tag[t]) for t in tag_order))
+        return InteractionSequence(tuple((t, by_tag[t]) for t in tag_order), self.layout)
 
 
-def measurement_unitary(
-    layout: SubsystemLayout,
+def measurement_block(
     observer_label: str,
     system_label: str,
     projectors: Iterable[Operator],
     spec: ObserverSpec,
     tol: float = DEFAULT_TOL,
 ) -> Operator:
-    """Ideal-measurement unitary ``sum_i u_i (x) P_i`` on the full layout.
-
-    The projectors must form a complete orthogonal family on the system
-    factor. Because each term acts on the observer and system factors only,
-    the sum equals ``sum_i embed(u_i) @ embed(P_i)`` exactly.
-    """
+    """Ideal-measurement unitary ``sum_i u_i (x) P_i`` on ``[observer, system]``;
+    the projectors must form a complete orthogonal family on the system factor."""
     if observer_label == system_label:
         raise LayoutError(f"observer and system share the label {observer_label!r}")
     if spec.label != observer_label:
         raise LayoutError(f"observer spec is labeled {spec.label!r}, expected {observer_label!r}")
-    if layout.dim_of(observer_label) != spec.dim:
-        raise LayoutError(
-            f"observer factor {observer_label!r} has dim {layout.dim_of(observer_label)}, "
-            f"spec needs {spec.dim}"
-        )
     projectors = tuple(projectors)
     if len(projectors) != spec.n_outcomes:
         raise ValueError(f"{spec.n_outcomes} outcomes need {spec.n_outcomes} projectors")
-    sys_dim = layout.dim_of(system_label)
-    for p in projectors:
-        if p.layout != single_factor(system_label, sys_dim):
-            raise LayoutError(f"projector must live on the single factor {system_label!r}")
+    sys_layout = projectors[0].layout
+    if sys_layout.labels != (system_label,) or any(p.layout != sys_layout for p in projectors):
+        raise LayoutError(f"projectors must live on the single factor {system_label!r}")
+    sys_dim = sys_layout.total_dim
     total = np.zeros((sys_dim, sys_dim), dtype=complex)
     for i, p in enumerate(projectors):
         total += p.matrix
@@ -236,25 +239,40 @@ def measurement_unitary(
     if float(np.linalg.norm(total - np.eye(sys_dim))) >= tol:
         raise ValueError("projector family does not sum to the identity (incomplete family)")
 
-    # embed is linear, so summing on the observer-system block first and
-    # embedding once is exactly the sum of the embedded products
     block = np.zeros((spec.dim * sys_dim, spec.dim * sys_dim), dtype=complex)
     for i, p in enumerate(projectors):
         block += np.kron(shift_operator(spec, i + 1).matrix, p.matrix)
     block_layout = SubsystemLayout(((observer_label, spec.dim), (system_label, sys_dim)))
     block_op = Operator(block_layout, block)
     if not block_op.is_unitary(tol):
-        raise ValueError("measurement unitary failed its unitarity post-check")
-    return embed(block_op, layout)
+        raise NonUnitaryError("measurement unitary failed its unitarity post-check")
+    return block_op
+
+
+def measurement_unitary(
+    layout: SubsystemLayout,
+    observer_label: str,
+    system_label: str,
+    projectors: Iterable[Operator],
+    spec: ObserverSpec,
+    tol: float = DEFAULT_TOL,
+) -> Operator:
+    """Ideal-measurement unitary ``sum_i u_i (x) P_i`` on the full layout:
+    :func:`measurement_block` embedded."""
+    return embed(measurement_block(observer_label, system_label, projectors, spec, tol), layout)
 
 
 def heisenberg_evolve(op: Operator, seq: InteractionSequence) -> Operator:
-    """Conjugate ``op`` by the sequence product: ``U† op U`` with the
-    earliest interaction acting first (rightmost in the product)."""
+    """``U† op U`` for the sequence product ``U`` (earliest step rightmost),
+    without forming ``U``: the operator's ``dims + dims`` tensor is conjugated
+    by one step's block at a time, latest step first."""
     if not seq.steps:
         return op
     if seq.layout != op.layout:
         raise LayoutError("operator and sequence live on different layouts")
-    # steps were unitarity-checked at sequence construction; their product
-    # needs no re-check
-    return conjugate_by(op, seq.total_unitary(), check=False)
+    x = op.matrix.reshape(op.layout.dims * 2)
+    for axes, inverse, block, adjoint in seq._local_steps:
+        b, t = len(block), x.transpose(axes)
+        y = (adjoint @ t.reshape(b, -1)).reshape(-1, b) @ block
+        x = y.reshape(t.shape).transpose(inverse)
+    return Operator(op.layout, x.reshape(op.matrix.shape))

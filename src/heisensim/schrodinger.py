@@ -3,9 +3,9 @@
 Evolving the state and keeping operators fixed must give every expectation
 value that evolving the operators and keeping the state fixed gives:
 ``<psi0| U' A U |psi0> == <U psi0| A |U psi0>``. This module evolves the
-state through an interaction sequence by plain matrix-vector products, a
-deliberately different code path from operator conjugation, so agreement
-between the two is a meaningful end-to-end check.
+state by dense matrix-vector products, each step embedded in the full
+layout: a deliberately different code path from local operator conjugation,
+so agreement between the two is a meaningful end-to-end check.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .measure import InteractionSequence
-from .tensor import LayoutError, Operator, StateVector, expectation
+from .measure import InteractionSequence, heisenberg_evolve
+from .tensor import InvariantError, LayoutError, Operator, StateVector, embed, expectation
 
 #: Gates the discrete Schmidt-rank decision; looser than the operator
 #: tolerance because singular values are compared against it directly.
@@ -32,24 +32,22 @@ class EvolvedState:
 
 
 def schrodinger_evolve(initial: StateVector, seq: InteractionSequence) -> EvolvedState:
-    """Apply the sequence unitaries to the state, earliest first."""
+    """Apply the sequence unitaries, embedded in the layout, to the state, earliest first."""
     if seq.steps and seq.layout != initial.layout:
         raise LayoutError("state and sequence live on different layouts")
     amps = initial.amplitudes
     applied = []
     for tag, u in seq.steps:
-        amps = u.matrix @ amps
+        amps = embed(u, seq.layout).matrix @ amps
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > _NORM_DRIFT_TOL:
-            raise ValueError(f"norm drifted to {norm!r} after step {tag!r}")
+            raise InvariantError(f"norm drifted to {norm!r} after step {tag!r}")
         applied.append(tag)
     return EvolvedState(StateVector(initial.layout, amps), tuple(applied))
 
 
 def cross_check(op: Operator, seq: InteractionSequence, initial: StateVector) -> float:
     """Absolute difference between the two pictures' expectation values."""
-    from .measure import heisenberg_evolve
-
     via_operators = expectation(initial, heisenberg_evolve(op, seq))
     via_state = expectation(schrodinger_evolve(initial, seq).state, op)
     return abs(via_operators - via_state)

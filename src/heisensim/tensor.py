@@ -33,7 +33,11 @@ class LayoutError(ValueError):
     """A layout is malformed, or two layouts are incompatible."""
 
 
-class NonUnitaryError(ValueError):
+class InvariantError(ValueError):
+    """An internal invariant failed: the program, not its input, is at fault."""
+
+
+class NonUnitaryError(InvariantError):
     """A matrix required to be unitary failed the Frobenius check."""
 
 
@@ -264,32 +268,21 @@ def embed(op: Operator, layout: SubsystemLayout) -> Operator:
     m = len(layout)
     rest = tuple(k for k in range(m) if k not in positions)
     rest_dim = reduce(lambda a, b: a * b, (layout.dims[k] for k in rest), 1)
-    big = np.kron(op.matrix, np.eye(rest_dim, dtype=complex))
-    # big's factor order is op's factors then the rest; permute into layout order
+    # op (x) I without np.kron's overhead: op's factors, then the rest; permuted below
+    big = op.matrix[:, None, :, None] * np.eye(rest_dim, dtype=complex)[None, :, None, :]
     order = positions + rest
     dims_in_order = tuple(layout.dims[k] for k in order)
     tensor = big.reshape(dims_in_order + dims_in_order)
     perm = tuple(order.index(k) for k in range(m))
     tensor = tensor.transpose(perm + tuple(m + j for j in perm))
     d = layout.total_dim
-    result = Operator(layout, np.ascontiguousarray(tensor.reshape(d, d)))
-    if "_unitarity_residual" in op.__dict__:
-        # embedding is (X kron I) up to a simultaneous row/column
-        # permutation, so |u'u' - I|_F scales exactly by sqrt(rest_dim)
-        result.__dict__["_unitarity_residual"] = op.__dict__[
-            "_unitarity_residual"
-        ] * float(np.sqrt(rest_dim))
-    return result
+    return Operator(layout, np.ascontiguousarray(tensor.reshape(d, d)))
 
 
-def conjugate_by(op: Operator, u: Operator, tol: float = DEFAULT_TOL, *, check: bool = True) -> Operator:
-    """Heisenberg conjugation: return ``u† op u``.
-
-    ``check=False`` skips the unitarity test for callers that hold a
-    product of already-verified unitaries.
-    """
+def conjugate_by(op: Operator, u: Operator, tol: float = DEFAULT_TOL) -> Operator:
+    """Heisenberg conjugation: return ``u† op u``."""
     op._require_same_layout(u)
-    if check and not u.is_unitary(tol):
+    if not u.is_unitary(tol):
         raise NonUnitaryError(
             f"conjugation matrix fails unitarity: |u†u - I| = {u._unitarity_residual:.3e}"
         )
@@ -307,7 +300,7 @@ def real_expectation(state: StateVector, op: Operator, tol: float = DEFAULT_TOL)
     """Expectation of a Hermitian observable; rejects stray imaginary parts."""
     value = expectation(state, op)
     if abs(value.imag) >= tol:
-        raise ValueError(f"expectation {value} has imaginary part beyond {tol}")
+        raise InvariantError(f"expectation {value} has imaginary part beyond {tol}")
     return value.real
 
 

@@ -284,3 +284,30 @@ class TestVerifyChecksPrintedMeans:
         assert code == EXIT_VERIFY
         assert "verification failed" in err
         assert float(out.splitlines()[-1].split(",")[-1]) == pytest.approx(residual, rel=1e-3)
+
+
+class TestInternalErrors:
+    """A broken invariant is the program's fault: exit 3 with ``internal
+    error:``, never the usage-error code 1, and no report on stdout."""
+
+    @pytest.mark.parametrize("argv, module, name, wrap, message", [
+        (["ghzm", "--phi", "0", "0", "0"], "experiment", "heisenberg_evolve",
+         lambda f: lambda op, seq: f(op, seq) * (1 + 1e-6j), "imaginary part"),
+        (["eprb", "--phi1", "0", "--phi2", "90"], "experiment", "heisenberg_evolve",
+         lambda f: lambda op, seq: f(op, seq) * 3, "not a probability"),
+        (["eprb", "--phi1", "0", "--phi2", "90", "--verify"], "schrodinger", "embed",
+         lambda f: lambda u, layout: f(u, layout) * 1.001, "norm drifted"),
+        (["ghzm", "--phi", "0", "0", "0"], "experiment", "measurement_block",
+         lambda f: lambda *args: f(*args) * 1.001, "not unitary"),
+    ], ids=["imaginary-part", "not-a-probability", "norm-drift", "non-unitary-step"])
+    def test_invariant_failure_exits_internal(self, argv, module, name, wrap, message,
+                                              capsys, monkeypatch):
+        import importlib
+
+        from heisensim.cli import EXIT_INTERNAL
+
+        target = importlib.import_module(f"heisensim.{module}")
+        monkeypatch.setattr(target, name, wrap(getattr(target, name)))
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err.startswith("internal error: ") and message in err

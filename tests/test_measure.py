@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from heisensim import (
@@ -15,6 +16,7 @@ from heisensim import (
     Operator,
     StateVector,
     SubsystemLayout,
+    conjugate_by,
     embed,
     heisenberg_evolve,
     kron,
@@ -321,3 +323,46 @@ class TestInteractionSequence:
         assert swapped.tags == ("b", "a")
         with pytest.raises(ValueError):
             seq.reordered(("a", "c"))
+
+    def test_rejects_step_off_its_layout(self):
+        # a factor the layout lacks, and a factor the layout has at another dim
+        for label, d in (("X", 2), ("S", 3)):
+            step = Operator(single_factor(label, d), np.eye(d))
+            with pytest.raises(LayoutError):
+                InteractionSequence((("m", z_measurement()), ("bad", step)))
+            with pytest.raises(LayoutError):
+                InteractionSequence((("bad", step),), OS_LAYOUT)
+
+
+@st.composite
+def local_sequences(draw):
+    """A layout of 1-4 factors of dim 2-3 and 1-3 steps, each on a random
+    subset of its factors in random order (the full layout included)."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    layout = SubsystemLayout(tuple((f"F{i}", d) for i, d in enumerate(dims)))
+    positions = st.permutations(range(len(dims))).flatmap(
+        lambda perm: st.integers(1, len(perm)).map(lambda k: perm[:k]))
+    steps = draw(st.lists(positions, min_size=1, max_size=3))
+    return layout, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=local_sequences(), hermitian=st.booleans(), seed=st.integers(0, 2**31))
+def test_local_evolution_matches_dense_conjugation(case, hermitian, seed):
+    layout, step_positions = case
+    rng = np.random.default_rng(seed)
+    steps = []
+    for k, positions in enumerate(step_positions):
+        block = SubsystemLayout(tuple(layout.factors[p] for p in positions))
+        steps.append((f"s{k}", Operator(block, random_unitary(rng, block.total_dim))))
+    seq = InteractionSequence(tuple(steps), layout)
+    d = layout.total_dim
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if hermitian:
+        m = m + m.conj().T
+    op = Operator(layout, m / np.linalg.norm(m))
+    evolved = heisenberg_evolve(op, seq)
+    dense = conjugate_by(op, seq.total_unitary())
+    assert float(np.linalg.norm(evolved.matrix - dense.matrix)) < 1e-12
+    if hermitian:
+        assert evolved.is_hermitian(1e-12)
