@@ -19,7 +19,6 @@ from .tensor import (
     conjugate_by,
     embed,
     expectation,
-    frobenius_distance,
     identity,
     kron,
     partial_trace,
@@ -56,7 +55,6 @@ from .ghzm import (
     GAMMA_PRESETS,
     GhzmConfig,
     ODD_GAMMA,
-    ParityProjectors,
     ghz_entangler,
     parity_measurement_unitary,
     parity_projectors,

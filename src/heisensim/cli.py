@@ -109,7 +109,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="operator support ledger per time stage")
     p.add_argument("--experiment", choices=list(EXPERIMENTS), default=None)
-    angle_options(p, 3)
+    angle_options(p, max(len(e.measurements) for e in EXPERIMENTS.values()))
     run_options(p, verify=False)
 
     p = sub.add_parser("sweep", help="Cartesian angle grid from a config file")

@@ -123,7 +123,7 @@ EPRB = Experiment(
     layout=_LAYOUT,
     initial_indices=(0, 0, 0, 1),
     measurements=((OBSERVER_1, PARTICLE_1), (OBSERVER_2, PARTICLE_2)),
-    entangler=singlet_entangler,
+    entangler=singlet_entangler(),
     readout=(),
     stage="t2",
     preset_key="beta_preset",

@@ -14,7 +14,7 @@ state evolution and tabulating operator support are written once, here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import matmul
 from typing import Callable, Mapping, Sequence
 
@@ -52,9 +52,9 @@ class Experiment:
     #: ``(observer, particle)`` pairs in time order, one per direction
     measurements: tuple[tuple[str, str], ...]
     #: unitary on the particle factors alone, applied first when enabled
-    entangler: Callable[[], Operator]
+    entangler: Operator
     #: ``(tag, unitary on some factors of the layout)`` steps after the measurements
-    readout: tuple[tuple[str, Callable[[], Operator]], ...]
+    readout: tuple[tuple[str, Operator], ...]
     #: time stage after the last step, as named in the support ledger
     stage: str
     preset_key: str
@@ -82,23 +82,19 @@ class Experiment:
     def initial_state(self) -> StateVector:
         return StateVector.basis(self.layout, self.initial_indices)
 
-    @cached_property
-    def _entangler_step(self) -> Operator:
-        return self.entangler()
-
     def sequence(self, directions: Sequence[Direction], entangled: bool) -> InteractionSequence:
         """Entangler (when enabled), one spin measurement per pair, readout.
 
         The measurement unitaries depend only on the number of outcomes, not
         on the observer eigenvalues, so any valid eigenvalues build them.
         """
-        steps = [("t1:entangle", self._entangler_step)] if entangled else []
+        steps = [("t1:entangle", self.entangler)] if entangled else []
         pairs = zip(self.measurements, directions, strict=True)
         for k, ((observer, particle), n) in enumerate(pairs, 1):
             projectors = [spin_projector(n, o, particle) for o in SPIN_OUTCOMES]
             u = measurement_block(observer, particle, projectors, ObserverSpec(observer, SPIN_BETA))
             steps.append((f"t2:measure-{k}", u))
-        steps += [(tag, step()) for tag, step in self.readout]
+        steps += self.readout
         return InteractionSequence(tuple(steps), self.layout)
 
     def run(

@@ -16,12 +16,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .experiment import Experiment
-from .measure import SPIN_BETA, Direction, InteractionSequence, ObserverSpec, shift_operator
-from .tensor import Operator, StateVector, SubsystemLayout, embed, kron
+from .measure import SPIN_BETA, Direction, InteractionSequence, ObserverSpec
+from .tensor import Operator, StateVector, SubsystemLayout, embed
 
 REFEREE = "O0"
 OBSERVERS = ("O1", "O2", "O3")
@@ -38,12 +39,12 @@ _LAYOUT = SubsystemLayout(
     + tuple((o, 3) for o in OBSERVERS)
     + tuple((s, 2) for s in PARTICLES)
 )
-_OBSERVER_BLOCK = SubsystemLayout(tuple((o, 3) for o in OBSERVERS))
 
-# awareness-index triples of O1..O3 (1 = saw up, 2 = saw down) by parity
-# of the spin-up count
-_ODD_TRIPLES = tuple(t for t in product((1, 2), repeat=3) if t.count(1) % 2 == 1)
-_EVEN_TRIPLES = tuple(t for t in product((1, 2), repeat=3) if t.count(1) % 2 == 0)
+#: The referee's shift for each basis state of ``[O1, O2, O3]``, in basis
+#: order (awareness index 1 = saw up, 2 = saw down): 0 while any observer is
+#: still ignorant, else 1 for an odd and 2 for an even spin-up count.
+_PARITY_SHIFT = np.array([0 if 0 in o else 2 - o.count(1) % 2
+                          for o in product(range(3), repeat=len(OBSERVERS))])
 
 
 def ghzm_layout() -> SubsystemLayout:
@@ -73,8 +74,7 @@ class GhzmConfig:
         return (self.n1, self.n2, self.n3)
 
 
-@dataclass(frozen=True)
-class ParityProjectors:
+class ParityProjectors(NamedTuple):
     """Projectors onto odd/even spin-up awareness of the three observers.
 
     Both live on the ``[O1, O2, O3]`` block. Their sum is the projector
@@ -86,21 +86,11 @@ class ParityProjectors:
     p_even: Operator
 
 
-def _awareness_projector(triple: tuple[int, int, int]) -> np.ndarray:
-    ps = []
-    for idx in triple:
-        p = np.zeros((3, 3), dtype=complex)
-        p[idx, idx] = 1.0
-        ps.append(p)
-    return np.kron(np.kron(ps[0], ps[1]), ps[2])
-
-
 def parity_projectors() -> ParityProjectors:
-    odd = sum(_awareness_projector(t) for t in _ODD_TRIPLES)
-    even = sum(_awareness_projector(t) for t in _EVEN_TRIPLES)
-    return ParityProjectors(
-        p_odd=Operator(_OBSERVER_BLOCK, odd), p_even=Operator(_OBSERVER_BLOCK, even)
-    )
+    """The diagonals where the referee's shift is 1 (odd) and 2 (even)."""
+    layout = SubsystemLayout(_LAYOUT.factors[1:4])
+    return ParityProjectors(*(Operator(layout, np.diag((_PARITY_SHIFT == s).astype(complex)))
+                              for s in (1, 2)))
 
 
 def ghz_entangler() -> Operator:
@@ -134,17 +124,16 @@ def parity_measurement_unitary(spec: ObserverSpec) -> Operator:
     return embed(_parity_block(), _LAYOUT)
 
 
-@lru_cache(maxsize=1)
 def _parity_block() -> Operator:
-    """The referee interaction on its 81-dim block ``[O0, O1, O2, O3]``."""
-    # independent of the referee eigenvalues: only the shift structure and
-    # the parity blocks enter
-    spec = ObserverSpec(REFEREE, ODD_GAMMA)
-    pp = parity_projectors()
-    odd = kron(shift_operator(spec, 1), pp.p_odd)
-    even = kron(shift_operator(spec, 2), pp.p_even)
-    ignorant = np.eye(81) - np.kron(np.eye(3), pp.p_odd.matrix + pp.p_even.matrix)
-    return Operator(odd.layout, ignorant + odd.matrix + even.matrix)
+    """The referee interaction on its 81-dim block ``[O0, O1, O2, O3]``: the
+    permutation ``|r, o> -> |r + shift(o) mod 3, o>``, independent of the
+    referee eigenvalues."""
+    n = len(_PARITY_SHIFT)
+    columns = np.arange(3 * n)
+    r, o = np.divmod(columns, n)
+    m = np.zeros((3 * n, 3 * n), dtype=complex)
+    m[(r + _PARITY_SHIFT[o]) % 3 * n + o, columns] = 1.0
+    return Operator(SubsystemLayout(_LAYOUT.factors[:4]), m)
 
 
 @lru_cache(maxsize=4)
@@ -174,8 +163,8 @@ GHZM = Experiment(
     layout=_LAYOUT,
     initial_indices=(0,) * 7,
     measurements=tuple(zip(OBSERVERS, PARTICLES)),
-    entangler=ghz_entangler,
-    readout=(("t3:parity", _parity_block),),
+    entangler=ghz_entangler(),
+    readout=(("t3:parity", _parity_block()),),
     stage="t3",
     preset_key="gamma_preset",
     presets=GAMMA_PRESETS,

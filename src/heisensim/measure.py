@@ -266,10 +266,10 @@ def heisenberg_evolve(op: Operator, seq: InteractionSequence) -> Operator:
     """``U† op U`` for the sequence product ``U`` (earliest step rightmost),
     without forming ``U``: the operator's ``dims + dims`` tensor is conjugated
     by one step's block at a time, latest step first."""
+    if seq.layout is not None and seq.layout != op.layout:
+        raise LayoutError("operator and sequence live on different layouts")
     if not seq.steps:
         return op
-    if seq.layout != op.layout:
-        raise LayoutError("operator and sequence live on different layouts")
     x = op.matrix.reshape(op.layout.dims * 2)
     for axes, inverse, block, adjoint in seq._local_steps:
         b, t = len(block), x.transpose(axes)

@@ -33,7 +33,7 @@ class EvolvedState:
 
 def schrodinger_evolve(initial: StateVector, seq: InteractionSequence) -> EvolvedState:
     """Apply the sequence unitaries, embedded in the layout, to the state, earliest first."""
-    if seq.steps and seq.layout != initial.layout:
+    if seq.layout is not None and seq.layout != initial.layout:
         raise LayoutError("state and sequence live on different layouts")
     amps = initial.amplitudes
     applied = []

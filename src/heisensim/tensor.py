@@ -145,10 +145,6 @@ class Operator:
     def dim(self) -> int:
         return self.layout.total_dim
 
-    @property
-    def dagger(self) -> "Operator":
-        return Operator(self.layout, self.matrix.conj().T)
-
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         return float(np.linalg.norm(self.matrix - self.matrix.conj().T)) < tol
 
@@ -172,21 +168,10 @@ class Operator:
         self._require_same_layout(other)
         return Operator(self.layout, self.matrix @ other.matrix)
 
-    def __add__(self, other: "Operator") -> "Operator":
-        self._require_same_layout(other)
-        return Operator(self.layout, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._require_same_layout(other)
-        return Operator(self.layout, self.matrix - other.matrix)
-
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator(self.layout, self.matrix * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.layout, -self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,12 +218,6 @@ class StateVector:
 
 def identity(layout: SubsystemLayout) -> Operator:
     return Operator(layout, np.eye(layout.total_dim, dtype=complex))
-
-
-def frobenius_distance(a: Operator, b: Operator) -> float:
-    if a.layout != b.layout:
-        raise LayoutError("cannot compare operators on different layouts")
-    return float(np.linalg.norm(a.matrix - b.matrix))
 
 
 def kron(a: Operator, b: Operator) -> Operator:

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -19,18 +19,29 @@ from heisensim import (
     run_ghzm,
 )
 from heisensim.ghzm import (
+    GHZM,
     ghzm_layout,
     initial_state,
     measurement_sequence,
     parity_projectors,
     referee_observable,
 )
+from heisensim.measure import SPIN_OUTCOMES, UP
 from heisensim.tensor import Operator, StateVector, embed
 from conftest import random_direction
 
 
 def equator(phi_deg: float) -> Direction:
     return Direction(math.pi / 2, math.radians(phi_deg))
+
+
+def referee_shift(observers) -> int:
+    # awareness index k >= 1 records outcome SPIN_OUTCOMES[k - 1]; the
+    # referee stays put while any observer is ignorant
+    if 0 in observers:
+        return 0
+    ups = sum(SPIN_OUTCOMES[k - 1] == UP for k in observers)
+    return 1 if ups % 2 else 2
 
 
 def entangled_p_eu(directions) -> float:
@@ -109,6 +120,24 @@ class TestParityMeasurementUnitary:
         # completion block: observer 2 undecided, referee stays ignorant
         before = self.basis((0, 1, 0, 2, 0, 0, 0))
         assert_allclose(self.V.matrix @ before, before, atol=0)
+
+    def test_every_basis_state_of_the_readout_block(self):
+        # |r, o1, o2, o3> -> |r + s mod 3, o1, o2, o3> on [O0, O1, O2, O3]
+        block = dict(GHZM.readout)["t3:parity"]
+        assert block.layout.labels == ("O0", "O1", "O2", "O3")
+        for r, *o in product(range(3), repeat=4):
+            before = StateVector.basis(block.layout, (r, *o)).amplitudes
+            after = StateVector.basis(block.layout, ((r + referee_shift(o)) % 3, *o)).amplitudes
+            assert_allclose(block.matrix @ before, after, atol=0)
+
+    def test_embedded_unitary_on_full_basis_states(self, rng):
+        # each observer configuration once, beside a varying referee index
+        # and random particle indices
+        for k, o in enumerate(product(range(3), repeat=3)):
+            r, particles = k % 3, tuple(int(i) for i in rng.integers(0, 2, size=3))
+            after = ((r + referee_shift(o)) % 3, *o, *particles)
+            assert_allclose(self.V.matrix @ self.basis((r, *o, *particles)),
+                            self.basis(after), atol=0)
 
     def test_unitary(self):
         assert self.V.is_unitary(1e-10)

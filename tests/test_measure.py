@@ -296,6 +296,11 @@ class TestHeisenbergEvolve:
         with pytest.raises(LayoutError):
             heisenberg_evolve(b, seq)
 
+    def test_empty_sequence_still_checks_layout(self):
+        b = Operator(single_factor("X", 2), np.eye(2))
+        with pytest.raises(LayoutError):
+            heisenberg_evolve(b, InteractionSequence((), OS_LAYOUT))
+
 
 class TestInteractionSequence:
     def test_rejects_non_unitary(self):

@@ -83,6 +83,11 @@ class TestSchrodingerEvolve:
         with pytest.raises(LayoutError):
             schrodinger_evolve(StateVector.basis(single_factor("X", 2), (0,)), seq)
 
+    def test_empty_sequence_still_checks_layout(self):
+        seq = InteractionSequence((), OS_LAYOUT)
+        with pytest.raises(LayoutError):
+            schrodinger_evolve(StateVector.basis(single_factor("X", 2), (0,)), seq)
+
     def test_norm_drift_detected(self):
         # a slightly contractive matrix passes the 1e-10 unitarity gate
         # but trips the stricter per-step norm guard
