@@ -19,16 +19,8 @@ import numpy as np
 
 from .experiment import Experiment
 from .lhv import _BELL_PAIRS
-from .measure import SPIN_BETA, Direction, InteractionSequence, ObserverSpec
-from .tensor import (
-    DEFAULT_TOL,
-    InvariantError,
-    Operator,
-    StateVector,
-    SubsystemLayout,
-    embed,
-    single_factor,
-)
+from .measure import SPIN_BETA, Direction, InteractionSequence
+from .tensor import DEFAULT_TOL, InvariantError, Operator, StateVector, SubsystemLayout
 
 OBSERVER_1, OBSERVER_2 = "O1", "O2"
 PARTICLE_1, PARTICLE_2 = "S1", "S2"
@@ -101,21 +93,6 @@ def singlet_entangler() -> Operator:
     return Operator(SubsystemLayout(((PARTICLE_1, 2), (PARTICLE_2, 2))), m)
 
 
-def belief_observables(beta) -> tuple[Operator, Operator]:
-    """The two observers' belief operators on the full layout (time t0)."""
-    b1 = embed(ObserverSpec(OBSERVER_1, beta).belief_operator(), _LAYOUT)
-    b2 = embed(ObserverSpec(OBSERVER_2, beta).belief_operator(), _LAYOUT)
-    return b1, b2
-
-
-def _ledger() -> dict[str, Operator]:
-    # belief operators beside the spin components they come to record
-    b1, b2 = belief_observables(SPIN_BETA)
-    spin = {f"A{k}": embed(Operator(single_factor(s, 2), np.diag([1.0, -1.0])), _LAYOUT)
-            for k, s in enumerate((PARTICLE_1, PARTICLE_2), 1)}
-    return {"B1": b1, "B2": b2, **spin}
-
-
 #: ``p_uu`` is the product mean re-run under the probability preset rather
 #: than post-processed from the configured eigenvalues.
 EPRB = Experiment(
@@ -129,14 +106,16 @@ EPRB = Experiment(
     preset_key="beta_preset",
     presets=BETA_PRESETS,
     preset_line="beta preset = {preset} {eigenvalues}",
-    beliefs=lambda beta: dict(zip(("B1", "B2"), belief_observables(beta))),
+    observers=(("B1", OBSERVER_1), ("B2", OBSERVER_2)),
     means=(
         ("mean_b1", "<B1>", ("B1",), None),
         ("mean_b2", "<B2>", ("B2",), None),
         ("mean_b1b2", "<B1 B2>", ("B1", "B2"), None),
         ("p_uu", "P_uu", ("B1", "B2"), PROBABILITY_BETA),
     ),
-    ledger=_ledger,
+    # belief operators beside the spin components they come to record
+    ledger=(("B1", OBSERVER_1, SPIN_BETA), ("B2", OBSERVER_2, SPIN_BETA),
+            ("A1", PARTICLE_1, (1.0, -1.0)), ("A2", PARTICLE_2, (1.0, -1.0))),
     report=EprbReport,
 )
 

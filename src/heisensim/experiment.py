@@ -6,16 +6,18 @@ entangling interaction between the particles, and the evolved observer
 operators carry the labels that match each outcome with its partner. An
 :class:`Experiment` holds only what tells the two apart: the layout and
 initial basis state, the ``(observer, particle)`` measurement pairs, the
-entangler, any trailing readout steps and the named observables. Building
-the interaction sequence, evaluating the means, cross-checking them against
-state evolution and tabulating operator support are written once, here.
+entangler, any trailing readout steps and the named observables, each a
+factor label with eigenvalues. Building those operators and the interaction
+sequence, evaluating the means, cross-checking them against state evolution
+and tabulating operator support are written once, here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import matmul
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .labels import support
@@ -30,12 +32,12 @@ from .measure import (
     spin_projector,
 )
 from .schrodinger import schrodinger_evolve
-from .tensor import Operator, StateVector, SubsystemLayout, expectation, real_expectation
+from .tensor import Operator, StateVector, SubsystemLayout, embed, expectation, real_expectation
 
 Eigenvalues = tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Experiment:
     """Everything that distinguishes one correlation experiment.
 
@@ -60,11 +62,12 @@ class Experiment:
     preset_key: str
     presets: Mapping[str, Eigenvalues]
     preset_line: str
-    #: named time-t0 observables on the full layout for given eigenvalues
-    beliefs: Callable[[Eigenvalues], dict[str, Operator]]
+    #: ``(name, observer label)`` of each belief observable the means read
+    observers: tuple[tuple[str, str], ...]
     means: tuple[tuple[str, str, tuple[str, ...], Eigenvalues | None], ...]
-    #: named time-t0 observables whose support the ledger follows
-    ledger: Callable[[], dict[str, Operator]]
+    #: ``(name, factor label, eigenvalues)`` of each time-t0 observable whose
+    #: support the ledger follows
+    ledger: tuple[tuple[str, str, Eigenvalues], ...]
     #: called with the means by column; raises if they break an invariant
     report: Callable[..., object] = dict
 
@@ -81,6 +84,14 @@ class Experiment:
 
     def initial_state(self) -> StateVector:
         return StateVector.basis(self.layout, self.initial_indices)
+
+    @lru_cache(maxsize=4)
+    def beliefs(self, eigenvalues: Eigenvalues) -> Mapping[str, Operator]:
+        """Each observer's belief operator on the full layout (time t0), by
+        name. Cached per experiment (hashed by identity) and eigenvalue tuple;
+        the mapping is read-only, since every caller shares it."""
+        return MappingProxyType({name: _observable(label, eigenvalues, self.layout)
+                                 for name, label in self.observers})
 
     def sequence(self, directions: Sequence[Direction], entangled: bool) -> InteractionSequence:
         """Entangler (when enabled), one spin measurement per pair, readout.
@@ -110,7 +121,7 @@ class Experiment:
         Each distinct observable is evolved once; one sequence serves all
         eigenvalues, since its unitaries do not depend on them.
         """
-        resolved = [m[3] or eigenvalues for m in self.means]
+        resolved = [m[3] or tuple(eigenvalues) for m in self.means]
         seq = self.sequence(directions, entangled)
         beliefs = {e: self.beliefs(e) for e in dict.fromkeys(resolved)}
         psi0 = self.initial_state()
@@ -132,13 +143,20 @@ class Experiment:
                   f"{self.stage}-nonentangled": self.sequence(directions, False),
                   f"{self.stage}-entangled": self.sequence(directions, True)}
         rows = []
-        for name, op in self.ledger().items():
+        for name, label, eigenvalues in self.ledger:
+            op = _observable(label, eigenvalues, self.layout)
             for stage, seq in stages.items():
                 sup = support(heisenberg_evolve(op, seq), tol)
                 ordered = [lbl for lbl in self.layout.labels if lbl in sup.labels]
                 residuals = [sup.residuals[lbl] for lbl in self.layout.labels]
                 rows.append([name, stage, ",".join(ordered), *residuals])
         return rows
+
+
+def _observable(label: str, eigenvalues: Eigenvalues, layout: SubsystemLayout) -> Operator:
+    """The diagonal operator with these eigenvalues on factor ``label``,
+    embedded in ``layout``; :class:`ObserverSpec` validates the eigenvalues."""
+    return embed(ObserverSpec(label, eigenvalues).belief_operator(), layout)
 
 
 def _product(operators: Mapping[str, Operator], names: tuple[str, ...]) -> Operator:

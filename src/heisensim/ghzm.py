@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -136,24 +135,6 @@ def _parity_block() -> Operator:
     return Operator(SubsystemLayout(_LAYOUT.factors[:4]), m)
 
 
-@lru_cache(maxsize=4)
-def _referee_observable_cached(gamma: tuple[float, float, float]) -> Operator:
-    return embed(ObserverSpec(REFEREE, gamma).belief_operator(), _LAYOUT)
-
-
-def referee_observable(gamma) -> Operator:
-    """The referee's belief operator on the full layout (time t0)."""
-    return _referee_observable_cached(tuple(float(g) for g in gamma))
-
-
-def _ledger() -> dict[str, Operator]:
-    # the referee beside the three observers it interrogates; the parity
-    # pipeline only uses the basis structure of O1..O3, never their eigenvalues
-    beliefs = {f"B{k}": embed(ObserverSpec(o, SPIN_BETA).belief_operator(), _LAYOUT)
-               for k, o in enumerate(OBSERVERS, 1)}
-    return {"G": referee_observable(EVEN_GAMMA), **beliefs}
-
-
 #: Under the even preset the mean is the probability that the referee finds
 #: an even number of spin-up results (table label P_eu); under the odd
 #: preset, its complement (P_ou). Other eigenvalues give other means, so
@@ -169,9 +150,12 @@ GHZM = Experiment(
     preset_key="gamma_preset",
     presets=GAMMA_PRESETS,
     preset_line="gamma preset = {preset}",
-    beliefs=lambda gamma: {"G": referee_observable(gamma)},
+    observers=(("G", REFEREE),),
     means=(("probability", "P_{preset[0]}u", ("G",), None),),
-    ledger=_ledger,
+    # the referee beside the three observers it interrogates; the parity
+    # pipeline only uses the basis structure of O1..O3, never their eigenvalues
+    ledger=(("G", REFEREE, EVEN_GAMMA),
+            *((f"B{k}", o, SPIN_BETA) for k, o in enumerate(OBSERVERS, 1))),
 )
 
 

@@ -11,25 +11,20 @@ predicts zero probability of an even spin-up count at equal orientations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Sequence
 
 from .measure import DOWN, UP
 
-#: The three EPRB analyzer orientations, degrees; identifiers only, the
-#: enumeration never does trigonometry.
-EPRB_ANGLES = (0, 120, 240)
-
 #: Cyclic orientation pairings entering the Bell quantity, as indices into
-#: the three orientations; the quantum Bell quantity pairs the same way.
+#: the three orientations (0, 120 and 240 degrees); the quantum Bell
+#: quantity pairs the same way.
 _BELL_PAIRS = ((0, 1), (1, 2), (2, 0))
 
-#: GHZ analyzer alphabet per particle, degrees.
-GHZ_ANGLES = (0, 90)
-
 #: Orientation triples whose even-up probability the constraints force to
-#: zero, as angle indices per particle.
+#: zero, as indices into each particle's analyzer alphabet (0 or 90 degrees).
 _GHZ_CONSTRAINT_TRIPLES = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 _DISTRIBUTION_TOL = 1e-9
@@ -69,6 +64,8 @@ def eprb_q_over_distribution(weights: Sequence[float]) -> float:
     weights = [float(w) for w in weights]
     if len(weights) != 8:
         raise ValueError(f"need 8 weights, got {len(weights)}")
+    if not all(math.isfinite(w) for w in weights):
+        raise ValueError(f"weights must be finite, got {weights}")
     if any(w < -_DISTRIBUTION_TOL for w in weights):
         raise ValueError("weights must be nonnegative")
     if abs(sum(weights) - 1.0) > _DISTRIBUTION_TOL:

@@ -37,15 +37,15 @@ from heisensim import (
 )
 from heisensim.cli import EXIT_OK, main
 from heisensim.eprb import (
-    belief_observables,
+    EPRB,
     eprb_layout,
     initial_state as eprb_initial_state,
     measurement_sequence as eprb_sequence,
 )
 from heisensim.ghzm import (
+    GHZM,
     initial_state as ghzm_initial_state,
     measurement_sequence as ghzm_sequence,
-    referee_observable,
 )
 from conftest import random_direction
 
@@ -147,19 +147,19 @@ def test_criterion_7_picture_equivalence(rng):
             random_direction(rng), random_direction(rng), entangled=bool(k % 2)
         )
         seq = eprb_sequence(cfg)
-        b1, b2 = belief_observables(cfg.beta)
+        b1, b2 = EPRB.beliefs(cfg.beta).values()
         assert cross_check(b1 @ b2, seq, psi_eprb) < 1e-10
     psi_ghzm = ghzm_initial_state()
     for _ in range(100):
         cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
         seq = ghzm_sequence(cfg)
-        assert cross_check(referee_observable(cfg.gamma), seq, psi_ghzm) < 1e-10
+        assert cross_check(GHZM.beliefs(cfg.gamma)["G"], seq, psi_ghzm) < 1e-10
     print("\nACCEPTANCE 7: picture equivalence on 500 EPRB + 100 GHZM configs: PASS")
 
 
 def test_criterion_8_label_ledger(rng):
     n1, n2 = random_direction(rng), random_direction(rng)
-    b1, _ = belief_observables(SPIN_BETA)
+    b1, _ = EPRB.beliefs(SPIN_BETA).values()
     stages = [
         (b1, {"O1"}),
         (heisenberg_evolve(b1, eprb_sequence(EprbConfig(n1, n2, entangled=False))),

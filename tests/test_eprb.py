@@ -23,7 +23,7 @@ from heisensim import (
     spin_projector,
 )
 from heisensim.eprb import (
-    belief_observables,
+    EPRB,
     eprb_layout,
     initial_state,
     measurement_sequence,
@@ -81,6 +81,27 @@ class TestReport:
     def test_p_uu_bounds_enforced(self):
         with pytest.raises(ValueError):
             EprbReport(0.0, 0.0, 0.0, 1.5)
+
+
+class TestExperimentRun:
+    DIRECTIONS = (Direction(0.3, 0.1), Direction(1.2, 2.0))
+
+    def test_list_eigenvalues_match_tuple(self):
+        as_tuple, _ = EPRB.run(self.DIRECTIONS, True, (0.0, 1.0, -1.0))
+        as_list, _ = EPRB.run(self.DIRECTIONS, True, [0.0, 1.0, -1.0])
+        assert as_list == as_tuple
+
+    def test_runs_share_belief_operators(self, monkeypatch):
+        import heisensim.experiment as experiment
+
+        evolve, seen = experiment.heisenberg_evolve, []
+        monkeypatch.setattr(experiment, "heisenberg_evolve",
+                            lambda op, seq: seen.append(op) or evolve(op, seq))
+        for _ in range(2):
+            EPRB.run(self.DIRECTIONS, True, (0.0, 1.0, -1.0))
+        first, second = seen[:len(seen) // 2], seen[len(seen) // 2:]
+        assert len(first) == len(second) > 0
+        assert all(a is b for a, b in zip(first, second))
 
 
 class TestEntangled:
@@ -168,7 +189,7 @@ class TestOrderInvariance:
         seq = measurement_sequence(cfg)
         swapped = seq.reordered(("t1:entangle", "t2:measure-2", "t2:measure-1"))
         psi0 = initial_state()
-        b1, b2 = belief_observables(cfg.beta)
+        b1, b2 = EPRB.beliefs(cfg.beta).values()
         for s in (seq, swapped):
             prod = heisenberg_evolve(b1, s) @ heisenberg_evolve(b2, s)
             value = real_expectation(psi0, prod)
@@ -201,7 +222,7 @@ class TestCompletionInvariance:
         )
         seq = InteractionSequence(steps)
         psi0 = initial_state()
-        b1, b2 = belief_observables(cfg.beta)
+        b1, b2 = EPRB.beliefs(cfg.beta).values()
         alt = real_expectation(psi0, heisenberg_evolve(b1, seq) @ heisenberg_evolve(b2, seq))
         standard = run_eprb(cfg).mean_b1b2
         assert alt == pytest.approx(standard, abs=1e-12)

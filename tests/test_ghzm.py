@@ -24,7 +24,6 @@ from heisensim.ghzm import (
     initial_state,
     measurement_sequence,
     parity_projectors,
-    referee_observable,
 )
 from heisensim.measure import SPIN_OUTCOMES, UP
 from heisensim.tensor import Operator, StateVector, embed
@@ -194,7 +193,7 @@ class TestRunGhzm:
     def test_measurement_order_invariance(self, rng):
         cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
         seq = measurement_sequence(cfg)
-        g = referee_observable(cfg.gamma)
+        g = GHZM.beliefs(cfg.gamma)["G"]
         psi0 = initial_state()
         reference = real_expectation(psi0, heisenberg_evolve(g, seq))
         measure_tags = ("t2:measure-1", "t2:measure-2", "t2:measure-3")
@@ -223,6 +222,6 @@ class TestEntanglerCompletionInvariance:
         )
         value = real_expectation(
             initial_state(),
-            heisenberg_evolve(referee_observable(cfg.gamma), InteractionSequence(steps)),
+            heisenberg_evolve(GHZM.beliefs(cfg.gamma)["G"], InteractionSequence(steps)),
         )
         assert value == pytest.approx(reference, abs=1e-12)

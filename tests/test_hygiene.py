@@ -1,4 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module-level name it defines goes unread in ``src``, ``tests`` and
+``perfbench``.
 
 ``__init__`` is exempt: its imports are the package's public re-exports.
 """
@@ -8,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "heisensim").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted(p for p in (ROOT / "src" / "heisensim").glob("*.py") if p.name != "__init__.py")
 
 
 def imported_names(tree: ast.AST) -> set[str]:
@@ -39,3 +41,40 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = imported_names(tree) - used_names(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            # perfbench resolves traced functions by dotted name
+            names.update(part for part in n.value.split(".") if part.isidentifier())
+    return names
+
+
+@pytest.fixture(scope="module")
+def names_read() -> set[str]:
+    files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    return set().union(*(read_names(ast.parse(p.read_text(), filename=str(p))) for p in files))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_unread_definitions(path, names_read):
+    unread = defined_names(ast.parse(path.read_text(), filename=str(path))) - names_read
+    assert not unread, f"{path.name} defines {sorted(unread)} but nothing reads them"

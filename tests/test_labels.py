@@ -20,12 +20,12 @@ from heisensim import (
     single_factor,
     support,
 )
-from heisensim.eprb import belief_observables, eprb_layout, measurement_sequence
+from heisensim.eprb import EPRB, eprb_layout, measurement_sequence
 from heisensim.ghzm import (
+    GHZM,
     GhzmConfig,
     ghzm_layout,
     measurement_sequence as ghzm_sequence,
-    referee_observable,
 )
 from conftest import random_direction
 
@@ -68,7 +68,7 @@ class TestSupport:
         assert all(r < 1e-14 for r in sup.residuals.values())
 
     def test_belief_operator_supported_on_its_observer(self):
-        b1, _ = belief_observables(SPIN_BETA)
+        b1, _ = EPRB.beliefs(SPIN_BETA).values()
         assert support(b1).labels == {"O1"}
 
     def test_soundness_on_random_embeddings(self, rng):
@@ -92,7 +92,7 @@ class TestSupport:
 class TestSupportChain:
     def test_monotone_growth(self, rng):
         plain, entangled = chain_sequences(rng)
-        b1, _ = belief_observables(SPIN_BETA)
+        b1, _ = EPRB.beliefs(SPIN_BETA).values()
         s_t0 = support(b1).labels
         s_plain = support(heisenberg_evolve(b1, plain)).labels
         s_ent = support(heisenberg_evolve(b1, entangled)).labels
@@ -103,7 +103,7 @@ class TestSupportChain:
 
     def test_unmeasured_factors_untouched(self, rng):
         plain, _ = chain_sequences(rng)
-        b1, _ = belief_observables(SPIN_BETA)
+        b1, _ = EPRB.beliefs(SPIN_BETA).values()
         evolved = heisenberg_evolve(b1, plain)
         for label in ("O2", "S2"):
             check = acts_trivially_on(evolved, label)
@@ -122,7 +122,7 @@ class TestSupportChain:
     def test_ghzm_referee_observable_spreads_everywhere(self, rng):
         dirs = [random_direction(rng) for _ in range(3)]
         seq = ghzm_sequence(GhzmConfig(*dirs))
-        evolved = heisenberg_evolve(referee_observable((0.0, 0.0, 1.0)), seq)
+        evolved = heisenberg_evolve(GHZM.beliefs((0.0, 0.0, 1.0))["G"], seq)
         assert support(evolved).labels == frozenset(ghzm_layout().labels)
 
 
@@ -133,7 +133,7 @@ class TestLocalFactor:
         assert_allclose(out.matrix, SZ, atol=1e-14)
 
     def test_belief_operator_factor_is_its_diagonal(self):
-        b1, _ = belief_observables(SPIN_BETA)
+        b1, _ = EPRB.beliefs(SPIN_BETA).values()
         out = local_factor(b1, "O1")
         assert_allclose(np.diag(out.matrix), SPIN_BETA, atol=1e-14)
 
@@ -143,7 +143,7 @@ class TestLocalFactor:
 
     def test_wide_support_rejected(self, rng):
         _, entangled = chain_sequences(rng)
-        b1, _ = belief_observables(SPIN_BETA)
+        b1, _ = EPRB.beliefs(SPIN_BETA).values()
         with pytest.raises(NotLocallySupportedError):
             local_factor(heisenberg_evolve(b1, entangled), "O1")
 

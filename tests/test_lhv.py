@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from heisensim import (
@@ -50,6 +52,12 @@ class TestQOverDistribution:
             eprb_q_over_distribution([1.5, -0.5] + [0.0] * 6)
         with pytest.raises(ValueError):
             eprb_q_over_distribution([1.0] * 4)
+
+    @pytest.mark.parametrize("weights", [[math.nan] * 8, [math.nan, 1.0] + [0.0] * 6],
+                             ids=["all-nan", "one-nan"])
+    def test_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            eprb_q_over_distribution(weights)
 
     def test_at_most_one_event_per_set(self):
         # the three summands are mutually exclusive for every single set

@@ -23,15 +23,15 @@ from heisensim import (
     singlet_entangler,
 )
 from heisensim.eprb import (
-    belief_observables,
+    EPRB,
     eprb_layout,
     initial_state as eprb_initial_state,
     measurement_sequence as eprb_sequence,
 )
 from heisensim.ghzm import (
+    GHZM,
     initial_state as ghzm_initial_state,
     measurement_sequence as ghzm_sequence,
-    referee_observable,
 )
 from conftest import random_direction
 
@@ -109,7 +109,7 @@ class TestCrossCheck:
         for _ in range(25):
             cfg = EprbConfig(random_direction(rng), random_direction(rng))
             seq = eprb_sequence(cfg)
-            b1, b2 = belief_observables(cfg.beta)
+            b1, b2 = EPRB.beliefs(cfg.beta).values()
             assert cross_check(b1 @ b2, seq, psi0) < 1e-10
 
     def test_ghzm_pipeline(self, rng):
@@ -117,7 +117,7 @@ class TestCrossCheck:
         for _ in range(3):
             cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
             seq = ghzm_sequence(cfg)
-            assert cross_check(referee_observable(cfg.gamma), seq, psi0) < 1e-10
+            assert cross_check(GHZM.beliefs(cfg.gamma)["G"], seq, psi0) < 1e-10
 
 
 class TestPictureAsymmetry:
