@@ -17,7 +17,16 @@ from itertools import product
 from pathlib import Path
 from typing import TextIO
 
-from .config import EXPERIMENTS, ConfigError, RunManifest, finalize_manifest, parse_config
+from .config import (
+    _RUN_KEYS,
+    _SCHEMAS,
+    CONFIG_SECTIONS,
+    EXPERIMENTS,
+    ConfigError,
+    RunManifest,
+    _read_config,
+    finalize_manifest,
+)
 from .eprb import EPRB, bell_q
 from .experiment import Experiment
 from .ghzm import GHZM
@@ -64,99 +73,75 @@ class _Rendered:
     residual: float | None = None
 
 
+#: the commands in help order, each with its help line
+_COMMANDS = {
+    "eprb": "two-particle correlation run",
+    "bell-q": "cyclic joint spin-up sum at three azimuths",
+    "ghzm": "three-particle parity run",
+    "ghz-table": "parity probabilities at the headline orientations",
+    "lhv": "instruction-set bounds by brute force",
+    "analyze": "operator support ledger per time stage",
+    "sweep": "Cartesian angle grid from a config file",
+}
+
+
+def _flag(key: str) -> str:
+    """The command-line name of a config key; ``which`` is positional."""
+    return key if key == "which" else "--" + key.replace("_", "-")
+
+
 def build_parser() -> _Parser:
+    """One subcommand per config schema, one option per key; the sweep grid
+    is set only by its config file."""
     parser = _Parser(prog="sim", description="Heisenberg-picture measurement simulator")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def run_options(p: _Parser, verify: bool = True) -> None:
-        p.add_argument("--format", choices=["table", "csv"], default=None)
-        if verify:
-            p.add_argument("--verify", action="store_true", default=None,
-                           help="compare every printed mean with one state evolution")
-        p.add_argument("--tol", type=float, default=None)
-
-    def angle_options(p: _Parser, particles: int) -> None:
-        for k in range(1, particles + 1):
-            p.add_argument(f"--theta{k}", type=float, default=None, metavar="DEG")
-            p.add_argument(f"--phi{k}", type=float, default=None, metavar="DEG")
-        p.add_argument("--theta", type=float, nargs=particles, default=None, metavar="DEG")
-        p.add_argument("--phi", type=float, nargs=particles, default=None, metavar="DEG")
-        p.set_defaults(particles=particles)
-
-    def experiment_parser(exp: Experiment, help_text: str) -> None:
-        p = sub.add_parser(exp.name, help=help_text)
-        p.add_argument("--config", default=None, metavar="FILE")
-        angle_options(p, len(exp.measurements))
-        p.add_argument("--entangled", choices=["true", "false"], default=None)
-        p.add_argument("--" + exp.preset_key.replace("_", "-"), dest=exp.preset_key,
-                       choices=list(exp.presets), default=None)
-        run_options(p)
-
-    experiment_parser(EPRB, "two-particle correlation run")
-
-    p = sub.add_parser("bell-q", help="cyclic joint spin-up sum at three azimuths")
-    p.add_argument("--phis", type=float, nargs=3, default=None, metavar="DEG")
-    run_options(p)
-
-    experiment_parser(GHZM, "three-particle parity run")
-
-    p = sub.add_parser("ghz-table", help="parity probabilities at the headline orientations")
-    run_options(p)
-
-    p = sub.add_parser("lhv", help="instruction-set bounds by brute force")
-    p.add_argument("which", nargs="?", choices=["eprb", "ghz", "both"], default=None)
-    run_options(p, verify=False)
-
-    p = sub.add_parser("analyze", help="operator support ledger per time stage")
-    p.add_argument("--experiment", choices=list(EXPERIMENTS), default=None)
-    angle_options(p, max(len(e.measurements) for e in EXPERIMENTS.values()))
-    run_options(p, verify=False)
-
-    p = sub.add_parser("sweep", help="Cartesian angle grid from a config file")
-    p.add_argument("--config", required=True, metavar="FILE")
-    run_options(p)
-
+    for command, help_text in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command in CONFIG_SECTIONS:
+            p.add_argument("--config", required=command == "sweep", metavar="FILE")
+        keys = [k for k in _SCHEMAS[command] if command != "sweep" or k in _RUN_KEYS]
+        for key in keys:
+            if key == "which":
+                p.add_argument(key, nargs="?")
+            elif key == "verify":
+                p.add_argument("--verify", action="store_const", const="true",
+                               help="compare every printed mean with one state evolution")
+            else:
+                p.add_argument(_flag(key), dest=key, nargs=3 if key == "phis" else None,
+                               metavar="DEG" if key.startswith(("theta", "phi")) else None)
+        # --theta and --phi set that angle of every analyzer at once
+        for name in ("theta", "phi"):
+            analyzers = sum(k.removeprefix(name).isdigit() for k in keys)
+            if analyzers:
+                p.add_argument(f"--{name}", nargs=analyzers, metavar="DEG")
     return parser
 
 
-def _collect_angles(args, particles: int, provided: dict) -> None:
-    for name in ("theta", "phi"):
-        group = getattr(args, name)
-        for k in range(1, particles + 1):
-            single = getattr(args, f"{name}{k}")
-            if group is not None and single is not None:
-                raise _UsageError(f"use --{name} or --{name}{k}, not both")
-            value = group[k - 1] if group is not None else single
-            if value is not None:
-                provided[f"{name}{k}"] = value
-
-
 def _manifest_from_args(args) -> RunManifest:
-    provided: dict[str, object] = {}
-    command = args.command
+    """Type each flag as its config line would be, merge the flags over the
+    config file's values and apply defaults and checks once."""
+    schema = _SCHEMAS[args.command]
+    given = {k: (_flag(k), v) for k, v in vars(args).items() if k in schema and v is not None}
+    for name in ("theta", "phi"):
+        for k, text in enumerate(getattr(args, name, None) or (), 1):
+            if f"{name}{k}" in given:
+                raise _UsageError(f"use --{name} or --{name}{k}, not both")
+            given[f"{name}{k}"] = (f"--{name}", text)
+    flags = {}
+    for key, (flag, text) in given.items():
+        try:
+            flags[key] = schema[key].parse(" ".join(text) if isinstance(text, list) else text)
+        except ConfigError as exc:
+            raise _UsageError(f"argument {flag}: {exc}") from None
 
-    if getattr(args, "particles", None) is not None:
-        _collect_angles(args, args.particles, provided)
-    if getattr(args, "entangled", None) is not None:
-        provided["entangled"] = args.entangled == "true"
-    if getattr(args, "phis", None) is not None:
-        provided["phis"] = tuple(args.phis)
-    presets = (e.preset_key for e in EXPERIMENTS.values())
-    for key in (*presets, "experiment", "which", "format", "verify", "tol"):
-        if getattr(args, key, None) is not None:
-            provided[key] = getattr(args, key)
-
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        manifest = parse_config(Path(config_path).read_text())
-        if manifest.command != command:
+    values: dict[str, object] = {}
+    if getattr(args, "config", None) is not None:
+        section, values = _read_config(Path(args.config).read_text())
+        if section != args.command:
             raise ConfigError(
-                f"config section [{manifest.command}] does not match command {command!r}"
+                f"config section [{section}] does not match command {args.command!r}"
             )
-        base = {**manifest.parameters, "format": manifest.output_format,
-                "verify": manifest.verify, "tol": manifest.tolerance}
-        return finalize_manifest(command, {**base, **provided})
-    return finalize_manifest(command, provided)
+    return finalize_manifest(args.command, {**values, **flags})
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ blank lines are ignored, angles are given in degrees, and list values are
 space-separated. Unknown sections or keys are hard errors, never silently
 ignored. Angles stay in degrees throughout the manifest; conversion to
 radians happens once, where directions are built for the pipelines.
+
+``_SCHEMAS`` is the one list of each command's keys, with the parser that
+types a value and the default. A command-line flag sets the same key
+(``--beta-preset`` sets ``beta_preset``) and is typed by the same parser;
+the flags override the file's values before defaults and checks apply.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ class RunManifest:
 class _Key:
     parse: Callable[[str], object]
     default: object = _REQUIRED
-    emit: Callable[[object], str] = str
 
 
 def _parse_float(s: str) -> float:
@@ -78,83 +82,56 @@ def _choice(*options: str) -> Callable[[str], str]:
     return parse
 
 
-def _emit_float(v) -> str:
-    return repr(float(v))
-
-
-def _emit_bool(v) -> str:
-    return "true" if v else "false"
-
-
-def _emit_floats(v) -> str:
-    return " ".join(repr(float(x)) for x in v)
-
-
-def _float_key(default=_REQUIRED) -> _Key:
-    return _Key(_parse_float, default, _emit_float)
-
-
-def _bool_key(default) -> _Key:
-    return _Key(_parse_bool, default, _emit_bool)
-
-
-def _floats_key(default=_REQUIRED) -> _Key:
-    return _Key(_parse_floats, default, _emit_floats)
-
-
-def _choice_key(options, default=_REQUIRED) -> _Key:
-    return _Key(_choice(*options), default)
-
-
 _RUN_KEYS = {
-    "format": _choice_key(("table", "csv"), "table"),
-    "verify": _bool_key(False),
-    "tol": _float_key(DEFAULT_TOL),
+    "format": _Key(_choice("table", "csv"), "table"),
+    "verify": _Key(_parse_bool, False),
+    "tol": _Key(_parse_float, DEFAULT_TOL),
 }
 #: run keys of the commands that have no state-evolution cross-check
 _UNVERIFIED_KEYS = {k: v for k, v in _RUN_KEYS.items() if k != "verify"}
 
 
 def _experiment_keys(
-    experiment: Experiment, angle_key: Callable[..., _Key], theta_default
+    experiment: Experiment, parse_angle: Callable[[str], object], theta_default
 ) -> dict[str, _Key]:
     """Angles (theta defaulting, phi required), entangler switch and preset
     (default: the first) of one experiment definition."""
-    keys = {k: angle_key(theta_default) if k.startswith("theta") else angle_key()
+    keys = {k: _Key(parse_angle, theta_default) if k.startswith("theta") else _Key(parse_angle)
             for k in experiment.angle_keys}
-    preset = _choice_key(tuple(experiment.presets), next(iter(experiment.presets)))
-    return {**keys, "entangled": _bool_key(True), experiment.preset_key: preset}
+    preset = _Key(_choice(*experiment.presets), next(iter(experiment.presets)))
+    return {**keys, "entangled": _Key(_parse_bool, True), experiment.preset_key: preset}
 
 
 # the experiment with the most angles goes first, so that sweep keys keep the
 # order theta1, phi1, ..., entangled, preset whichever experiment is chosen
 _SWEEP_KEYS = {k: v for e in sorted(EXPERIMENTS.values(), key=lambda e: -len(e.measurements))
-               for k, v in _experiment_keys(e, _floats_key, (90.0,)).items()}
+               for k, v in _experiment_keys(e, _parse_floats, (90.0,)).items()}
 #: analyze's analyzers lie in the theta = 90 deg plane, the k-th at phi = 120 (k - 1) deg
 _ANALYZE_ANGLES = {
-    k: _float_key(90.0 if k.startswith("theta") else 120.0 * (int(k.removeprefix("phi")) - 1))
+    k: _Key(_parse_float,
+            90.0 if k.startswith("theta") else 120.0 * (int(k.removeprefix("phi")) - 1))
     for k in max((e.angle_keys for e in EXPERIMENTS.values()), key=len)
 }
 
 _SCHEMAS: dict[str, dict[str, _Key]] = {
-    **{name: {**_experiment_keys(e, _float_key, 90.0), **_RUN_KEYS}
+    **{name: {**_experiment_keys(e, _parse_float, 90.0), **_RUN_KEYS}
        for name, e in EXPERIMENTS.items()},
     "sweep": {
-        "experiment": _choice_key(tuple(EXPERIMENTS)),
+        "experiment": _Key(_choice(*EXPERIMENTS)),
         **_SWEEP_KEYS,
-        **{**_RUN_KEYS, "format": _choice_key(("table", "csv"), "csv")},
+        **{**_RUN_KEYS, "format": _Key(_choice("table", "csv"), "csv")},
     },
     "bell-q": {
-        "phis": _floats_key((0.0, 120.0, 240.0)),
+        "phis": _Key(_parse_floats, (0.0, 120.0, 240.0)),
         **_RUN_KEYS,
     },
     "ghz-table": dict(_RUN_KEYS),
     "lhv": {
-        "which": _choice_key(("eprb", "ghz", "both"), "both"),
+        "which": _Key(_choice("eprb", "ghz", "both"), "both"),
         **_UNVERIFIED_KEYS,
     },
     "analyze": {
-        "experiment": _choice_key(tuple(EXPERIMENTS), "eprb"),
+        "experiment": _Key(_choice(*EXPERIMENTS), "eprb"),
         **_ANALYZE_ANGLES,
         **_UNVERIFIED_KEYS,
     },
@@ -211,8 +188,9 @@ def finalize_manifest(command: str, provided: dict[str, object]) -> RunManifest:
     return RunManifest(command, values, output_format, verify, tolerance)
 
 
-def parse_config(text: str) -> RunManifest:
-    """Parse a config document into a validated manifest."""
+def _read_config(text: str) -> tuple[str, dict[str, object]]:
+    """The section of a config document and its typed values, before
+    defaults and validation."""
     section: str | None = None
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -254,20 +232,9 @@ def parse_config(text: str) -> RunManifest:
             typed[key] = _SCHEMAS[section][key].parse(value)
         except ConfigError as exc:
             raise ConfigError(f"line {lines[key]}: {key}: {exc}") from None
-    return finalize_manifest(section, typed)
+    return section, typed
 
 
-def manifest_to_config(manifest: RunManifest) -> str:
-    """Render a manifest back to config text (config-file commands only)."""
-    if manifest.command not in CONFIG_SECTIONS:
-        raise ConfigError(f"command {manifest.command!r} has no config representation")
-    schema = _SCHEMAS[manifest.command]
-    out = [f"[{manifest.command}]"]
-    rendered = dict(manifest.parameters)
-    rendered["format"] = manifest.output_format
-    rendered["verify"] = manifest.verify
-    rendered["tol"] = manifest.tolerance
-    for key, spec in schema.items():
-        if key in rendered:
-            out.append(f"{key} = {spec.emit(rendered[key])}")
-    return "\n".join(out) + "\n"
+def parse_config(text: str) -> RunManifest:
+    """Parse a config document into a validated manifest."""
+    return finalize_manifest(*_read_config(text))

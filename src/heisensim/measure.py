@@ -157,7 +157,8 @@ class InteractionSequence:
 
     Order is time order: the first step acts first. Each step acts on some
     factors of ``layout`` (default: the first step's layout), in any order,
-    and is verified unitary on that block at construction.
+    and is verified unitary on that block at construction. Tags name the
+    steps, so no two steps share one.
     """
 
     steps: tuple[tuple[str, Operator], ...]
@@ -167,6 +168,8 @@ class InteractionSequence:
         object.__setattr__(self, "steps", tuple((str(t), u) for t, u in self.steps))
         if self.layout is None and self.steps:
             object.__setattr__(self, "layout", self.steps[0][1].layout)
+        if len(set(self.tags)) != len(self.steps):
+            raise ValueError(f"step tags {self.tags} repeat")
         for tag, u in self.steps:
             if not set(u.layout.factors) <= set(self.layout.factors):
                 raise LayoutError(f"step {tag!r} is not on factors of {self.layout.factors}")

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from heisensim.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from heisensim.config import _SCHEMAS
 
 
 def run_cli(argv, capsys):
@@ -75,6 +76,23 @@ class TestEprb:
         )
         assert code == EXIT_OK
         assert value_of("P_uu", out) == pytest.approx(0.0, abs=1e-10)
+
+    def test_flag_supplies_a_key_the_config_lacks(self, tmp_path, capsys):
+        cfg = tmp_path / "part.cfg"
+        cfg.write_text("[eprb]\nphi1 = 0\n")
+        code, out, _ = run_cli(["eprb", "--config", str(cfg), "--phi2", "90"], capsys)
+        assert code == EXIT_OK
+        assert value_of("P_uu", out) == pytest.approx(0.25, abs=1e-10)
+
+    def test_malformed_config_value_names_its_line(self, tmp_path, capsys):
+        # the file is typed whole, even where a flag overrides the bad key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[eprb]\nphi1 = 0\ntol = abc\n")
+        code, out, err = run_cli(
+            ["eprb", "--config", str(cfg), "--phi2", "90", "--tol", "1e-8"], capsys
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "line 3: tol" in err
 
     def test_mismatched_config_section(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -245,12 +263,74 @@ class TestInvalidInput:
         assert out == ""
         assert "--verify" in err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["eprb", "--phi1", "0", "--phi2", "0", "--entangled", "maybe"], "--entangled", "maybe"),
+        (["bell-q", "--format", "xml"], "--format", "xml"),
+        (["ghz-table", "--tol", "abc"], "--tol", "abc"),
+        (["ghzm", "--phi", "0", "0", "0", "--gamma-preset", "evens"], "--gamma-preset", "evens"),
+        (["analyze", "--experiment", "chsh"], "--experiment", "chsh"),
+        (["lhv", "bell"], "which", "bell"),
+        (["ghzm", "--phi", "0", "x", "0"], "--phi", "x"),
+        (["bell-q", "--phis", "0", "120", "y"], "--phis", "y"),
+    ])
+    def test_bad_flag_value_names_flag_and_value(self, argv, flag, value, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument {flag}:" in err and repr(value) in err
+
     def test_analyze_echoes_only_its_experiment_keys(self, capsys):
         code, out, _ = run_cli(["analyze", "--format", "csv"], capsys)
         assert code == EXIT_OK
         echo = out.splitlines()[1]
         assert "phi2=120" in echo
         assert "theta3" not in echo and "phi3" not in echo
+
+
+def flag(key: str) -> str:
+    return key if key == "which" else "--" + key.replace("_", "-")
+
+
+class TestOneInputPath:
+    """Flags and config lines are the same keys, typed the same way."""
+
+    SAMPLES = {"entangled": "false", "beta_preset": "probability", "gamma_preset": "odd",
+               "format": "csv", "verify": "true", "tol": "1e-08"}
+
+    @staticmethod
+    def manifest(argv, monkeypatch):
+        import heisensim.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda manifest: seen.append(manifest) or EXIT_OK)
+        assert cli.main(argv) == EXIT_OK
+        return seen[0]
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in ("eprb", "ghzm") for key in _SCHEMAS[command]
+    ])
+    def test_flag_and_config_line_give_one_manifest(self, command, key, tmp_path, monkeypatch):
+        text = self.SAMPLES.get(key, "33.5")
+        required = [arg for k in _SCHEMAS[command] if k.startswith("phi") and k != key
+                    for arg in (flag(k), "10")]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{command}]\n{key} = {text}\n")
+        by_flag = self.manifest(
+            [command, *required, *(["--verify"] if key == "verify" else [flag(key), text])],
+            monkeypatch)
+        by_line = self.manifest([command, "--config", str(cfg), *required], monkeypatch)
+        assert by_flag == by_line
+        if not key.startswith("phi"):
+            assert by_flag != self.manifest([command, *required], monkeypatch)
+
+    @pytest.mark.parametrize("command", list(_SCHEMAS))
+    def test_help_names_a_flag_per_key(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        usage = capsys.readouterr().out
+        grid = set(_SCHEMAS["sweep"]) - {"format", "verify", "tol"} if command == "sweep" else ()
+        for key in _SCHEMAS[command]:
+            assert (flag(key) not in usage) if key in grid else (flag(key) in usage), key
 
 
 class TestRunStream:

@@ -1,12 +1,6 @@
 import pytest
 
-from heisensim.config import (
-    ConfigError,
-    RunManifest,
-    finalize_manifest,
-    manifest_to_config,
-    parse_config,
-)
+from heisensim.config import ConfigError, finalize_manifest, parse_config
 
 MINIMAL_EPRB = """
 [eprb]
@@ -108,27 +102,3 @@ class TestFinalize:
         with pytest.raises(ConfigError, match="three"):
             finalize_manifest("bell-q", {"phis": (0.0, 120.0)})
 
-
-class TestRoundTrip:
-    CASES = [
-        "[eprb]\nphi1 = 10\nphi2 = 250.5\ntheta1 = 45\nverify = true\n",
-        "[ghzm]\nphi1 = 0\nphi2 = 90\nphi3 = 90\ngamma_preset = odd\nformat = csv\n",
-        "[sweep]\nexperiment = eprb\nphi1 = 0 30 60\nphi2 = 0 90\ntol = 1e-08\n",
-        "[sweep]\nexperiment = ghzm\nphi1 = 0\nphi2 = 0 45\nphi3 = 0\nentangled = false\n",
-    ]
-
-    @pytest.mark.parametrize("text", CASES)
-    def test_emit_then_parse_is_identity(self, text):
-        manifest = parse_config(text)
-        emitted = manifest_to_config(manifest)
-        assert parse_config(emitted) == manifest
-
-    def test_emit_is_stable(self):
-        manifest = parse_config(self.CASES[0])
-        once = manifest_to_config(manifest)
-        twice = manifest_to_config(parse_config(once))
-        assert once == twice
-
-    def test_flag_only_commands_have_no_config_form(self):
-        with pytest.raises(ConfigError):
-            manifest_to_config(RunManifest("bell-q"))

@@ -329,6 +329,13 @@ class TestInteractionSequence:
         with pytest.raises(ValueError):
             seq.reordered(("a", "c"))
 
+    def test_rejects_repeated_tags(self, rng):
+        # reordered names steps by tag, so a repeated tag would drop a step
+        u1 = Operator(OS_LAYOUT, random_unitary(rng, 6))
+        u2 = Operator(OS_LAYOUT, random_unitary(rng, 6))
+        with pytest.raises(ValueError, match="repeat"):
+            InteractionSequence((("a", u1), ("a", u2)))
+
     def test_rejects_step_off_its_layout(self):
         # a factor the layout lacks, and a factor the layout has at another dim
         for label, d in (("X", 2), ("S", 3)):
