@@ -39,14 +39,11 @@ from .measure import (
     spin_projector,
 )
 from .eprb import (
-    BELL_PHIS,
     BETA_PRESETS,
     EprbConfig,
     EprbReport,
     PROBABILITY_BETA,
     SPIN_BETA,
-    bell_q,
-    bell_q_terms,
     run_eprb,
     singlet_entangler,
 )
@@ -56,12 +53,10 @@ from .ghzm import (
     GhzmConfig,
     ODD_GAMMA,
     ghz_entangler,
-    parity_measurement_unitary,
-    parity_projectors,
     run_ghzm,
 )
 from .labels import NotLocallySupportedError, SupportSet, acts_trivially_on, local_factor, support
-from .schrodinger import EvolvedState, cross_check, schmidt_rank, schrodinger_evolve
+from .schrodinger import cross_check, schmidt_rank, schrodinger_evolve
 from .lhv import (
     EprbInstructionSet,
     GhzInstructionSet,

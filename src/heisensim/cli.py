@@ -27,7 +27,7 @@ from .config import (
     _read_config,
     finalize_manifest,
 )
-from .eprb import EPRB, bell_q
+from .eprb import EPRB
 from .experiment import Experiment
 from .ghzm import GHZM
 from .lhv import (
@@ -109,12 +109,25 @@ def build_parser() -> _Parser:
             else:
                 p.add_argument(_flag(key), dest=key, nargs=3 if key == "phis" else None,
                                metavar="DEG" if key.startswith(("theta", "phi")) else None)
-        # --theta and --phi set that angle of every analyzer at once
+        # --theta and --phi set that angle of every analyzer at once; analyze
+        # takes as many as the experiment it names has analyzers
         for name in ("theta", "phi"):
             analyzers = sum(k.removeprefix(name).isdigit() for k in keys)
             if analyzers:
-                p.add_argument(f"--{name}", nargs=analyzers, metavar="DEG")
+                p.add_argument(f"--{name}", nargs="+" if "experiment" in keys else analyzers,
+                               metavar="DEG")
     return parser
+
+
+def _typed(schema, given) -> dict[str, object]:
+    """Each ``key: (flag, text)`` typed by its key's parser."""
+    flags = {}
+    for key, (flag, text) in given.items():
+        try:
+            flags[key] = schema[key].parse(" ".join(text) if isinstance(text, list) else text)
+        except ConfigError as exc:
+            raise _UsageError(f"argument {flag}: {exc}") from None
+    return flags
 
 
 def _manifest_from_args(args) -> RunManifest:
@@ -122,21 +135,25 @@ def _manifest_from_args(args) -> RunManifest:
     config file's values and apply defaults and checks once."""
     schema = _SCHEMAS[args.command]
     given = {k: (_flag(k), v) for k, v in vars(args).items() if k in schema and v is not None}
+    flags = _typed(schema, given)
     for name in ("theta", "phi"):
-        for k, text in enumerate(getattr(args, name, None) or (), 1):
-            if f"{name}{k}" in given:
-                raise _UsageError(f"use --{name} or --{name}{k}, not both")
-            given[f"{name}{k}"] = (f"--{name}", text)
-    flags = {}
-    for key, (flag, text) in given.items():
-        try:
-            flags[key] = schema[key].parse(" ".join(text) if isinstance(text, list) else text)
-        except ConfigError as exc:
-            raise _UsageError(f"argument {flag}: {exc}") from None
+        texts = getattr(args, name, None)
+        if texts is None:
+            continue
+        exp = EXPERIMENTS.get(args.command) or EXPERIMENTS[
+            flags.get("experiment", schema["experiment"].default)]
+        keys = [k for k in exp.angle_keys if k.startswith(name)]
+        if len(texts) != len(keys):
+            raise _UsageError(f"argument --{name}: expected {len(keys)} values for "
+                              f"experiment {exp.name!r}, got {len(texts)}")
+        for key in keys:
+            if key in given:
+                raise _UsageError(f"use --{name} or --{key}, not both")
+        flags.update(_typed(schema, {k: (f"--{name}", t) for k, t in zip(keys, texts)}))
 
     values: dict[str, object] = {}
     if getattr(args, "config", None) is not None:
-        section, values = _read_config(Path(args.config).read_text())
+        section, values = _read_config(Path(args.config).read_text(encoding="utf-8"))
         if section != args.command:
             raise ConfigError(
                 f"config section [{section}] does not match command {args.command!r}"
@@ -189,9 +206,7 @@ def _handle_run(man: RunManifest) -> _Rendered:
 
 def _handle_bell_q(man: RunManifest) -> _Rendered:
     phis_deg = man.parameters["phis"]
-    points = [(90.0, phis_deg[a], 90.0, phis_deg[b]) for a, b in _BELL_PAIRS]
-    means, residual = _grid(EPRB, points, True, "probability", man.verify)
-    terms = [values["p_uu"] for values in means]
+    terms, residual = _bell_terms(phis_deg, man.verify)
     q = float(sum(terms))
     table = ["Bell quantity (analyzers in the theta = 90 deg plane)"]
     table += [f"  P_uu({_fmt(phis_deg[a])}, {_fmt(phis_deg[b])}) = {_fmt(term)}"
@@ -200,6 +215,14 @@ def _handle_bell_q(man: RunManifest) -> _Rendered:
     columns = ["phi1", "phi2", "phi3", *(f"p_uu_{a + 1}{b + 1}" for a, b in _BELL_PAIRS), "q"]
     row = [*phis_deg, *terms, q]
     return _Rendered(table, columns, [row], residual)
+
+
+def _bell_terms(phis, verify: bool = False):
+    """P_uu at theta = 90 deg for each cyclic pair of the three azimuths,
+    and the verification residual."""
+    points = [(90.0, phis[a], 90.0, phis[b]) for a, b in _BELL_PAIRS]
+    means, residual = _grid(EPRB, points, True, "probability", verify)
+    return [values["p_uu"] for values in means], residual
 
 
 def _ghz_parity(triples, entangled: bool, verify: bool = False):
@@ -229,7 +252,7 @@ def _handle_ghz_table(man: RunManifest) -> _Rendered:
 
 def _lhv_eprb() -> _Rendered:
     q_max = eprb_q_max()
-    quantum_q = bell_q()
+    terms, _ = _bell_terms((0.0, 120.0, 240.0))
     table = ["EPRB instruction sets (particle 2 forced opposite; 8 sets)",
              "  responses at 0/120/240 deg   Q"]
     rows = []
@@ -242,7 +265,7 @@ def _lhv_eprb() -> _Rendered:
     table += [
         f"  classical maximum Q = {_fmt(q_max.value)}"
         f"   (witness {','.join(q_max.witness.outcomes)})",
-        f"  quantum Q           = {_fmt(quantum_q)}",
+        f"  quantum Q           = {_fmt(float(sum(terms)))}",
     ]
     return _Rendered(table, ["responses_0_120_240", "q"], rows)
 

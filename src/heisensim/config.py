@@ -87,8 +87,6 @@ _RUN_KEYS = {
     "verify": _Key(_parse_bool, False),
     "tol": _Key(_parse_float, DEFAULT_TOL),
 }
-#: run keys of the commands that have no state-evolution cross-check
-_UNVERIFIED_KEYS = {k: v for k, v in _RUN_KEYS.items() if k != "verify"}
 
 
 def _experiment_keys(
@@ -126,14 +124,17 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         **_RUN_KEYS,
     },
     "ghz-table": dict(_RUN_KEYS),
+    # lhv and analyze have no state-evolution cross-check; the instruction-set
+    # bounds are exact, and analyze's tolerance is its triviality threshold
     "lhv": {
         "which": _Key(_choice("eprb", "ghz", "both"), "both"),
-        **_UNVERIFIED_KEYS,
+        "format": _RUN_KEYS["format"],
     },
     "analyze": {
         "experiment": _Key(_choice(*EXPERIMENTS), "eprb"),
         **_ANALYZE_ANGLES,
-        **_UNVERIFIED_KEYS,
+        "format": _RUN_KEYS["format"],
+        "tol": _RUN_KEYS["tol"],
     },
 }
 
@@ -182,7 +183,7 @@ def finalize_manifest(command: str, provided: dict[str, object]) -> RunManifest:
 
     output_format = values.pop("format")
     verify = values.pop("verify", False)
-    tolerance = values.pop("tol")
+    tolerance = values.pop("tol", DEFAULT_TOL)
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
     return RunManifest(command, values, output_format, verify, tolerance)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiment import Experiment
-from .lhv import _BELL_PAIRS
 from .measure import SPIN_BETA, Direction, InteractionSequence
-from .tensor import DEFAULT_TOL, InvariantError, Operator, StateVector, SubsystemLayout
+from .tensor import DEFAULT_TOL, InvariantError, Operator, SubsystemLayout
 
 OBSERVER_1, OBSERVER_2 = "O1", "O2"
 PARTICLE_1, PARTICLE_2 = "S1", "S2"
@@ -28,22 +27,6 @@ PARTICLE_1, PARTICLE_2 = "S1", "S2"
 #: Belief eigenvalues turning <B1 B2> into the joint spin-up probability.
 PROBABILITY_BETA = (0.0, 1.0, 0.0)
 BETA_PRESETS = {"spin": SPIN_BETA, "probability": PROBABILITY_BETA}
-
-#: The three coplanar analyzer azimuths used for the Bell quantity.
-BELL_PHIS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-
-_LAYOUT = SubsystemLayout(
-    ((OBSERVER_1, 3), (OBSERVER_2, 3), (PARTICLE_1, 2), (PARTICLE_2, 2))
-)
-
-
-def eprb_layout() -> SubsystemLayout:
-    return _LAYOUT
-
-
-def initial_state() -> StateVector:
-    """Both observers ignorant; particle 1 up, particle 2 down along z."""
-    return EPRB.initial_state()
 
 
 @dataclass(frozen=True)
@@ -97,7 +80,8 @@ def singlet_entangler() -> Operator:
 #: than post-processed from the configured eigenvalues.
 EPRB = Experiment(
     name="eprb",
-    layout=_LAYOUT,
+    layout=SubsystemLayout(((OBSERVER_1, 3), (OBSERVER_2, 3), (PARTICLE_1, 2), (PARTICLE_2, 2))),
+    # both observers ignorant; particle 1 up, particle 2 down along z
     initial_indices=(0, 0, 0, 1),
     measurements=((OBSERVER_1, PARTICLE_1), (OBSERVER_2, PARTICLE_2)),
     entangler=singlet_entangler(),
@@ -129,18 +113,3 @@ def run_eprb(cfg: EprbConfig) -> EprbReport:
     """Evolve both belief operators and evaluate the report fields."""
     values, _ = EPRB.run((cfg.n1, cfg.n2), cfg.entangled, cfg.beta)
     return EprbReport(**values)
-
-
-def bell_q_terms(
-    phis: tuple[float, float, float] = BELL_PHIS, theta: float = math.pi / 2.0
-) -> tuple[float, float, float]:
-    """Joint spin-up probabilities at the three cyclic analyzer pairings."""
-    return tuple(
-        run_eprb(EprbConfig(Direction(theta, phis[a]), Direction(theta, phis[b]))).p_uu
-        for a, b in _BELL_PAIRS
-    )
-
-
-def bell_q(phis: tuple[float, float, float] = BELL_PHIS, theta: float = math.pi / 2.0) -> float:
-    """Sum of the three cyclic joint spin-up probabilities."""
-    return float(sum(bell_q_terms(phis, theta)))

@@ -132,7 +132,7 @@ class Experiment:
         self.report(**values)
         if not verify:
             return values, None
-        psi = schrodinger_evolve(psi0, seq).state
+        psi = schrodinger_evolve(psi0, seq)
         return values, max(abs(values[m[0]] - expectation(psi, _product(beliefs[e], m[2])))
                            for m, e in zip(self.means, resolved))
 

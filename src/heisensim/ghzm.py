@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
 from .experiment import Experiment
-from .measure import SPIN_BETA, Direction, InteractionSequence, ObserverSpec
-from .tensor import Operator, StateVector, SubsystemLayout, embed
+from .measure import SPIN_BETA, Direction, InteractionSequence
+from .tensor import Operator, SubsystemLayout
 
 REFEREE = "O0"
 OBSERVERS = ("O1", "O2", "O3")
@@ -46,15 +45,6 @@ _PARITY_SHIFT = np.array([0 if 0 in o else 2 - o.count(1) % 2
                           for o in product(range(3), repeat=len(OBSERVERS))])
 
 
-def ghzm_layout() -> SubsystemLayout:
-    return _LAYOUT
-
-
-def initial_state() -> StateVector:
-    """All four observers ignorant, all three particles spin-up along z."""
-    return GHZM.initial_state()
-
-
 @dataclass(frozen=True)
 class GhzmConfig:
     n1: Direction
@@ -73,25 +63,6 @@ class GhzmConfig:
         return (self.n1, self.n2, self.n3)
 
 
-class ParityProjectors(NamedTuple):
-    """Projectors onto odd/even spin-up awareness of the three observers.
-
-    Both live on the ``[O1, O2, O3]`` block. Their sum is the projector
-    onto the 8-dimensional subspace where every observer holds a definite
-    outcome, not the full identity: ignorant components are outside both.
-    """
-
-    p_odd: Operator
-    p_even: Operator
-
-
-def parity_projectors() -> ParityProjectors:
-    """The diagonals where the referee's shift is 1 (odd) and 2 (even)."""
-    layout = SubsystemLayout(_LAYOUT.factors[1:4])
-    return ParityProjectors(*(Operator(layout, np.diag((_PARITY_SHIFT == s).astype(complex)))
-                              for s in (1, 2)))
-
-
 def ghz_entangler() -> Operator:
     """Unitary on the particle triple sending all-up to the GHZ state.
 
@@ -106,21 +77,6 @@ def ghz_entangler() -> Operator:
     m[0, 7] = r
     m[7, 7] = r
     return Operator(SubsystemLayout(tuple((s, 2) for s in PARTICLES)), m)
-
-
-def parity_measurement_unitary(spec: ObserverSpec) -> Operator:
-    """Referee interaction: shift O0 by the parity of O1..O3 outcomes.
-
-    Acts as the outcome-1 shift on the odd-parity block and the outcome-2
-    shift on the even-parity block. On the complement, where at least one
-    observer is still ignorant, it is completed as the identity; the
-    pipeline never reaches that block because the measurements precede it.
-    """
-    if spec.label != REFEREE:
-        raise ValueError(f"referee spec must be labeled {REFEREE!r}, got {spec.label!r}")
-    if spec.dim != 3:
-        raise ValueError("referee needs the two parity outcomes plus ignorance")
-    return embed(_parity_block(), _LAYOUT)
 
 
 def _parity_block() -> Operator:
@@ -142,6 +98,7 @@ def _parity_block() -> Operator:
 GHZM = Experiment(
     name="ghzm",
     layout=_LAYOUT,
+    # all four observers ignorant, all three particles spin-up along z
     initial_indices=(0,) * 7,
     measurements=tuple(zip(OBSERVERS, PARTICLES)),
     entangler=ghz_entangler(),

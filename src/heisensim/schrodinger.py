@@ -10,7 +10,6 @@ so agreement between the two is a meaningful end-to-end check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -25,31 +24,23 @@ SCHMIDT_THRESHOLD = 1e-8
 _NORM_DRIFT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EvolvedState:
-    state: StateVector
-    applied: tuple[str, ...]
-
-
-def schrodinger_evolve(initial: StateVector, seq: InteractionSequence) -> EvolvedState:
+def schrodinger_evolve(initial: StateVector, seq: InteractionSequence) -> StateVector:
     """Apply the sequence unitaries, embedded in the layout, to the state, earliest first."""
     if seq.layout is not None and seq.layout != initial.layout:
         raise LayoutError("state and sequence live on different layouts")
     amps = initial.amplitudes
-    applied = []
     for tag, u in seq.steps:
         amps = embed(u, seq.layout).matrix @ amps
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > _NORM_DRIFT_TOL:
             raise InvariantError(f"norm drifted to {norm!r} after step {tag!r}")
-        applied.append(tag)
-    return EvolvedState(StateVector(initial.layout, amps), tuple(applied))
+    return StateVector(initial.layout, amps)
 
 
 def cross_check(op: Operator, seq: InteractionSequence, initial: StateVector) -> float:
     """Absolute difference between the two pictures' expectation values."""
     via_operators = expectation(initial, heisenberg_evolve(op, seq))
-    via_state = expectation(schrodinger_evolve(initial, seq).state, op)
+    via_state = expectation(schrodinger_evolve(initial, seq), op)
     return abs(via_operators - via_state)
 
 

@@ -21,7 +21,6 @@ from heisensim import (
     SPIN_BETA,
     SubsystemLayout,
     acts_trivially_on,
-    bell_q,
     cross_check,
     embed,
     eprb_q_max,
@@ -36,17 +35,8 @@ from heisensim import (
     support,
 )
 from heisensim.cli import EXIT_OK, main
-from heisensim.eprb import (
-    EPRB,
-    eprb_layout,
-    initial_state as eprb_initial_state,
-    measurement_sequence as eprb_sequence,
-)
-from heisensim.ghzm import (
-    GHZM,
-    initial_state as ghzm_initial_state,
-    measurement_sequence as ghzm_sequence,
-)
+from heisensim.eprb import EPRB, measurement_sequence as eprb_sequence
+from heisensim.ghzm import GHZM, measurement_sequence as ghzm_sequence
 from conftest import random_direction
 
 
@@ -128,12 +118,13 @@ def test_criterion_5_ghzm(rng):
     print(f"\nACCEPTANCE 5: GHZM parity probabilities at dim 648 ({elapsed:.1f} s): PASS")
 
 
-def test_criterion_6_instruction_set_gap():
+def test_criterion_6_instruction_set_gap(capsys):
     q_max = eprb_q_max()
     assert q_max.value == 1.0
     verdicts = ghz_constrained_sets()
     assert verdicts and all(v.parity_at_zero == "odd" for v in verdicts)
-    quantum_q = bell_q()
+    assert main(["bell-q", "--format", "csv"]) == EXIT_OK
+    quantum_q = float(capsys.readouterr().out.splitlines()[-1].split(",")[-1])
     quantum_p = run_ghzm(GhzmConfig(*[equator(0)] * 3))
     assert quantum_q > q_max.value + 0.1
     assert quantum_p == pytest.approx(1.0, abs=1e-10)  # classical value is 0
@@ -141,7 +132,7 @@ def test_criterion_6_instruction_set_gap():
 
 
 def test_criterion_7_picture_equivalence(rng):
-    psi_eprb = eprb_initial_state()
+    psi_eprb = EPRB.initial_state()
     for k in range(500):
         cfg = EprbConfig(
             random_direction(rng), random_direction(rng), entangled=bool(k % 2)
@@ -149,7 +140,7 @@ def test_criterion_7_picture_equivalence(rng):
         seq = eprb_sequence(cfg)
         b1, b2 = EPRB.beliefs(cfg.beta).values()
         assert cross_check(b1 @ b2, seq, psi_eprb) < 1e-10
-    psi_ghzm = ghzm_initial_state()
+    psi_ghzm = GHZM.initial_state()
     for _ in range(100):
         cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
         seq = ghzm_sequence(cfg)
@@ -192,7 +183,7 @@ def test_criterion_9_structural_identities(rng):
     assert float(np.linalg.norm(evolved.matrix - expected)) < 1e-12
 
     # the two EPRB measurement unitaries commute
-    full = eprb_layout()
+    full = EPRB.layout
     n1, n2 = random_direction(rng), random_direction(rng)
     u1 = measurement_unitary(
         full, "O1", "S1",

@@ -1,8 +1,13 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import heisensim
 from heisensim.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from heisensim.config import _SCHEMAS
 
@@ -94,6 +99,18 @@ class TestEprb:
         assert (code, out) == (EXIT_USAGE, "")
         assert "line 3: tol" in err
 
+    def test_config_is_read_as_utf8_whatever_the_locale(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[eprb]\n# 0\u00b0 and 120\u00b0\nphi1 = 0\nphi2 = 120\n", encoding="utf-8")
+        argv = ["eprb", "--config", str(cfg), "--format", "csv"]
+        _, expected, _ = run_cli(argv, capsys)
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": str(Path(heisensim.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-m", "heisensim.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout == expected
+
     def test_mismatched_config_section(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[ghzm]\nphi1 = 0\nphi2 = 0\nphi3 = 0\n")
@@ -156,6 +173,19 @@ class TestLhv:
         assert value_of("classical maximum Q", out.replace("(witness", "\n")) == 1.0
         assert value_of("quantum Q", out) == pytest.approx(1.125, abs=1e-10)
 
+    def test_quantum_q_is_the_bell_q_value(self, capsys):
+        _, lhv_out, _ = run_cli(["lhv", "eprb"], capsys)
+        _, bell_out, _ = run_cli(["bell-q"], capsys)
+        quantum = [l for l in lhv_out.splitlines() if "quantum Q" in l]
+        bell = [l for l in bell_out.splitlines() if l.strip().startswith("Q =")]
+        assert [l.split("=")[-1] for l in quantum] == [l.split("=")[-1] for l in bell]
+
+    def test_tolerance_rejected(self, capsys):
+        # the instruction-set bounds are exact: a tolerance would change nothing
+        code, out, err = run_cli(["lhv", "eprb", "--tol", "7", "--format", "csv"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--tol" in err
+
     def test_csv_requires_single_target(self, capsys):
         code, _, err = run_cli(["lhv", "--format", "csv"], capsys)
         assert code == EXIT_USAGE
@@ -197,6 +227,31 @@ class TestAnalyze:
         g_rows = [l for l in out.splitlines() if l.strip().startswith("G ")]
         assert "support=[O0]" in g_rows[0]
         assert "support=[O0,O1,O2,O3,S1,S2,S3]" in g_rows[2]
+
+    @pytest.mark.parametrize("shorthand, flags", [
+        (["--phi", "0", "120"], ["--phi1", "0", "--phi2", "120"]),
+        (["--theta", "80", "70"], ["--theta1", "80", "--theta2", "70"]),
+        (["--experiment", "eprb", "--phi", "30", "200"], ["--phi1", "30", "--phi2", "200"]),
+        (["--experiment", "ghzm", "--phi", "10", "20", "30"],
+         ["--experiment", "ghzm", "--phi1", "10", "--phi2", "20", "--phi3", "30"]),
+    ])
+    def test_shorthand_takes_one_angle_per_analyzer(self, shorthand, flags, capsys):
+        code, out, _ = run_cli(["analyze", "--format", "csv", *shorthand], capsys)
+        assert code == EXIT_OK
+        assert out == run_cli(["analyze", "--format", "csv", *flags], capsys)[1]
+
+    @pytest.mark.parametrize("argv, flag, count", [
+        (["--phi", "0", "120", "240"], "--phi", 2),
+        (["--experiment", "eprb", "--phi", "0"], "--phi", 2),
+        (["--theta", "90"], "--theta", 2),
+        (["--experiment", "ghzm", "--phi", "10", "20"], "--phi", 3),
+        (["--experiment", "ghzm", "--theta", "1", "2", "3", "4"], "--theta", 3),
+    ])
+    def test_shorthand_of_another_length_names_flag_and_count(self, argv, flag, count, capsys):
+        # never filled from the defaults, never cut short
+        code, out, err = run_cli(["analyze", "--format", "csv", *argv], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument {flag}: expected {count} values" in err
 
 
 class TestSweep:

@@ -14,20 +14,14 @@ from heisensim import (
     PROBABILITY_BETA,
     SPIN_BETA,
     UP,
-    bell_q,
-    bell_q_terms,
     heisenberg_evolve,
     real_expectation,
     run_eprb,
     singlet_entangler,
     spin_projector,
 )
-from heisensim.eprb import (
-    EPRB,
-    eprb_layout,
-    initial_state,
-    measurement_sequence,
-)
+from heisensim.cli import EXIT_OK, main
+from heisensim.eprb import EPRB, measurement_sequence
 from heisensim.tensor import Operator, SubsystemLayout, embed
 from conftest import random_direction
 
@@ -173,14 +167,22 @@ class TestNonentangled:
         assert r.mean_b1b2 == pytest.approx(r.mean_b1 * r.mean_b2, abs=1e-14)
 
 
-class TestBellQ:
-    def test_headline_value(self):
-        terms = bell_q_terms()
-        assert_allclose(terms, [0.375] * 3, atol=1e-12)
-        assert bell_q() == pytest.approx(9.0 / 8.0, abs=1e-12)
+def bell_q_row(capsys, *phis) -> dict[str, float]:
+    """The CSV row of ``sim bell-q``, by column."""
+    assert main(["bell-q", "--format", "csv", *(("--phis", *phis) if phis else ())]) == EXIT_OK
+    header, row = capsys.readouterr().out.splitlines()[-2:]
+    return dict(zip(header.split(","), map(float, row.split(","))))
 
-    def test_degenerate_parallel_analyzers(self):
-        assert bell_q((0.0, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
+
+class TestBellQ:
+    def test_headline_value(self, capsys):
+        row = bell_q_row(capsys)
+        terms = [row["p_uu_12"], row["p_uu_23"], row["p_uu_31"]]
+        assert_allclose(terms, [0.375] * 3, atol=1e-12)
+        assert row["q"] == pytest.approx(9.0 / 8.0, abs=1e-12)
+
+    def test_degenerate_parallel_analyzers(self, capsys):
+        assert bell_q_row(capsys, "0", "0", "0")["q"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestOrderInvariance:
@@ -188,7 +190,7 @@ class TestOrderInvariance:
         cfg = EprbConfig(random_direction(rng), random_direction(rng))
         seq = measurement_sequence(cfg)
         swapped = seq.reordered(("t1:entangle", "t2:measure-2", "t2:measure-1"))
-        psi0 = initial_state()
+        psi0 = EPRB.initial_state()
         b1, b2 = EPRB.beliefs(cfg.beta).values()
         for s in (seq, swapped):
             prod = heisenberg_evolve(b1, s) @ heisenberg_evolve(b2, s)
@@ -204,7 +206,7 @@ class TestCompletionInvariance:
         # report field stays put
         n1, n2 = random_direction(rng), random_direction(rng)
         cfg = EprbConfig(n1, n2)
-        layout = eprb_layout()
+        layout = EPRB.layout
 
         def alt_measurement(observer, particle, n):
             swap1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -221,7 +223,7 @@ class TestCompletionInvariance:
             ("t2:measure-2", alt_measurement("O2", "S2", n2)),
         )
         seq = InteractionSequence(steps)
-        psi0 = initial_state()
+        psi0 = EPRB.initial_state()
         b1, b2 = EPRB.beliefs(cfg.beta).values()
         alt = real_expectation(psi0, heisenberg_evolve(b1, seq) @ heisenberg_evolve(b2, seq))
         standard = run_eprb(cfg).mean_b1b2

@@ -11,20 +11,12 @@ from heisensim import (
     GhzmConfig,
     InteractionSequence,
     ODD_GAMMA,
-    ObserverSpec,
     ghz_entangler,
     heisenberg_evolve,
-    parity_measurement_unitary,
     real_expectation,
     run_ghzm,
 )
-from heisensim.ghzm import (
-    GHZM,
-    ghzm_layout,
-    initial_state,
-    measurement_sequence,
-    parity_projectors,
-)
+from heisensim.ghzm import GHZM, measurement_sequence
 from heisensim.measure import SPIN_OUTCOMES, UP
 from heisensim.tensor import Operator, StateVector, embed
 from conftest import random_direction
@@ -79,26 +71,9 @@ class TestGhzEntangler:
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-15)
 
 
-class TestParityProjectors:
-    def test_orthogonal_idempotents(self):
-        pp = parity_projectors()
-        for p in (pp.p_odd, pp.p_even):
-            assert p.is_hermitian(1e-15)
-            assert float(np.linalg.norm((p @ p).matrix - p.matrix)) < 1e-14
-        cross = pp.p_odd @ pp.p_even
-        assert float(np.linalg.norm(cross.matrix)) == 0.0
-
-    def test_sum_spans_definite_outcome_block_only(self):
-        # 8 of the 27 observer configurations have every observer decided
-        pp = parity_projectors()
-        total = pp.p_odd.matrix + pp.p_even.matrix
-        assert np.trace(total).real == pytest.approx(8.0, abs=0)
-        assert float(np.linalg.norm(total @ total - total)) < 1e-14
-
-
 class TestParityMeasurementUnitary:
-    V = parity_measurement_unitary(ObserverSpec("O0", EVEN_GAMMA))
-    LAYOUT = ghzm_layout()
+    V = embed(GHZM.readout[0][1], GHZM.layout)
+    LAYOUT = GHZM.layout
 
     def basis(self, indices):
         return StateVector.basis(self.LAYOUT, indices).amplitudes
@@ -140,10 +115,6 @@ class TestParityMeasurementUnitary:
 
     def test_unitary(self):
         assert self.V.is_unitary(1e-10)
-
-    def test_wrong_label_rejected(self):
-        with pytest.raises(ValueError):
-            parity_measurement_unitary(ObserverSpec("O1", EVEN_GAMMA))
 
 
 class TestRunGhzm:
@@ -194,7 +165,7 @@ class TestRunGhzm:
         cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
         seq = measurement_sequence(cfg)
         g = GHZM.beliefs(cfg.gamma)["G"]
-        psi0 = initial_state()
+        psi0 = GHZM.initial_state()
         reference = real_expectation(psi0, heisenberg_evolve(g, seq))
         measure_tags = ("t2:measure-1", "t2:measure-2", "t2:measure-3")
         for perm in permutations(measure_tags):
@@ -214,14 +185,14 @@ class TestEntanglerCompletionInvariance:
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=8))
         phases[0] = 1.0  # keep the constrained column verbatim
         alt = alt @ np.diag(phases)
-        alt_full = embed(Operator(ghz_entangler().layout, alt), ghzm_layout())
+        alt_full = embed(Operator(ghz_entangler().layout, alt), GHZM.layout)
 
         seq = measurement_sequence(cfg)
         steps = tuple(
             (tag, alt_full if tag == "t1:entangle" else u) for tag, u in seq.steps
         )
         value = real_expectation(
-            initial_state(),
+            GHZM.initial_state(),
             heisenberg_evolve(GHZM.beliefs(cfg.gamma)["G"], InteractionSequence(steps)),
         )
         assert value == pytest.approx(reference, abs=1e-12)

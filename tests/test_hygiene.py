@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no module-level name it defines goes unread in ``src``, ``tests`` and
-``perfbench``.
+no module-level name it defines goes unread in ``src``, ``tests`` and
+``perfbench``, and every file it opens names its encoding.
 
 ``__init__`` is exempt: its imports are the package's public re-exports.
 """
@@ -38,7 +38,7 @@ def used_names(tree: ast.AST) -> set[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = imported_names(tree) - used_names(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
 
@@ -71,10 +71,30 @@ def read_names(tree: ast.AST) -> set[str]:
 @pytest.fixture(scope="module")
 def names_read() -> set[str]:
     files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    return set().union(*(read_names(ast.parse(p.read_text(), filename=str(p))) for p in files))
+    return set().union(*(read_names(ast.parse(p.read_text(encoding="utf-8"), filename=str(p))) for p in files))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_no_unread_definitions(path, names_read):
-    unread = defined_names(ast.parse(path.read_text(), filename=str(path))) - names_read
+    unread = defined_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) - names_read
     assert not unread, f"{path.name} defines {sorted(unread)} but nothing reads them"
+
+
+def unencoded_file_calls(tree: ast.AST) -> list[int]:
+    """Line numbers of ``open``, ``read_text`` and ``write_text`` calls that
+    leave the encoding to the locale."""
+    lines = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+            if name in ("open", "read_text", "write_text") and not any(
+                    k.arg == "encoding" for k in n.keywords):
+                lines.append(n.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "heisensim").glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_file_io_names_its_encoding(path):
+    lines = unencoded_file_calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not lines, f"{path.name} reads or writes a file in the locale's encoding at {lines}"

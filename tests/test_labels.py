@@ -20,17 +20,12 @@ from heisensim import (
     single_factor,
     support,
 )
-from heisensim.eprb import EPRB, eprb_layout, measurement_sequence
-from heisensim.ghzm import (
-    GHZM,
-    GhzmConfig,
-    ghzm_layout,
-    measurement_sequence as ghzm_sequence,
-)
+from heisensim.eprb import EPRB, measurement_sequence
+from heisensim.ghzm import GHZM, GhzmConfig, measurement_sequence as ghzm_sequence
 from conftest import random_direction
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
-LAYOUT = eprb_layout()
+LAYOUT = EPRB.layout
 
 
 def chain_sequences(rng):
@@ -123,7 +118,7 @@ class TestSupportChain:
         dirs = [random_direction(rng) for _ in range(3)]
         seq = ghzm_sequence(GhzmConfig(*dirs))
         evolved = heisenberg_evolve(GHZM.beliefs((0.0, 0.0, 1.0))["G"], seq)
-        assert support(evolved).labels == frozenset(ghzm_layout().labels)
+        assert support(evolved).labels == frozenset(GHZM.layout.labels)
 
 
 class TestLocalFactor:
