@@ -3,7 +3,8 @@
 Angles are taken in degrees on the command line and in config files and
 converted to radians in one place (:func:`_directions`); that conversion is
 the only unit change in the system. Exit codes: 0 success, 1 usage or
-config error, 2 verification failure, 3 internal error (a broken invariant).
+config error, 2 verification failure, 3 internal error (a broken invariant),
+141 stdout closed by its reader (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
+_EXIT_BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -153,11 +156,13 @@ def _manifest_from_args(args) -> RunManifest:
 
     values: dict[str, object] = {}
     if getattr(args, "config", None) is not None:
-        section, values = _read_config(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            section, values = _read_config(Path(args.config).read_text(encoding="utf-8-sig"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc.strerror or exc}") from None
         if section != args.command:
-            raise ConfigError(
-                f"config section [{section}] does not match command {args.command!r}"
-            )
+            raise ConfigError(f"config section [{section}] does not match command "
+                              f"{args.command!r}")
     return finalize_manifest(args.command, {**values, **flags})
 
 
@@ -367,12 +372,10 @@ def run(manifest: RunManifest, out: TextIO | None = None) -> int:
         rendered.rows = [[*row, residual] for row in rendered.rows]
         rendered.table.append(f"  verification residual = {_fmt(residual)}")
     _emit(manifest, rendered, out)
+    out.flush()
     if residual is not None and residual > manifest.tolerance:
-        print(
-            f"verification failed: residual {rendered.residual:.3e} exceeds "
-            f"tolerance {manifest.tolerance:.3e}",
-            file=sys.stderr,
-        )
+        print(f"verification failed: residual {residual:.3e} exceeds "
+              f"tolerance {manifest.tolerance:.3e}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -389,9 +392,14 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader has gone: end quietly, and let the flush at exit write to devnull
+        with open(os.devnull, "w", encoding="utf-8") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,7 +22,6 @@ from typing import Callable, Mapping, Sequence
 
 from .labels import support
 from .measure import (
-    SPIN_BETA,
     SPIN_OUTCOMES,
     Direction,
     InteractionSequence,
@@ -94,17 +93,12 @@ class Experiment:
                                  for name, label in self.observers})
 
     def sequence(self, directions: Sequence[Direction], entangled: bool) -> InteractionSequence:
-        """Entangler (when enabled), one spin measurement per pair, readout.
-
-        The measurement unitaries depend only on the number of outcomes, not
-        on the observer eigenvalues, so any valid eigenvalues build them.
-        """
+        """Entangler (when enabled), one spin measurement per pair, readout."""
         steps = [("t1:entangle", self.entangler)] if entangled else []
         pairs = zip(self.measurements, directions, strict=True)
         for k, ((observer, particle), n) in enumerate(pairs, 1):
             projectors = [spin_projector(n, o, particle) for o in SPIN_OUTCOMES]
-            u = measurement_block(observer, particle, projectors, ObserverSpec(observer, SPIN_BETA))
-            steps.append((f"t2:measure-{k}", u))
+            steps.append((f"t2:measure-{k}", measurement_block(observer, projectors)))
         steps += self.readout
         return InteractionSequence(tuple(steps), self.layout)
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import DEFAULT_TOL, LayoutError, Operator, embed, single_factor
+from .tensor import DEFAULT_TOL, Operator, embed, single_factor
 
 
 class NotLocallySupportedError(ValueError):
@@ -75,27 +75,25 @@ def support(op: Operator, tol: float = DEFAULT_TOL) -> SupportSet:
     return SupportSet(labels=frozenset(nontrivial), residuals=residuals)
 
 
-def local_factor(op: Operator, label: str, tol: float = DEFAULT_TOL) -> Operator:
+def local_factor(op: Operator, label: str) -> Operator:
     """Extract the single-factor operator F with embed(F) == op.
 
     Requires the support of ``op`` to be exactly ``{label}``.
     """
-    if label not in op.layout.labels:
-        raise LayoutError(f"unknown factor label {label!r}")
-    sup = support(op, tol)
+    layout = op.layout
+    k, m, d = layout.position(label), len(layout), layout.dim_of(label)
+    sup = support(op)
     if sup.labels != {label}:
         raise NotLocallySupportedError(
             f"support is {sorted(sup.labels)}, not [{label!r}]; no local factor exists"
         )
-    layout = op.layout
-    k, m, d = layout.position(label), len(layout), layout.dim_of(label)
     # the factor's row and column axes first, then one trace over the rest
     tensor = np.moveaxis(op.matrix.reshape(layout.dims + layout.dims), (k, m + k), (0, 1))
     rest = op.dim // d
     reduced = np.trace(tensor.reshape(d, d, rest, rest), axis1=2, axis2=3) / rest
     extracted = Operator(single_factor(label, d), reduced)
     residual = float(np.linalg.norm(embed(extracted, op.layout).matrix - op.matrix))
-    if residual >= tol:
+    if residual >= DEFAULT_TOL:
         raise NotLocallySupportedError(
             f"reconstruction from factor {label!r} misses by {residual:.3e}"
         )

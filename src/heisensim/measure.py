@@ -72,22 +72,20 @@ class ObserverSpec:
         return Operator(single_factor(self.label, self.dim), np.diag(self.eigenvalues))
 
 
-def shift_operator(spec: ObserverSpec, outcome: int) -> Operator:
-    """Cyclic shift by ``outcome`` on the observer basis, mod ``N + 1``.
+def shift_operator(label: str, dim: int, outcome: int) -> Operator:
+    """Cyclic shift by ``outcome`` on the ``dim`` observer basis states, mod ``dim``.
 
     Sends the ignorant basis state to the awareness state for the given
     outcome. The action on already-aware states is fixed to the cyclic
     completion so the operator is unitary; experiment outputs do not depend
     on that choice (see the completion-invariance test).
     """
-    n = spec.n_outcomes
-    if not 1 <= outcome <= n:
-        raise ValueError(f"outcome index {outcome} out of range 1..{n}")
-    d = spec.dim
-    m = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        m[(i + outcome) % d, i] = 1.0
-    return Operator(single_factor(spec.label, d), m)
+    if not 1 <= outcome < dim:
+        raise ValueError(f"outcome index {outcome} out of range 1..{dim - 1}")
+    m = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        m[(i + outcome) % dim, i] = 1.0
+    return Operator(single_factor(label, dim), m)
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,8 @@ class Direction:
         return float(np.dot(self.unit_vector, other.unit_vector))
 
 
-def spin_eigenstate(n: Direction, outcome: str, label: str = "S") -> StateVector:
-    """Spin-1/2 eigenstate along ``n`` in the half-angle, half-phase convention.
+def spin_eigenstate(n: Direction, outcome: str) -> StateVector:
+    """Spin-1/2 eigenstate on factor ``S`` along ``n``, half-angle, half-phase convention.
 
     Up is ``(e^{-i phi/2} cos(theta/2), e^{i phi/2} sin(theta/2))`` in the
     z basis; down is its orthogonal partner. At theta = 0 the azimuth only
@@ -129,7 +127,7 @@ def spin_eigenstate(n: Direction, outcome: str, label: str = "S") -> StateVector
         amps = np.array([-minus * s, plus * c])
     else:
         raise ValueError(f"outcome must be {UP!r} or {DOWN!r}, got {outcome!r}")
-    return StateVector(single_factor(label, 2), amps)
+    return StateVector(single_factor("S", 2), amps)
 
 
 def spin_projector(n: Direction, outcome: str, label: str = "S") -> Operator:
@@ -212,57 +210,42 @@ class InteractionSequence:
         return InteractionSequence(tuple((t, by_tag[t]) for t in tag_order), self.layout)
 
 
-def measurement_block(
-    observer_label: str,
-    system_label: str,
-    projectors: Iterable[Operator],
-    spec: ObserverSpec,
-    tol: float = DEFAULT_TOL,
-) -> Operator:
-    """Ideal-measurement unitary ``sum_i u_i (x) P_i`` on ``[observer, system]``;
-    the projectors must form a complete orthogonal family on the system factor."""
-    if observer_label == system_label:
-        raise LayoutError(f"observer and system share the label {observer_label!r}")
-    if spec.label != observer_label:
-        raise LayoutError(f"observer spec is labeled {spec.label!r}, expected {observer_label!r}")
+def measurement_block(observer: str, projectors: Iterable[Operator]) -> Operator:
+    """Ideal-measurement unitary ``sum_i u_i (x) P_i`` on ``[observer, system]``: the projectors,
+    complete and orthogonal, share the system factor, and the observer has one state more."""
     projectors = tuple(projectors)
-    if len(projectors) != spec.n_outcomes:
-        raise ValueError(f"{spec.n_outcomes} outcomes need {spec.n_outcomes} projectors")
-    sys_layout = projectors[0].layout
-    if sys_layout.labels != (system_label,) or any(p.layout != sys_layout for p in projectors):
-        raise LayoutError(f"projectors must live on the single factor {system_label!r}")
-    sys_dim = sys_layout.total_dim
+    layouts = {p.layout for p in projectors}
+    factors = layouts.pop().factors if len(layouts) == 1 else ()
+    if len(factors) != 1:
+        raise LayoutError("projectors must share one single-factor layout")
+    [(system, sys_dim)] = factors
+    if observer == system:
+        raise LayoutError(f"observer and system share the label {observer!r}")
     total = np.zeros((sys_dim, sys_dim), dtype=complex)
     for i, p in enumerate(projectors):
         total += p.matrix
         for j, q in enumerate(projectors):
             target = p.matrix if i == j else 0.0
-            if float(np.linalg.norm(p.matrix @ q.matrix - target)) >= tol:
+            if float(np.linalg.norm(p.matrix @ q.matrix - target)) >= DEFAULT_TOL:
                 raise ValueError("projector family is not orthogonal within tolerance")
-    if float(np.linalg.norm(total - np.eye(sys_dim))) >= tol:
+    if float(np.linalg.norm(total - np.eye(sys_dim))) >= DEFAULT_TOL:
         raise ValueError("projector family does not sum to the identity (incomplete family)")
 
-    block = np.zeros((spec.dim * sys_dim, spec.dim * sys_dim), dtype=complex)
+    obs_dim = len(projectors) + 1
+    block = np.zeros((obs_dim * sys_dim, obs_dim * sys_dim), dtype=complex)
     for i, p in enumerate(projectors):
-        block += np.kron(shift_operator(spec, i + 1).matrix, p.matrix)
-    block_layout = SubsystemLayout(((observer_label, spec.dim), (system_label, sys_dim)))
-    block_op = Operator(block_layout, block)
-    if not block_op.is_unitary(tol):
+        block += np.kron(shift_operator(observer, obs_dim, i + 1).matrix, p.matrix)
+    block_op = Operator(SubsystemLayout(((observer, obs_dim), (system, sys_dim))), block)
+    if not block_op.is_unitary():
         raise NonUnitaryError("measurement unitary failed its unitarity post-check")
     return block_op
 
 
-def measurement_unitary(
-    layout: SubsystemLayout,
-    observer_label: str,
-    system_label: str,
-    projectors: Iterable[Operator],
-    spec: ObserverSpec,
-    tol: float = DEFAULT_TOL,
-) -> Operator:
+def measurement_unitary(layout: SubsystemLayout, observer: str,
+                        projectors: Iterable[Operator]) -> Operator:
     """Ideal-measurement unitary ``sum_i u_i (x) P_i`` on the full layout:
     :func:`measurement_block` embedded."""
-    return embed(measurement_block(observer_label, system_label, projectors, spec, tol), layout)
+    return embed(measurement_block(observer, projectors), layout)
 
 
 def heisenberg_evolve(op: Operator, seq: InteractionSequence) -> Operator:

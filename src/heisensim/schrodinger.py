@@ -44,9 +44,7 @@ def cross_check(op: Operator, seq: InteractionSequence, initial: StateVector) ->
     return abs(via_operators - via_state)
 
 
-def schmidt_rank(
-    state: StateVector, left_labels: Iterable[str], threshold: float = SCHMIDT_THRESHOLD
-) -> int:
+def schmidt_rank(state: StateVector, left_labels: Iterable[str]) -> int:
     """Schmidt rank of the state across the given bipartition.
 
     Rank 1 means a product state across the cut; rank > 1 means
@@ -65,4 +63,4 @@ def schmidt_rank(
     tensor = tensor.transpose(left + right)
     d_left = int(np.prod([layout.dims[k] for k in left]))
     singulars = np.linalg.svd(tensor.reshape(d_left, -1), compute_uv=False)
-    return int(np.count_nonzero(singulars > threshold))
+    return int(np.count_nonzero(singulars > SCHMIDT_THRESHOLD))

@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Default Frobenius-norm tolerance for operator comparisons and the
-#: unitarity check. Overridable per call; the CLI exposes it as --tol.
+#: Frobenius-norm tolerance of operator comparisons, unitarity and stray imaginary
+#: parts; the predicates take another per call, --tol sets support's and --verify's.
 DEFAULT_TOL = 1e-10
 
 #: State vectors must be normalized to this accuracy at construction.
@@ -258,10 +258,10 @@ def embed(op: Operator, layout: SubsystemLayout) -> Operator:
     return Operator(layout, np.ascontiguousarray(tensor.reshape(d, d)))
 
 
-def conjugate_by(op: Operator, u: Operator, tol: float = DEFAULT_TOL) -> Operator:
+def conjugate_by(op: Operator, u: Operator) -> Operator:
     """Heisenberg conjugation: return ``u† op u``."""
     op._require_same_layout(u)
-    if not u.is_unitary(tol):
+    if not u.is_unitary():
         raise NonUnitaryError(
             f"conjugation matrix fails unitarity: |u†u - I| = {u._unitarity_residual:.3e}"
         )
@@ -275,11 +275,11 @@ def expectation(state: StateVector, op: Operator) -> complex:
     return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
 
 
-def real_expectation(state: StateVector, op: Operator, tol: float = DEFAULT_TOL) -> float:
+def real_expectation(state: StateVector, op: Operator) -> float:
     """Expectation of a Hermitian observable; rejects stray imaginary parts."""
     value = expectation(state, op)
-    if abs(value.imag) >= tol:
-        raise InvariantError(f"expectation {value} has imaginary part beyond {tol}")
+    if abs(value.imag) >= DEFAULT_TOL:
+        raise InvariantError(f"expectation {value} has imaginary part beyond {DEFAULT_TOL}")
     return value.real
 
 

@@ -111,6 +111,39 @@ class TestEprb:
         assert (done.returncode, done.stderr) == (EXIT_OK, "")
         assert done.stdout == expected
 
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        text = "[eprb]\nphi1 = 0\nphi2 = 120\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = [run_cli(["eprb", "--config", str(cfg), "--format", "csv"], capsys)
+                   for cfg in (plain, marked)]
+        assert outputs[0][0] == EXIT_OK
+        assert outputs[1] == outputs[0]
+
+    def test_unreadable_config_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code, out, err = run_cli(["eprb", "--config", str(missing)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("config error: ") and str(missing) in err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_ends_quietly(self, unbuffered):
+        # the reader is gone before the first write: exit as SIGPIPE would,
+        # with nothing on stderr, not as a config error
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": str(Path(heisensim.__file__).parent.parent)}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "heisensim.cli", "eprb", "--phi1", "0", "--phi2", "120"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
     def test_mismatched_config_section(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[ghzm]\nphi1 = 0\nphi2 = 0\nphi3 = 0\n")

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level name it defines goes unread in ``src``, ``tests`` and
-``perfbench``, and every file it opens names its encoding.
+``perfbench``, no parameter default it declares is one that no call there
+overrides, and every file it opens names its encoding.
 
 ``__init__`` is exempt: its imports are the package's public re-exports.
 """
@@ -69,15 +70,71 @@ def read_names(tree: ast.AST) -> set[str]:
 
 
 @pytest.fixture(scope="module")
-def names_read() -> set[str]:
+def trees() -> list[ast.Module]:
     files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    return set().union(*(read_names(ast.parse(p.read_text(encoding="utf-8"), filename=str(p))) for p in files))
+    return [ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in files]
+
+
+@pytest.fixture(scope="module")
+def names_read(trees) -> set[str]:
+    return set().union(*(read_names(tree) for tree in trees))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_no_unread_definitions(path, names_read):
     unread = defined_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) - names_read
     assert not unread, f"{path.name} defines {sorted(unread)} but nothing reads them"
+
+
+def defaulted_parameters(node: ast.AST, cls: str | None = None):
+    """``(callee name, parameter, positional index or None)`` of every
+    parameter with a default; a method's index does not count ``self`` or
+    ``cls``, and ``__init__`` is called by its class's name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from defaulted_parameters(child, child.name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = child.args
+            bound = cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            positional = (a.posonlyargs + a.args)[int(bound):]
+            name = cls if bound and child.name == "__init__" else child.name
+            first_defaulted = len(positional) - len(a.defaults)
+            for k, arg in enumerate(positional[first_defaulted:], first_defaulted):
+                yield name, arg.arg, k
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+            yield from defaulted_parameters(child)
+
+
+def overrides(call: ast.Call, parameter: str, index: int | None) -> bool:
+    """Whether a call passes the parameter: by keyword, by position, or
+    possibly through ``*args`` or ``**kwargs``."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+@pytest.fixture(scope="module")
+def calls_by_name(trees) -> dict[str, list[ast.Call]]:
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                calls.setdefault(name, []).append(n)
+    return calls
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_default_that_no_call_overrides(path, calls_by_name):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = [f"{name}({parameter})" for name, parameter, index in defaulted_parameters(tree)
+              if not any(overrides(c, parameter, index) for c in calls_by_name.get(name, ()))]
+    assert not unused, f"{path.name}: no call overrides the default of {unused}"
 
 
 def unencoded_file_calls(tree: ast.AST) -> list[int]:

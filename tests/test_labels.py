@@ -132,6 +132,10 @@ class TestLocalFactor:
         out = local_factor(b1, "O1")
         assert_allclose(np.diag(out.matrix), SPIN_BETA, atol=1e-14)
 
+    def test_unknown_label(self):
+        with pytest.raises(LayoutError):
+            local_factor(identity(LAYOUT), "X")
+
     def test_identity_has_no_local_factor(self):
         with pytest.raises(NotLocallySupportedError):
             local_factor(identity(LAYOUT), "S1")

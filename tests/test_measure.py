@@ -27,6 +27,7 @@ from heisensim import (
     spin_projector,
     single_factor,
 )
+from heisensim.measure import measurement_block
 from conftest import random_direction, random_unitary
 
 OS_LAYOUT = SubsystemLayout((("O", 3), ("S", 2)))
@@ -36,8 +37,7 @@ Z_PROJECTORS = [
 ]
 
 
-def z_measurement(beta=(0.0, 1.0, -1.0)):
-    return measurement_unitary(OS_LAYOUT, "O", "S", Z_PROJECTORS, ObserverSpec("O", beta))
+Z_MEASUREMENT = measurement_unitary(OS_LAYOUT, "O", Z_PROJECTORS)
 
 
 class TestObserverSpec:
@@ -75,15 +75,13 @@ class TestDirection:
 
 
 class TestShiftOperator:
-    SPEC = ObserverSpec("O", (0.0, 1.0, -1.0))
-
     def test_moves_ignorant_to_outcome(self):
         e0 = np.array([1.0, 0.0, 0.0])
-        assert_allclose(shift_operator(self.SPEC, 1).matrix @ e0, [0, 1, 0], atol=0)
-        assert_allclose(shift_operator(self.SPEC, 2).matrix @ e0, [0, 0, 1], atol=0)
+        assert_allclose(shift_operator("O", 3, 1).matrix @ e0, [0, 1, 0], atol=0)
+        assert_allclose(shift_operator("O", 3, 2).matrix @ e0, [0, 0, 1], atol=0)
 
     def test_full_cyclic_action(self):
-        u1 = shift_operator(self.SPEC, 1).matrix
+        u1 = shift_operator("O", 3, 1).matrix
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1.0
@@ -93,13 +91,13 @@ class TestShiftOperator:
 
     def test_unitary(self):
         for i in (1, 2):
-            assert shift_operator(self.SPEC, i).is_unitary(1e-15)
+            assert shift_operator("O", 3, i).is_unitary(1e-15)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            shift_operator(self.SPEC, 3)
+            shift_operator("O", 3, 3)
         with pytest.raises(ValueError):
-            shift_operator(self.SPEC, 0)
+            shift_operator("O", 3, 0)
 
 
 class TestSpinEigenstate:
@@ -166,23 +164,22 @@ class TestMeasurementUnitary:
     def test_displayed_action_on_eigenstates(self):
         # ignorant observer + definite system state goes to the matching
         # awareness state, system untouched
-        u = z_measurement()
+        u = Z_MEASUREMENT
         for i in (0, 1):
             before = StateVector.basis(OS_LAYOUT, (0, i)).amplitudes
             after = StateVector.basis(OS_LAYOUT, (i + 1, i)).amplitudes
             assert_allclose(u.matrix @ before, after, atol=0)
 
     def test_unitary(self):
-        assert z_measurement().is_unitary(1e-12)
+        assert Z_MEASUREMENT.is_unitary(1e-12)
 
     def test_equals_product_of_embeds(self, rng):
         n = random_direction(rng)
         projectors = [spin_projector(n, UP, "S"), spin_projector(n, DOWN, "S")]
-        spec = ObserverSpec("O", (0.0, 1.0, -1.0))
-        u = measurement_unitary(OS_LAYOUT, "O", "S", projectors, spec)
+        u = measurement_unitary(OS_LAYOUT, "O", projectors)
         via_products = np.zeros((6, 6), dtype=complex)
         for i, p in enumerate(projectors):
-            shift_full = embed(shift_operator(spec, i + 1), OS_LAYOUT)
+            shift_full = embed(shift_operator("O", 3, i + 1), OS_LAYOUT)
             proj_full = embed(p, OS_LAYOUT)
             via_products += (shift_full @ proj_full).matrix
         assert_allclose(u.matrix, via_products, atol=0)
@@ -190,38 +187,38 @@ class TestMeasurementUnitary:
     def test_incomplete_family_rejected(self):
         zero = Operator(single_factor("S", 2), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="identity"):
-            measurement_unitary(
-                OS_LAYOUT, "O", "S", [Z_PROJECTORS[0], zero],
-                ObserverSpec("O", (0.0, 1.0, -1.0)),
-            )
+            measurement_unitary(OS_LAYOUT, "O", [Z_PROJECTORS[0], zero])
 
     def test_non_orthogonal_family_rejected(self):
         skew = Operator(single_factor("S", 2), np.full((2, 2), 0.5))
         with pytest.raises(ValueError, match="orthogonal"):
-            measurement_unitary(
-                OS_LAYOUT, "O", "S", [skew, Z_PROJECTORS[1]],
-                ObserverSpec("O", (0.0, 1.0, -1.0)),
-            )
+            measurement_unitary(OS_LAYOUT, "O", [skew, Z_PROJECTORS[1]])
 
     def test_label_collision(self):
         with pytest.raises(LayoutError):
-            measurement_unitary(
-                OS_LAYOUT, "O", "O", Z_PROJECTORS, ObserverSpec("O", (0.0, 1.0, -1.0))
-            )
+            measurement_unitary(OS_LAYOUT, "S", Z_PROJECTORS)
+
+    def test_three_outcomes_give_a_four_state_observer(self, rng):
+        basis = random_unitary(rng, 3)
+        projectors = [Operator(single_factor("S", 3), np.outer(v, v.conj())) for v in basis.T]
+        block = measurement_block("O", projectors)
+        assert block.layout == SubsystemLayout((("O", 4), ("S", 3)))
+        expected = sum(np.kron(shift_operator("O", 4, i + 1).matrix, p.matrix)
+                       for i, p in enumerate(projectors))
+        assert_allclose(block.matrix, expected, atol=0)
+
+    def test_projectors_on_other_factors_rejected(self):
+        on_t = Operator(single_factor("T", 2), np.diag([0.0, 1.0]).astype(complex))
+        two_factors = Operator(SubsystemLayout((("S", 2), ("T", 2))), np.eye(4))
+        for projectors in ([Z_PROJECTORS[0], on_t], [two_factors]):
+            with pytest.raises(LayoutError, match="single-factor"):
+                measurement_block("O", projectors)
 
     def test_disjoint_measurements_commute(self, rng):
         layout = SubsystemLayout((("O1", 3), ("O2", 3), ("S1", 2), ("S2", 2)))
         n1, n2 = random_direction(rng), random_direction(rng)
-        u1 = measurement_unitary(
-            layout, "O1", "S1",
-            [spin_projector(n1, o, "S1") for o in (UP, DOWN)],
-            ObserverSpec("O1", (0.0, 1.0, -1.0)),
-        )
-        u2 = measurement_unitary(
-            layout, "O2", "S2",
-            [spin_projector(n2, o, "S2") for o in (UP, DOWN)],
-            ObserverSpec("O2", (0.0, 1.0, -1.0)),
-        )
+        u1 = measurement_unitary(layout, "O1", [spin_projector(n1, o, "S1") for o in (UP, DOWN)])
+        u2 = measurement_unitary(layout, "O2", [spin_projector(n2, o, "S2") for o in (UP, DOWN)])
         commutator = (u1 @ u2).matrix - (u2 @ u1).matrix
         assert float(np.linalg.norm(commutator)) < 1e-12
 
@@ -236,7 +233,7 @@ class TestHeisenbergEvolve:
         # measuring the observable whose eigenprojectors gate the shifts
         # leaves that observable alone
         a = embed(Operator(single_factor("S", 2), np.diag([1.0, -1.0]).astype(complex)), OS_LAYOUT)
-        seq = InteractionSequence((("measure", z_measurement()),))
+        seq = InteractionSequence((("measure", Z_MEASUREMENT),))
         out = heisenberg_evolve(a, seq)
         assert float(np.linalg.norm(out.matrix - a.matrix)) < 1e-12
 
@@ -247,14 +244,14 @@ class TestHeisenbergEvolve:
         spec = ObserverSpec("O", beta)
         n = random_direction(rng)
         projectors = [spin_projector(n, UP, "S"), spin_projector(n, DOWN, "S")]
-        u_m = measurement_unitary(OS_LAYOUT, "O", "S", projectors, spec)
+        u_m = measurement_unitary(OS_LAYOUT, "O", projectors)
         b = embed(spec.belief_operator(), OS_LAYOUT)
         evolved = heisenberg_evolve(b, InteractionSequence((("measure", u_m),)))
 
         expected = np.zeros((6, 6), dtype=complex)
         b_small = spec.belief_operator().matrix
         for i, p in enumerate(projectors):
-            u_i = shift_operator(spec, i + 1).matrix
+            u_i = shift_operator("O", 3, i + 1).matrix
             expected += np.kron(u_i.conj().T @ b_small @ u_i, p.matrix)
         assert float(np.linalg.norm(evolved.matrix - expected)) < 1e-12
 
@@ -275,13 +272,9 @@ class TestHeisenbergEvolve:
     def test_commuting_steps_compose_in_either_order(self, rng):
         layout = SubsystemLayout((("O1", 3), ("O2", 3), ("S1", 2), ("S2", 2)))
         n1, n2 = random_direction(rng), random_direction(rng)
-        spec1, spec2 = ObserverSpec("O1", (0.0, 1.0, -1.0)), ObserverSpec("O2", (0.0, 1.0, -1.0))
-        u1 = measurement_unitary(
-            layout, "O1", "S1", [spin_projector(n1, o, "S1") for o in (UP, DOWN)], spec1
-        )
-        u2 = measurement_unitary(
-            layout, "O2", "S2", [spin_projector(n2, o, "S2") for o in (UP, DOWN)], spec2
-        )
+        spec1 = ObserverSpec("O1", (0.0, 1.0, -1.0))
+        u1 = measurement_unitary(layout, "O1", [spin_projector(n1, o, "S1") for o in (UP, DOWN)])
+        u2 = measurement_unitary(layout, "O2", [spin_projector(n2, o, "S2") for o in (UP, DOWN)])
         b = embed(spec1.belief_operator(), layout)
         combined = heisenberg_evolve(b, InteractionSequence((("m1", u1), ("m2", u2))))
         stepwise = heisenberg_evolve(
@@ -292,7 +285,7 @@ class TestHeisenbergEvolve:
 
     def test_layout_mismatch(self):
         b = Operator(single_factor("X", 2), np.eye(2))
-        seq = InteractionSequence((("m", z_measurement()),))
+        seq = InteractionSequence((("m", Z_MEASUREMENT),))
         with pytest.raises(LayoutError):
             heisenberg_evolve(b, seq)
 
@@ -341,7 +334,7 @@ class TestInteractionSequence:
         for label, d in (("X", 2), ("S", 3)):
             step = Operator(single_factor(label, d), np.eye(d))
             with pytest.raises(LayoutError):
-                InteractionSequence((("m", z_measurement()), ("bad", step)))
+                InteractionSequence((("m", Z_MEASUREMENT), ("bad", step)))
             with pytest.raises(LayoutError):
                 InteractionSequence((("bad", step),), OS_LAYOUT)
 
