@@ -122,6 +122,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: built once: parsing leaves the parser unchanged, so every call shares it
+_PARSER = build_parser()
+
+
 def _typed(schema, given) -> dict[str, object]:
     """Each ``key: (flag, text)`` typed by its key's parser."""
     flags = {}
@@ -381,9 +385,8 @@ def run(manifest: RunManifest, out: TextIO | None = None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         manifest = _manifest_from_args(args)
         return run(manifest)
     except InvariantError as exc:

@@ -26,12 +26,14 @@ from .measure import (
     Direction,
     InteractionSequence,
     ObserverSpec,
+    evolve_label_sum,
     heisenberg_evolve,
+    light_cone,
     measurement_block,
     spin_projector,
 )
-from .schrodinger import schrodinger_evolve
-from .tensor import Operator, StateVector, SubsystemLayout, embed, expectation, real_expectation
+from .schrodinger import product_expectation, schrodinger_evolve
+from .tensor import InvariantError, Operator, StateVector, SubsystemLayout, real_part
 
 Eigenvalues = tuple[float, ...]
 
@@ -86,10 +88,10 @@ class Experiment:
 
     @lru_cache(maxsize=4)
     def beliefs(self, eigenvalues: Eigenvalues) -> Mapping[str, Operator]:
-        """Each observer's belief operator on the full layout (time t0), by
+        """Each observer's belief operator on its own factor (time t0), by
         name. Cached per experiment (hashed by identity) and eigenvalue tuple;
         the mapping is read-only, since every caller shares it."""
-        return MappingProxyType({name: _observable(label, eigenvalues, self.layout)
+        return MappingProxyType({name: ObserverSpec(label, eigenvalues).belief_operator()
                                  for name, label in self.observers})
 
     def sequence(self, directions: Sequence[Direction], entangled: bool) -> InteractionSequence:
@@ -112,46 +114,46 @@ class Experiment:
         """Every mean by column, and under ``verify`` the largest gap between
         a mean and its value in the state evolved once instead (else None).
 
-        Each distinct observable is evolved once; one sequence serves all
-        eigenvalues, since its unitaries do not depend on them.
+        Each distinct observable is evolved once, as a label sum; one
+        sequence serves all eigenvalues, since its unitaries do not depend on
+        them. The initial state is a product basis state, so each mean is
+        read off the sum's diagonal entries, with nothing embedded.
         """
         resolved = [m[3] or tuple(eigenvalues) for m in self.means]
         seq = self.sequence(directions, entangled)
         beliefs = {e: self.beliefs(e) for e in dict.fromkeys(resolved)}
-        psi0 = self.initial_state()
-        evolved = {e: {name: heisenberg_evolve(op, seq) for name, op in observables.items()}
+        evolved = {e: {name: evolve_label_sum(op, seq) for name, op in observables.items()}
                    for e, observables in beliefs.items()}
-        values = {m[0]: real_expectation(psi0, _product(evolved[e], m[2]))
+        values = {m[0]: real_part(reduce(matmul, (evolved[e][n] for n in m[2]))
+                                  .mean(self.initial_indices))
                   for m, e in zip(self.means, resolved)}
         self.report(**values)
         if not verify:
             return values, None
-        psi = schrodinger_evolve(psi0, seq)
-        return values, max(abs(values[m[0]] - expectation(psi, _product(beliefs[e], m[2])))
-                           for m, e in zip(self.means, resolved))
+        psi = schrodinger_evolve(self.initial_state(), seq)
+        return values, max(
+            abs(values[m[0]] - product_expectation(psi, [beliefs[e][n] for n in m[2]]))
+            for m, e in zip(self.means, resolved))
 
     def support_ledger(self, directions: Sequence[Direction], tol: float) -> list[list]:
         """Rows ``[observable, stage, support labels, residual per label...]``
-        at t0 and after the sequence without and with the entangler."""
+        at t0 and after the sequence without and with the entangler.
+
+        A support outside the observable's light cone is a kernel fault and
+        raises :class:`InvariantError`."""
         stages = {"t0": InteractionSequence((), self.layout),
                   f"{self.stage}-nonentangled": self.sequence(directions, False),
                   f"{self.stage}-entangled": self.sequence(directions, True)}
         rows = []
         for name, label, eigenvalues in self.ledger:
-            op = _observable(label, eigenvalues, self.layout)
+            op = ObserverSpec(label, eigenvalues).belief_operator()
             for stage, seq in stages.items():
                 sup = support(heisenberg_evolve(op, seq), tol)
+                cone = light_cone((label,), seq)
+                if not sup.labels <= cone:
+                    raise InvariantError(f"{name} at {stage} acts on {sorted(sup.labels - cone)}"
+                                         f" outside its light cone {sorted(cone)}")
                 ordered = [lbl for lbl in self.layout.labels if lbl in sup.labels]
                 residuals = [sup.residuals[lbl] for lbl in self.layout.labels]
                 rows.append([name, stage, ",".join(ordered), *residuals])
         return rows
-
-
-def _observable(label: str, eigenvalues: Eigenvalues, layout: SubsystemLayout) -> Operator:
-    """The diagonal operator with these eigenvalues on factor ``label``,
-    embedded in ``layout``; :class:`ObserverSpec` validates the eigenvalues."""
-    return embed(ObserverSpec(label, eigenvalues).belief_operator(), layout)
-
-
-def _product(operators: Mapping[str, Operator], names: tuple[str, ...]) -> Operator:
-    return reduce(matmul, (operators[n] for n in names))

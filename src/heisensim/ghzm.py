@@ -19,8 +19,8 @@ from itertools import product
 import numpy as np
 
 from .experiment import Experiment
-from .measure import SPIN_BETA, Direction, InteractionSequence
-from .tensor import Operator, SubsystemLayout
+from .measure import SPIN_BETA, Direction, InteractionSequence, Measurement, measurement_block
+from .tensor import Operator, SubsystemLayout, single_factor
 
 REFEREE = "O0"
 OBSERVERS = ("O1", "O2", "O3")
@@ -79,16 +79,18 @@ def ghz_entangler() -> Operator:
     return Operator(SubsystemLayout(tuple((s, 2) for s in PARTICLES)), m)
 
 
-def _parity_block() -> Operator:
-    """The referee interaction on its 81-dim block ``[O0, O1, O2, O3]``: the
-    permutation ``|r, o> -> |r + shift(o) mod 3, o>``, independent of the
-    referee eigenvalues."""
-    n = len(_PARITY_SHIFT)
-    columns = np.arange(3 * n)
-    r, o = np.divmod(columns, n)
-    m = np.zeros((3 * n, 3 * n), dtype=complex)
-    m[(r + _PARITY_SHIFT[o]) % 3 * n + o, columns] = 1.0
-    return Operator(SubsystemLayout(_LAYOUT.factors[:4]), m)
+def _parity_block() -> Measurement:
+    """The referee interaction on ``[O0, O1, O2, O3]``: an ideal measurement of
+    the ``[O1, O2, O3]`` basis, one product projector per basis state ``o``,
+    shifting the referee by ``X^shift(o)``; as a matrix, the permutation
+    ``|r, o> -> |r + shift(o) mod 3, o>``, independent of the referee
+    eigenvalues."""
+    observers = SubsystemLayout(_LAYOUT.factors[1:4])
+    n = observers.total_dim
+    projectors = [Operator(observers, np.diag(np.eye(n)[o])) for o in range(n)]
+    shifts = [Operator(single_factor(REFEREE, 3), np.roll(np.eye(3), s, axis=0))
+              for s in _PARITY_SHIFT]
+    return measurement_block(REFEREE, projectors, shifts)
 
 
 #: Under the even preset the mean is the probability that the referee finds

@@ -179,17 +179,21 @@ class InteractionSequence:
         return tuple(t for t, _ in self.steps)
 
     @cached_property
-    def _local_steps(self) -> list[tuple]:
-        # per step, latest first: the axis order of the layout's dims + dims
-        # tensor with the step's row axes first and its column axes last, the
-        # inverse order, the block and its adjoint
-        m = len(self.layout)
+    def _plan(self) -> list[tuple]:
+        # per step, latest first: its layout positions, its block as a stack
+        # of one, and for a measurement the split of rule (b): the observer's
+        # positions and shifts, and the projectors' groups on the layout
         plan = []
         for _, u in reversed(self.steps):
-            rows = [self.layout.position(label) for label in u.layout.labels]
-            rest = [k for k in range(m) if k not in rows]
-            axes = (*rows, *rest, *(m + k for k in rest), *(m + k for k in rows))
-            plan.append((axes, np.argsort(axes), u.matrix, u.matrix.conj().T))
+            rows = tuple(self.layout.position(label) for label in u.layout.labels)
+            split = None
+            if isinstance(u, Measurement):
+                controls = tuple(
+                    _merge(self.layout, len(u.shifts),
+                           [(tuple(self.layout.position(label) for label in labels), stack)])
+                    for labels, stack in u.projectors)
+                split = (rows[:1], u.shifts, controls)
+            plan.append((rows, u.matrix[None], split))
         return plan
 
     def total_unitary(self) -> Operator:
@@ -210,35 +214,78 @@ class InteractionSequence:
         return InteractionSequence(tuple((t, by_tag[t]) for t in tag_order), self.layout)
 
 
-def measurement_block(observer: str, projectors: Iterable[Operator]) -> Operator:
-    """Ideal-measurement unitary ``sum_i u_i (x) P_i`` on ``[observer, system]``: the projectors,
-    complete and orthogonal, share the system factor, and the observer has one state more."""
+@dataclass(frozen=True, eq=False)
+class Measurement(Operator):
+    """An ideal-measurement block ``sum_i u_i (x) P_i`` on ``[observer, system
+    factors]`` that keeps its terms beside the dense matrix: the ``u_i``
+    stacked on the observer's factor, and the ``P_i`` as ``(labels, stack)``
+    groups whose per-term Kronecker product they are (one group per factor
+    for product projectors)."""
+
+    shifts: np.ndarray
+    projectors: tuple[tuple[tuple[str, ...], np.ndarray], ...]
+
+
+def measurement_block(observer: str, projectors: Iterable[Operator],
+                      shifts: Sequence[Operator] | None = None) -> Measurement:
+    """Ideal-measurement unitary ``sum_i u_i (x) P_i`` on ``[observer, system factors]``.
+
+    The projectors, complete and orthogonal, share one layout: the system's
+    factors. ``shifts`` are the ``u_i``, unitaries on the observer's factor;
+    by default ``u_i`` shifts an observer with one state more than there are
+    projectors from ignorant to aware of outcome ``i``.
+    """
     projectors = tuple(projectors)
     layouts = {p.layout for p in projectors}
-    factors = layouts.pop().factors if len(layouts) == 1 else ()
-    if len(factors) != 1:
-        raise LayoutError("projectors must share one single-factor layout")
-    [(system, sys_dim)] = factors
-    if observer == system:
+    if len(layouts) != 1:
+        raise LayoutError("projectors must share one layout")
+    [system] = layouts
+    if observer in system.labels:
         raise LayoutError(f"observer and system share the label {observer!r}")
-    total = np.zeros((sys_dim, sys_dim), dtype=complex)
+    total = np.zeros((system.total_dim, system.total_dim), dtype=complex)
     for i, p in enumerate(projectors):
         total += p.matrix
         for j, q in enumerate(projectors):
             target = p.matrix if i == j else 0.0
             if float(np.linalg.norm(p.matrix @ q.matrix - target)) >= DEFAULT_TOL:
                 raise ValueError("projector family is not orthogonal within tolerance")
-    if float(np.linalg.norm(total - np.eye(sys_dim))) >= DEFAULT_TOL:
+    if float(np.linalg.norm(total - np.eye(system.total_dim))) >= DEFAULT_TOL:
         raise ValueError("projector family does not sum to the identity (incomplete family)")
 
-    obs_dim = len(projectors) + 1
-    block = np.zeros((obs_dim * sys_dim, obs_dim * sys_dim), dtype=complex)
-    for i, p in enumerate(projectors):
-        block += np.kron(shift_operator(observer, obs_dim, i + 1).matrix, p.matrix)
-    block_op = Operator(SubsystemLayout(((observer, obs_dim), (system, sys_dim))), block)
+    if shifts is None:
+        shifts = [shift_operator(observer, len(projectors) + 1, i + 1)
+                  for i in range(len(projectors))]
+    if (len(shifts) != len(projectors) or len({u.layout for u in shifts}) != 1
+            or shifts[0].layout.labels != (observer,)):
+        raise LayoutError(f"need one shift on factor {observer!r} per projector")
+    observer_layout = shifts[0].layout
+    block = sum(np.kron(u.matrix, p.matrix) for u, p in zip(shifts, projectors))
+    block_op = Measurement(SubsystemLayout(observer_layout.factors + system.factors), block,
+                           np.stack([u.matrix for u in shifts]),
+                           _product_factors(system, np.stack([p.matrix for p in projectors])))
     if not block_op.is_unitary():
         raise NonUnitaryError("measurement unitary failed its unitarity post-check")
     return block_op
+
+
+def _product_factors(system: SubsystemLayout, stack: np.ndarray) -> tuple:
+    """A projector stack on ``system`` as ``(labels, stack)`` groups: one per
+    factor when the Kronecker product of the projectors' partial traces,
+    normalized, gives back every projector exactly, else the stack whole."""
+    whole = ((system.labels, stack),)
+    n, k = len(stack), len(system)
+    x = stack.reshape(n, *system.dims, *system.dims)
+    traces = np.einsum(x, [0, *range(1, k + 1), *range(1, k + 1)], [0])
+    if k == 1 or not np.all(traces):
+        return whole
+    # trace out every factor but j: factor j keeps a column index of its own
+    factors = [np.einsum(x, [0, *range(1, k + 1), *(k + 1 if i == j else i + 1 for i in range(k))],
+                         [0, j + 1, k + 1]) for j in range(k)]
+    factors[0] = factors[0] / traces[:, None, None] ** (k - 1)
+    _, rebuilt = _merge(system, n, [((j,), f) for j, f in enumerate(factors)])
+    if not np.array_equal(rebuilt, stack):
+        return whole
+    return tuple(((label,), f) for label, f in zip(system.labels, factors))
 
 
 def measurement_unitary(layout: SubsystemLayout, observer: str,
@@ -248,17 +295,181 @@ def measurement_unitary(layout: SubsystemLayout, observer: str,
     return embed(measurement_block(observer, projectors), layout)
 
 
+def light_cone(labels: Iterable[str], seq: InteractionSequence) -> frozenset[str]:
+    """The factors an observable on ``labels`` can come to act on under ``seq``.
+
+    Walking the steps latest first, a step whose factors meet the cone
+    adds all of its factors; a step that misses it cannot change the
+    observable.
+    """
+    cone = set(labels)
+    for _, u in reversed(seq.steps):
+        if cone.intersection(u.layout.labels):
+            cone.update(u.layout.labels)
+    return frozenset(cone)
+
+
+def _merge(layout: SubsystemLayout, terms: int, parts, identities=()) -> tuple:
+    """One group from the per-term Kronecker product of ``(positions, stack)``
+    parts and the identity on each position in ``identities``: its
+    positions, ascending, and its ``(terms, d, d)`` stack (a read-only
+    broadcast when no part has more than one term)."""
+    parts = [*parts, *(((k,), np.eye(layout.dims[k])[None]) for k in identities)]
+    positions, stack = parts[0]
+    for more, a in parts[1:]:
+        n, m = stack.shape[-1], a.shape[-1]
+        stack = (stack[:, :, None, :, None] * a[:, None, :, None, :]).reshape(-1, n * m, n * m)
+        positions += more
+    order = sorted(range(len(positions)), key=positions.__getitem__)
+    if order != list(range(len(positions))):
+        dims, k = tuple(layout.dims[p] for p in positions), len(positions)
+        axes = (0, *(1 + j for j in order), *(1 + k + j for j in order))
+        stack = stack.reshape(-1, *dims, *dims).transpose(axes).reshape(stack.shape)
+    if len(stack) != terms:
+        stack = np.broadcast_to(stack, (terms, *stack.shape[1:]))
+    return tuple(sorted(positions)), stack
+
+
+def _conjugate(layout: SubsystemLayout, positions, a: np.ndarray, rows, u: np.ndarray):
+    """The stack of ``u_i† a_t u_i``, term ``t * n + i``, for a group's
+    ``(T, d, d)`` stack ``a`` on ``positions`` and an ``(n, b, b)`` stack of
+    blocks on its factors at the layout positions ``rows``.
+
+    The group tensor is transposed so the block's row axes lead and its
+    column axes trail: one matrix product multiplies each side.
+    """
+    terms, m, b = len(a), len(positions), u.shape[-1]
+    if positions == rows:
+        return (u.conj().transpose(0, 2, 1) @ a[:, None] @ u).reshape(-1, *a.shape[1:])
+    dims = tuple(layout.dims[p] for p in positions)
+    local = [positions.index(r) for r in rows]
+    rest = [k for k in range(m) if k not in local]
+    axes = (*(1 + k for k in local), 0, *(1 + k for k in rest),
+            *(1 + m + k for k in rest), *(1 + m + k for k in local))
+    x = a.reshape(terms, *dims, *dims).transpose(axes)
+    y = (u.conj().transpose(0, 2, 1) @ x.reshape(b, -1)).reshape(len(u), -1, b) @ u
+    back = (1 + axes.index(0), 0, *(1 + axes.index(k) for k in range(1, 2 * m + 1)))
+    return y.reshape(len(u), *x.shape).transpose(back).reshape(-1, *a.shape[1:])
+
+
+@dataclass(frozen=True, eq=False)
+class LabelSum:
+    """An operator on ``layout`` as a sum of product terms ``sum_t (x)_g a[g][t]``.
+
+    ``groups`` holds ``(positions, stack)`` pairs: the ascending layout
+    positions of a group's factors and its ``(T, d_g, d_g)`` stack, one
+    factor per term. Groups are disjoint, and a factor in no group is the
+    identity. Each term is one labelled copy: a measurement splits a term
+    into one per outcome, the awareness on the observer tied to the
+    projector on the system.
+    """
+
+    layout: SubsystemLayout
+    groups: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+
+    @classmethod
+    def local(cls, op: Operator, layout: SubsystemLayout) -> "LabelSum":
+        """One term: ``op`` on its own factors of ``layout``."""
+        positions = tuple(layout.position(label) for label in op.layout.labels)
+        if tuple(layout.dims[k] for k in positions) != op.layout.dims:
+            raise LayoutError(f"{op.layout.factors} are not factors of {layout.factors}")
+        return cls(layout, (_merge(layout, 1, [(positions, op.matrix[None])]),))
+
+    def __len__(self) -> int:
+        return len(self.groups[0][1])
+
+    def __mul__(self, scalar: complex) -> "LabelSum":
+        (positions, a), *rest = self.groups
+        return LabelSum(self.layout, ((positions, a * scalar), *rest))
+
+    def __matmul__(self, other: "LabelSum") -> "LabelSum":
+        """The product, term pair by term pair (term ``s * len(other) + t``
+        pairs ``s`` with ``t``); groups of either side that share a factor
+        merge into one first."""
+        n, m = len(self), len(other)
+        pool = [(0, g) for g in self.groups] + [(1, g) for g in other.groups]
+        groups = []
+        while pool:
+            component = [pool.pop()]
+            covered = set(component[0][1][0])
+            while meets := [g for g in pool if covered.intersection(g[1][0])]:
+                component += meets
+                pool = [g for g in pool if covered.isdisjoint(g[1][0])]
+                covered.update(*(g[1][0] for g in meets))
+            left = [g for side, g in component if side == 0]
+            right = [g for side, g in component if side == 1]
+            if not right:
+                positions, a = _merge(self.layout, n, left)
+                groups.append((positions, np.repeat(a, m, axis=0)))
+            elif not left:
+                positions, b = _merge(self.layout, m, right)
+                groups.append((positions, np.tile(b, (n, 1, 1))))
+            else:
+                # each side is the identity on the component's factors it lacks
+                lacks = [sorted(covered.difference(*(p for p, _ in g))) for g in (left, right)]
+                positions, a = _merge(self.layout, n, left, lacks[0])
+                _, b = _merge(self.layout, m, right, lacks[1])
+                groups.append((positions, (a[:, None] @ b[None]).reshape(n * m, *a.shape[1:])))
+        return LabelSum(self.layout, tuple(groups))
+
+    def mean(self, indices: Sequence[int]) -> complex:
+        """``<psi|A|psi>`` in the product basis state with one index per
+        factor: each term's product of its groups' diagonal entries."""
+        terms = np.ones(len(self), dtype=complex)
+        for positions, a in self.groups:
+            flat = 0
+            for k in positions:
+                flat = flat * self.layout.dims[k] + indices[k]
+            terms *= a[:, flat, flat]
+        return complex(terms.sum())
+
+    def dense(self) -> Operator:
+        """The sum as one operator on the layout: its groups merged per
+        term, summed, and embedded once."""
+        positions, a = _merge(self.layout, len(self), self.groups)
+        block = SubsystemLayout(tuple(self.layout.factors[k] for k in positions))
+        return embed(Operator(block, a.sum(axis=0)), self.layout)
+
+
+def evolve_label_sum(op: Operator, seq: InteractionSequence, split: bool = True) -> LabelSum:
+    """``U† op U`` for the sequence product ``U`` (earliest step rightmost) as a
+    :class:`LabelSum`, ``op`` acting on some factors of the sequence's layout.
+
+    Latest step first: (a) a step that meets no group is skipped; (b) under
+    ``split``, a measurement whose system factors are in no group puts
+    ``u_i† a u_i`` on the observer's group and ``P_i`` on the system, one
+    term per term and outcome; (c) any other step merges the groups it
+    touches, with the identity on its factors in none, and conjugates them
+    by its block, every term at once.
+    """
+    layout = seq.layout or op.layout
+    label_sum = LabelSum.local(op, layout)
+    for rows, block, measurement in seq._plan:
+        groups = label_sum.groups
+        touched = [g for g in groups if not set(rows).isdisjoint(g[0])]
+        if not touched:
+            continue
+        rest = tuple(g for g in groups if set(rows).isdisjoint(g[0]))
+        covered = set().union(*(g[0] for g in touched))
+        terms = len(label_sum)
+        if split and measurement and not any(covered.intersection(p) for p, _ in measurement[2]):
+            target, shifts, controls = measurement
+            positions, a = _merge(layout, terms, touched, sorted(set(target) - covered))
+            n = len(shifts)
+            groups = ((positions, _conjugate(layout, positions, a, target, shifts)),
+                      *((p, np.repeat(x, n, axis=0)) for p, x in rest),
+                      *((p, np.tile(x, (terms, 1, 1))) for p, x in controls))
+        else:
+            positions, a = _merge(layout, terms, touched, sorted(set(rows) - covered))
+            groups = ((positions, _conjugate(layout, positions, a, rows, block)), *rest)
+        label_sum = LabelSum(layout, groups)
+    return label_sum
+
+
 def heisenberg_evolve(op: Operator, seq: InteractionSequence) -> Operator:
-    """``U† op U`` for the sequence product ``U`` (earliest step rightmost),
-    without forming ``U``: the operator's ``dims + dims`` tensor is conjugated
-    by one step's block at a time, latest step first."""
-    if seq.layout is not None and seq.layout != op.layout:
-        raise LayoutError("operator and sequence live on different layouts")
-    if not seq.steps:
+    """``U† op U`` on the sequence's layout, ``op`` acting on some of its
+    factors: :func:`evolve_label_sum` without splitting, so one term that is
+    dense only within the light cone of ``op``, embedded once."""
+    if not seq.steps and seq.layout in (None, op.layout):
         return op
-    x = op.matrix.reshape(op.layout.dims * 2)
-    for axes, inverse, block, adjoint in seq._local_steps:
-        b, t = len(block), x.transpose(axes)
-        y = (adjoint @ t.reshape(b, -1)).reshape(-1, b) @ block
-        x = y.reshape(t.shape).transpose(inverse)
-    return Operator(op.layout, x.reshape(op.matrix.shape))
+    return evolve_label_sum(op, seq, split=False).dense()

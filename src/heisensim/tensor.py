@@ -275,12 +275,17 @@ def expectation(state: StateVector, op: Operator) -> complex:
     return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
 
 
-def real_expectation(state: StateVector, op: Operator) -> float:
-    """Expectation of a Hermitian observable; rejects stray imaginary parts."""
-    value = expectation(state, op)
+def real_part(value: complex) -> float:
+    """The real part of an expectation of a Hermitian observable; rejects a
+    stray imaginary part."""
     if abs(value.imag) >= DEFAULT_TOL:
         raise InvariantError(f"expectation {value} has imaginary part beyond {DEFAULT_TOL}")
     return value.real
+
+
+def real_expectation(state: StateVector, op: Operator) -> float:
+    """Expectation of a Hermitian observable; rejects stray imaginary parts."""
+    return real_part(expectation(state, op))
 
 
 def projector_from_state(v: StateVector) -> Operator:

@@ -37,6 +37,7 @@ from heisensim import (
 from heisensim.cli import EXIT_OK, main
 from heisensim.eprb import EPRB, measurement_sequence as eprb_sequence
 from heisensim.ghzm import GHZM, measurement_sequence as ghzm_sequence
+from heisensim.measure import evolve_label_sum
 from conftest import random_direction
 
 
@@ -138,7 +139,7 @@ def test_criterion_7_picture_equivalence(rng):
             random_direction(rng), random_direction(rng), entangled=bool(k % 2)
         )
         seq = eprb_sequence(cfg)
-        b1, b2 = EPRB.beliefs(cfg.beta).values()
+        b1, b2 = (embed(b, EPRB.layout) for b in EPRB.beliefs(cfg.beta).values())
         assert cross_check(b1 @ b2, seq, psi_eprb) < 1e-10
     psi_ghzm = GHZM.initial_state()
     for _ in range(100):
@@ -150,7 +151,7 @@ def test_criterion_7_picture_equivalence(rng):
 
 def test_criterion_8_label_ledger(rng):
     n1, n2 = random_direction(rng), random_direction(rng)
-    b1, _ = EPRB.beliefs(SPIN_BETA).values()
+    b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], EPRB.layout)
     stages = [
         (b1, {"O1"}),
         (heisenberg_evolve(b1, eprb_sequence(EprbConfig(n1, n2, entangled=False))),
@@ -195,3 +196,48 @@ def test_criterion_9_structural_identities(rng):
         total = spin_projector(d, "up").matrix + spin_projector(d, "down").matrix
         assert float(np.linalg.norm(total - np.eye(2))) < 1e-12
     print("\nACCEPTANCE 9: operator reconstruction, commutation, completeness: PASS")
+
+
+def test_criterion_10_locality(rng):
+    # an evolved observable changes only through the interactions in its
+    # light cone, so a distant analyzer's setting never reaches it: not
+    # within a tolerance, but entry for entry
+    a1 = Operator(single_factor("S1", 2), np.diag([1.0, -1.0]))
+    b1 = EPRB.beliefs(SPIN_BETA)["B1"]
+    for entangled in (False, True):
+        n1 = random_direction(rng)
+        for op in (b1, a1):
+            seqs = [EPRB.sequence((n1, random_direction(rng)), entangled) for _ in range(10)]
+            dense = [heisenberg_evolve(op, s).matrix for s in seqs]
+            copies = [evolve_label_sum(op, s).dense().matrix for s in seqs]
+            assert all(np.array_equal(d, dense[0]) for d in dense[1:])
+            assert all(np.array_equal(c, copies[0]) for c in copies[1:])
+
+    # GHZM before its readout: each Bk stays put as every other nj varies
+    def measurements_only(directions, entangled):
+        steps = GHZM.sequence(directions, entangled).steps
+        return InteractionSequence(steps[:len(steps) - len(GHZM.readout)], GHZM.layout)
+
+    for entangled in (False, True):
+        for k, observer in enumerate(("O1", "O2", "O3")):
+            bk = ObserverSpec(observer, SPIN_BETA).belief_operator()
+            fixed = random_direction(rng)
+            evolved = []
+            for _ in range(5):
+                dirs = [random_direction(rng) for _ in range(3)]
+                dirs[k] = fixed
+                evolved.append(heisenberg_evolve(bk, measurements_only(dirs, entangled)).matrix)
+            assert all(np.array_equal(e, evolved[0]) for e in evolved[1:])
+
+    # the check can fail: the referee meets every copy through the readout,
+    # so changing any one nj moves G
+    g = GHZM.beliefs(GHZM.presets["even"])["G"]
+    dirs = [random_direction(rng) for _ in range(3)]
+    reference = heisenberg_evolve(g, GHZM.sequence(dirs, True)).matrix
+    for k in range(3):
+        moved = list(dirs)
+        moved[k] = random_direction(rng)
+        shift = heisenberg_evolve(g, GHZM.sequence(moved, True)).matrix - reference
+        assert float(np.linalg.norm(shift)) > 1e-3
+    print("\nACCEPTANCE 10: B1, A1 and each Bk exactly independent of distant settings;"
+          " G moves with every setting: PASS")

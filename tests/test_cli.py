@@ -421,6 +421,25 @@ class TestOneInputPath:
             assert (flag(key) not in usage) if key in grid else (flag(key) in usage), key
 
 
+class TestSharedParser:
+    def test_runs_leave_the_parser_as_built(self, capsys):
+        # main parses every call with one parser built at import: after runs
+        # and usage errors, help reads as from a fresh parser and a repeated
+        # error reads the same
+        from heisensim.cli import build_parser
+
+        first = run_cli(["ghzm", "--bogus"], capsys)
+        assert run_cli(["eprb", "--phi1", "0", "--phi2", "90"], capsys)[0] == 0
+        assert run_cli(["ghzm", "--bogus"], capsys) == first
+        for argv in (["--help"], ["eprb", "--help"], ["sweep", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            shared = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+            assert capsys.readouterr().out == shared
+
+
 class TestRunStream:
     def test_run_writes_to_given_stream(self):
         from heisensim.cli import run
@@ -445,8 +464,8 @@ class TestVerifyChecksPrintedMeans:
     def test_scaled_operator_evolution_fails(self, argv, residual, capsys, monkeypatch):
         import heisensim.experiment as experiment
 
-        evolve = experiment.heisenberg_evolve
-        monkeypatch.setattr(experiment, "heisenberg_evolve",
+        evolve = experiment.evolve_label_sum
+        monkeypatch.setattr(experiment, "evolve_label_sum",
                             lambda op, seq: evolve(op, seq) * (1 + 1e-6))
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_VERIFY
@@ -459,15 +478,20 @@ class TestInternalErrors:
     error:``, never the usage-error code 1, and no report on stdout."""
 
     @pytest.mark.parametrize("argv, module, name, wrap, message", [
-        (["ghzm", "--phi", "0", "0", "0"], "experiment", "heisenberg_evolve",
+        (["ghzm", "--phi", "0", "0", "0"], "experiment", "evolve_label_sum",
          lambda f: lambda op, seq: f(op, seq) * (1 + 1e-6j), "imaginary part"),
-        (["eprb", "--phi1", "0", "--phi2", "90"], "experiment", "heisenberg_evolve",
+        (["eprb", "--phi1", "0", "--phi2", "90"], "experiment", "evolve_label_sum",
          lambda f: lambda op, seq: f(op, seq) * 3, "not a probability"),
-        (["eprb", "--phi1", "0", "--phi2", "90", "--verify"], "schrodinger", "embed",
-         lambda f: lambda u, layout: f(u, layout) * 1.001, "norm drifted"),
+        (["eprb", "--phi1", "0", "--phi2", "90", "--verify"], "schrodinger", "_apply",
+         lambda f: lambda u, amps, layout: f(u, amps, layout) * 1.001, "norm drifted"),
         (["ghzm", "--phi", "0", "0", "0"], "experiment", "measurement_block",
          lambda f: lambda *args: f(*args) * 1.001, "not unitary"),
-    ], ids=["imaginary-part", "not-a-probability", "norm-drift", "non-unitary-step"])
+        # a kernel that put a block on the wrong factors would show as a
+        # support outside the light cone; a cone that never grows fakes one
+        (["analyze"], "experiment", "light_cone",
+         lambda f: lambda labels, seq: frozenset(labels), "outside its light cone"),
+    ], ids=["imaginary-part", "not-a-probability", "norm-drift", "non-unitary-step",
+            "support-outside-light-cone"])
     def test_invariant_failure_exits_internal(self, argv, module, name, wrap, message,
                                               capsys, monkeypatch):
         import importlib

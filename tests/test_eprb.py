@@ -22,6 +22,7 @@ from heisensim import (
 )
 from heisensim.cli import EXIT_OK, main
 from heisensim.eprb import EPRB, measurement_sequence
+from heisensim.measure import evolve_label_sum
 from heisensim.tensor import Operator, SubsystemLayout, embed
 from conftest import random_direction
 
@@ -88,14 +89,23 @@ class TestExperimentRun:
     def test_runs_share_belief_operators(self, monkeypatch):
         import heisensim.experiment as experiment
 
-        evolve, seen = experiment.heisenberg_evolve, []
-        monkeypatch.setattr(experiment, "heisenberg_evolve",
+        evolve, seen = experiment.evolve_label_sum, []
+        monkeypatch.setattr(experiment, "evolve_label_sum",
                             lambda op, seq: seen.append(op) or evolve(op, seq))
         for _ in range(2):
             EPRB.run(self.DIRECTIONS, True, (0.0, 1.0, -1.0))
         first, second = seen[:len(seen) // 2], seen[len(seen) // 2:]
         assert len(first) == len(second) > 0
         assert all(a is b for a, b in zip(first, second))
+
+
+class TestLabelCopies:
+    @pytest.mark.parametrize("entangled", [True, False])
+    def test_belief_has_one_term_per_outcome(self, entangled, rng):
+        seq = EPRB.sequence((random_direction(rng), random_direction(rng)), entangled)
+        b1, b2 = EPRB.beliefs(SPIN_BETA).values()
+        assert len(evolve_label_sum(b1, seq)) == 2
+        assert len(evolve_label_sum(b1, seq) @ evolve_label_sum(b2, seq)) == 4
 
 
 class TestEntangled:

@@ -17,7 +17,7 @@ from heisensim import (
     run_ghzm,
 )
 from heisensim.ghzm import GHZM, measurement_sequence
-from heisensim.measure import SPIN_OUTCOMES, UP
+from heisensim.measure import SPIN_OUTCOMES, UP, evolve_label_sum
 from heisensim.tensor import Operator, StateVector, embed
 from conftest import random_direction
 
@@ -115,6 +115,32 @@ class TestParityMeasurementUnitary:
 
     def test_unitary(self):
         assert self.V.is_unitary(1e-10)
+
+    def test_measurement_equals_the_permutation_it_replaced(self):
+        # 27 product projectors on [O1, O2, O3], each gating X^shift(o) on
+        # the referee, sum to the permutation |r, o> -> |r + shift(o), o>
+        # built directly from the shift table, entry for entry
+        block = dict(GHZM.readout)["t3:parity"]
+        shifts = np.array([referee_shift(o) for o in product(range(3), repeat=3)])
+        columns = np.arange(81)
+        r, o = np.divmod(columns, 27)
+        permutation = np.zeros((81, 81), dtype=complex)
+        permutation[(r + shifts[o]) % 3 * 27 + o, columns] = 1.0
+        assert np.array_equal(block.matrix, permutation)
+        # the product projectors split into one group per observer
+        assert block.shifts.shape == (27, 3, 3)
+        assert [(labels, f.shape) for labels, f in block.projectors] == [
+            ((o,), (27, 3, 3)) for o in ("O1", "O2", "O3")]
+
+
+class TestLabelCopies:
+    @pytest.mark.parametrize("entangled", [True, False])
+    def test_referee_has_one_term_per_parity_pattern_and_outcomes(self, entangled, rng):
+        # 3^3 observer basis states at the readout, then two outcomes per
+        # spin measurement: 3^3 * 2^3 labelled copies
+        seq = GHZM.sequence([random_direction(rng) for _ in range(3)], entangled)
+        evolved = evolve_label_sum(GHZM.beliefs(EVEN_GAMMA)["G"], seq)
+        assert len(evolved) == 3**3 * 2**3 == 216
 
 
 class TestRunGhzm:

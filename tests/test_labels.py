@@ -63,7 +63,7 @@ class TestSupport:
         assert all(r < 1e-14 for r in sup.residuals.values())
 
     def test_belief_operator_supported_on_its_observer(self):
-        b1, _ = EPRB.beliefs(SPIN_BETA).values()
+        b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
         assert support(b1).labels == {"O1"}
 
     def test_soundness_on_random_embeddings(self, rng):
@@ -87,7 +87,7 @@ class TestSupport:
 class TestSupportChain:
     def test_monotone_growth(self, rng):
         plain, entangled = chain_sequences(rng)
-        b1, _ = EPRB.beliefs(SPIN_BETA).values()
+        b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
         s_t0 = support(b1).labels
         s_plain = support(heisenberg_evolve(b1, plain)).labels
         s_ent = support(heisenberg_evolve(b1, entangled)).labels
@@ -98,7 +98,7 @@ class TestSupportChain:
 
     def test_unmeasured_factors_untouched(self, rng):
         plain, _ = chain_sequences(rng)
-        b1, _ = EPRB.beliefs(SPIN_BETA).values()
+        b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
         evolved = heisenberg_evolve(b1, plain)
         for label in ("O2", "S2"):
             check = acts_trivially_on(evolved, label)
@@ -128,7 +128,7 @@ class TestLocalFactor:
         assert_allclose(out.matrix, SZ, atol=1e-14)
 
     def test_belief_operator_factor_is_its_diagonal(self):
-        b1, _ = EPRB.beliefs(SPIN_BETA).values()
+        b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
         out = local_factor(b1, "O1")
         assert_allclose(np.diag(out.matrix), SPIN_BETA, atol=1e-14)
 
@@ -142,7 +142,7 @@ class TestLocalFactor:
 
     def test_wide_support_rejected(self, rng):
         _, entangled = chain_sequences(rng)
-        b1, _ = EPRB.beliefs(SPIN_BETA).values()
+        b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
         with pytest.raises(NotLocallySupportedError):
             local_factor(heisenberg_evolve(b1, entangled), "O1")
 

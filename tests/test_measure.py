@@ -27,7 +27,7 @@ from heisensim import (
     spin_projector,
     single_factor,
 )
-from heisensim.measure import measurement_block
+from heisensim.measure import LabelSum, evolve_label_sum, light_cone, measurement_block
 from conftest import random_direction, random_unitary
 
 OS_LAYOUT = SubsystemLayout((("O", 3), ("S", 2)))
@@ -38,6 +38,7 @@ Z_PROJECTORS = [
 
 
 Z_MEASUREMENT = measurement_unitary(OS_LAYOUT, "O", Z_PROJECTORS)
+Z_BLOCK = measurement_block("O", Z_PROJECTORS)
 
 
 class TestObserverSpec:
@@ -209,10 +210,23 @@ class TestMeasurementUnitary:
 
     def test_projectors_on_other_factors_rejected(self):
         on_t = Operator(single_factor("T", 2), np.diag([0.0, 1.0]).astype(complex))
-        two_factors = Operator(SubsystemLayout((("S", 2), ("T", 2))), np.eye(4))
-        for projectors in ([Z_PROJECTORS[0], on_t], [two_factors]):
-            with pytest.raises(LayoutError, match="single-factor"):
-                measurement_block("O", projectors)
+        with pytest.raises(LayoutError, match="one layout"):
+            measurement_block("O", [Z_PROJECTORS[0], on_t])
+
+    def test_explicit_shifts_on_a_product_basis(self):
+        # four product projectors on [S, T], each gating its own power of
+        # the cyclic shift on a 4-state observer
+        system = SubsystemLayout((("S", 2), ("T", 2)))
+        projectors = [Operator(system, np.diag(np.eye(4)[k])) for k in range(4)]
+        shifts = [Operator(single_factor("O", 4), np.roll(np.eye(4), k, axis=0))
+                  for k in range(4)]
+        block = measurement_block("O", projectors, shifts)
+        assert block.layout == SubsystemLayout((("O", 4), ("S", 2), ("T", 2)))
+        expected = sum(np.kron(u.matrix, p.matrix) for u, p in zip(shifts, projectors))
+        assert_allclose(block.matrix, expected, atol=0)
+        for bad in (shifts[:3], [Operator(single_factor("Q", 4), np.eye(4))] * 4):
+            with pytest.raises(LayoutError, match="shift"):
+                measurement_block("O", projectors, bad)
 
     def test_disjoint_measurements_commute(self, rng):
         layout = SubsystemLayout((("O1", 3), ("O2", 3), ("S1", 2), ("S2", 2)))
@@ -371,3 +385,156 @@ def test_local_evolution_matches_dense_conjugation(case, hermitian, seed):
     assert float(np.linalg.norm(evolved.matrix - dense.matrix)) < 1e-12
     if hermitian:
         assert evolved.is_hermitian(1e-12)
+
+
+def random_measurement(rng, layout, observer, system, n_outcomes):
+    """An ideal measurement on the given factors: a random orthonormal basis
+    of the system split into ``n_outcomes`` projectors, or for 0 outcomes
+    the product basis, one projector per basis state; each projector gates
+    a random unitary on the observer."""
+    system_layout = SubsystemLayout(tuple(layout.factors[k] for k in system))
+    d = system_layout.total_dim
+    basis = np.eye(d) if n_outcomes == 0 else random_unitary(rng, d)
+    cuts = np.array_split(np.arange(d), n_outcomes or d)
+    projectors = [Operator(system_layout, basis[:, cut] @ basis[:, cut].conj().T) for cut in cuts]
+    observer_layout = single_factor(*layout.factors[observer])
+    shifts = [Operator(observer_layout, random_unitary(rng, observer_layout.total_dim))
+              for _ in cuts]
+    return measurement_block(observer_layout.labels[0], projectors, shifts)
+
+
+@st.composite
+def structured_sequences(draw):
+    """A layout of 2-4 factors of dim 2-3; 1-4 steps, each a dense block on a
+    random subset of factors in random order or a measurement of a random
+    system subset by another factor (in a random basis, or in the product
+    basis, whose projectors split per factor); and two local observables on
+    random subsets, so measurements split some terms and fall back to the
+    dense block on others (a system factor already in the sum)."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    factors = range(len(dims))
+    subset = st.permutations(factors).flatmap(
+        lambda perm: st.integers(1, len(perm)).map(lambda k: tuple(perm[:k])))
+    measurement = st.permutations(factors).flatmap(
+        lambda perm: st.integers(2, len(perm)).flatmap(
+            lambda k: st.integers(0, 2).map(lambda n: ("measure", perm[0], perm[1:k], n))))
+    steps = draw(st.lists(st.one_of(subset.map(lambda s: ("dense", s)), measurement),
+                          min_size=1, max_size=4))
+    return dims, steps, draw(subset), draw(subset)
+
+
+def build_structured(case, seed):
+    dims, step_specs, support_a, support_b = case
+    rng = np.random.default_rng(seed)
+    layout = SubsystemLayout(tuple((f"F{i}", d) for i, d in enumerate(dims)))
+    steps = []
+    for k, spec in enumerate(step_specs):
+        if spec[0] == "dense":
+            block = SubsystemLayout(tuple(layout.factors[p] for p in spec[1]))
+            steps.append((f"s{k}", Operator(block, random_unitary(rng, block.total_dim))))
+        else:
+            _, observer, system, n = spec
+            steps.append((f"s{k}", random_measurement(rng, layout, observer, sorted(system), n)))
+    seq = InteractionSequence(tuple(steps), layout)
+
+    def local(positions):
+        block = SubsystemLayout(tuple(layout.factors[p] for p in positions))
+        m = rng.normal(size=(block.total_dim,) * 2) + 1j * rng.normal(size=(block.total_dim,) * 2)
+        return Operator(block, (m + m.conj().T) / np.linalg.norm(m + m.conj().T))
+
+    return layout, seq, local(support_a), local(support_b), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=structured_sequences(), seed=st.integers(0, 2**31))
+def test_label_sums_match_dense_conjugation(case, seed):
+    layout, seq, a, b, rng = build_structured(case, seed)
+    total = seq.total_unitary()
+    dense_a = conjugate_by(embed(a, layout), total)
+    dense_b = conjugate_by(embed(b, layout), total)
+    sum_a, sum_b = evolve_label_sum(a, seq), evolve_label_sum(b, seq)
+    cases = ((sum_a, dense_a), (sum_b, dense_b), (sum_a @ sum_b, dense_a @ dense_b))
+    for label_sum, dense in cases:
+        assert float(np.linalg.norm(label_sum.dense().matrix - dense.matrix)) < 1e-12
+        indices = [int(rng.integers(d)) for d in layout.dims]
+        flat = np.ravel_multi_index(indices, layout.dims)
+        assert abs(label_sum.mean(indices) - dense.matrix[flat, flat]) < 1e-12
+    # the groups cover exactly the light cone, and never overlap
+    for op, label_sum in ((a, sum_a), (b, sum_b)):
+        positions = [k for p, _ in label_sum.groups for k in p]
+        assert len(positions) == len(set(positions))
+        assert {layout.labels[k] for k in positions} == light_cone(op.layout.labels, seq)
+
+
+class TestLabelSums:
+    # Z_BLOCK keeps its terms; Z_MEASUREMENT, embedded, is a plain operator
+
+    def test_measurement_splits_an_observer_term_per_outcome(self, rng):
+        # rule (b): the system factor is the identity in the sum
+        b = ObserverSpec("O", tuple(rng.normal(size=3))).belief_operator()
+        evolved = evolve_label_sum(b, InteractionSequence((("m", Z_BLOCK),), OS_LAYOUT))
+        assert len(evolved) == 2
+        assert [p for p, _ in evolved.groups] == [(0,), (1,)]
+
+    def test_measurement_of_a_factor_in_the_sum_falls_back_to_its_block(self, rng):
+        # rule (c): the observable already acts on the system factor
+        m = rng.normal(size=(2, 2))
+        a = Operator(single_factor("S", 2), m + m.T)
+        seq = InteractionSequence((("m", Z_BLOCK),), OS_LAYOUT)
+        evolved = evolve_label_sum(a, seq)
+        assert len(evolved) == 1
+        assert [p for p, _ in evolved.groups] == [(0, 1)]
+        dense = conjugate_by(embed(a, OS_LAYOUT), seq.total_unitary())
+        assert float(np.linalg.norm(evolved.dense().matrix - dense.matrix)) < 1e-12
+
+    def test_step_outside_the_groups_is_skipped(self):
+        # rule (a): the same arrays come out untouched
+        layout = SubsystemLayout((("O", 3), ("S", 2), ("T", 2)))
+        t = Operator(single_factor("T", 2), np.diag([1.0, -1.0]))
+        seq = InteractionSequence((("m", measurement_block("O", Z_PROJECTORS)),), layout)
+        start = LabelSum.local(t, layout)
+        evolved = evolve_label_sum(t, seq)
+        assert evolved.groups[0][0] == (2,)
+        assert_allclose(evolved.groups[0][1], start.groups[0][1], atol=0)
+
+    def test_scalar_multiple(self, rng):
+        b = ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator()
+        evolved = evolve_label_sum(b, InteractionSequence((("m", Z_BLOCK),), OS_LAYOUT))
+        assert_allclose((evolved * 2.5).dense().matrix, 2.5 * evolved.dense().matrix, atol=1e-15)
+
+    def test_product_projectors_split_per_factor(self, rng):
+        system = SubsystemLayout((("S", 2), ("T", 2)))
+        shifts = [Operator(single_factor("O", 4), np.eye(4))] * 4
+        basis = [Operator(system, np.diag(np.eye(4)[k])) for k in range(4)]
+        product = measurement_block("O", basis, shifts)
+        assert [labels for labels, _ in product.projectors] == [("S",), ("T",)]
+        bell = random_unitary(rng, 4)
+        entangled = measurement_block(
+            "O", [Operator(system, np.outer(v, v.conj())) for v in bell.T], shifts)
+        assert [labels for labels, _ in entangled.projectors] == [("S", "T")]
+
+    def test_local_operator_off_the_layout_rejected(self):
+        for op in (Operator(single_factor("X", 2), np.eye(2)),
+                   Operator(single_factor("S", 3), np.eye(3))):
+            with pytest.raises(LayoutError):
+                LabelSum.local(op, OS_LAYOUT)
+
+
+class TestLightCone:
+    LAYOUT = SubsystemLayout((("A", 2), ("B", 2), ("C", 2), ("D", 2)))
+
+    def step(self, *labels):
+        block = SubsystemLayout(tuple((label, 2) for label in labels))
+        return Operator(block, np.eye(block.total_dim))
+
+    def test_later_steps_come_first(self):
+        # B-C acts after A-B: a C observable reaches B, then A through the
+        # earlier step; a step acting before it on C-D is walked last
+        seq = InteractionSequence((("cd", self.step("C", "D")), ("ab", self.step("A", "B")),
+                                   ("bc", self.step("B", "C"))), self.LAYOUT)
+        assert light_cone(("C",), seq) == {"A", "B", "C", "D"}
+        assert light_cone(("A",), seq.reordered(("ab", "bc", "cd"))) == {"A", "B"}
+        assert light_cone(("D",), seq.reordered(("ab", "bc", "cd"))) == {"A", "B", "C", "D"}
+
+    def test_empty_sequence(self):
+        assert light_cone(("A",), InteractionSequence((), self.LAYOUT)) == {"A"}

@@ -95,7 +95,7 @@ class TestCrossCheck:
         for _ in range(25):
             cfg = EprbConfig(random_direction(rng), random_direction(rng))
             seq = eprb_sequence(cfg)
-            b1, b2 = EPRB.beliefs(cfg.beta).values()
+            b1, b2 = (embed(b, EPRB.layout) for b in EPRB.beliefs(cfg.beta).values())
             assert cross_check(b1 @ b2, seq, psi0) < 1e-10
 
     def test_ghzm_pipeline(self, rng):
