@@ -242,14 +242,13 @@ def measurement_block(observer: str, projectors: Iterable[Operator],
     [system] = layouts
     if observer in system.labels:
         raise LayoutError(f"observer and system share the label {observer!r}")
-    total = np.zeros((system.total_dim, system.total_dim), dtype=complex)
-    for i, p in enumerate(projectors):
-        total += p.matrix
-        for j, q in enumerate(projectors):
-            target = p.matrix if i == j else 0.0
-            if float(np.linalg.norm(p.matrix @ q.matrix - target)) >= DEFAULT_TOL:
-                raise ValueError("projector family is not orthogonal within tolerance")
-    if float(np.linalg.norm(total - np.eye(system.total_dim))) >= DEFAULT_TOL:
+    p = np.stack([q.matrix for q in projectors])
+    # every product P_i P_j against P_i on the diagonal and 0 off it
+    products = p[:, None] @ p[None]
+    products[np.diag_indices(len(p))] -= p
+    if np.any(np.linalg.norm(products, axis=(2, 3)) >= DEFAULT_TOL):
+        raise ValueError("projector family is not orthogonal within tolerance")
+    if float(np.linalg.norm(p.sum(axis=0) - np.eye(system.total_dim))) >= DEFAULT_TOL:
         raise ValueError("projector family does not sum to the identity (incomplete family)")
 
     if shifts is None:
@@ -258,11 +257,11 @@ def measurement_block(observer: str, projectors: Iterable[Operator],
     if (len(shifts) != len(projectors) or len({u.layout for u in shifts}) != 1
             or shifts[0].layout.labels != (observer,)):
         raise LayoutError(f"need one shift on factor {observer!r} per projector")
-    observer_layout = shifts[0].layout
-    block = sum(np.kron(u.matrix, p.matrix) for u, p in zip(shifts, projectors))
-    block_op = Measurement(SubsystemLayout(observer_layout.factors + system.factors), block,
-                           np.stack([u.matrix for u in shifts]),
-                           _product_factors(system, np.stack([p.matrix for p in projectors])))
+    layout = SubsystemLayout(shifts[0].layout.factors + system.factors)
+    u = np.stack([v.matrix for v in shifts])
+    block = (u[:, :, None, :, None] * p[:, None, :, None, :]).sum(axis=0)
+    block_op = Measurement(layout, block.reshape(layout.total_dim, -1), u,
+                           _product_factors(system, p))
     if not block_op.is_unitary():
         raise NonUnitaryError("measurement unitary failed its unitarity post-check")
     return block_op
@@ -274,9 +273,11 @@ def _product_factors(system: SubsystemLayout, stack: np.ndarray) -> tuple:
     normalized, gives back every projector exactly, else the stack whole."""
     whole = ((system.labels, stack),)
     n, k = len(stack), len(system)
+    if k == 1:
+        return whole
     x = stack.reshape(n, *system.dims, *system.dims)
     traces = np.einsum(x, [0, *range(1, k + 1), *range(1, k + 1)], [0])
-    if k == 1 or not np.all(traces):
+    if not np.all(traces):
         return whole
     # trace out every factor but j: factor j keeps a column index of its own
     factors = [np.einsum(x, [0, *range(1, k + 1), *(k + 1 if i == j else i + 1 for i in range(k))],
