@@ -243,10 +243,12 @@ def measurement_block(observer: str, projectors: Iterable[Operator],
     if observer in system.labels:
         raise LayoutError(f"observer and system share the label {observer!r}")
     p = np.stack([q.matrix for q in projectors])
-    # every product P_i P_j against P_i on the diagonal and 0 off it
-    products = p[:, None] @ p[None]
-    products[np.diag_indices(len(p))] -= p
-    if np.any(np.linalg.norm(products, axis=(2, 3)) >= DEFAULT_TOL):
+    factors = _product_factors(system, p)
+    # |P_i P_j| for i != j is the product of the factors' |F_i F_j|, since
+    # P_i P_j is the Kronecker product of the F_i F_j; |P_i P_i - P_i| on the diagonal
+    gaps = np.prod([np.linalg.norm(f[:, None] @ f[None], axis=(2, 3)) for _, f in factors], axis=0)
+    gaps[np.diag_indices(len(p))] = np.linalg.norm(p @ p - p, axis=(1, 2))
+    if np.any(gaps >= DEFAULT_TOL):
         raise ValueError("projector family is not orthogonal within tolerance")
     if float(np.linalg.norm(p.sum(axis=0) - np.eye(system.total_dim))) >= DEFAULT_TOL:
         raise ValueError("projector family does not sum to the identity (incomplete family)")
@@ -260,8 +262,7 @@ def measurement_block(observer: str, projectors: Iterable[Operator],
     layout = SubsystemLayout(shifts[0].layout.factors + system.factors)
     u = np.stack([v.matrix for v in shifts])
     block = (u[:, :, None, :, None] * p[:, None, :, None, :]).sum(axis=0)
-    block_op = Measurement(layout, block.reshape(layout.total_dim, -1), u,
-                           _product_factors(system, p))
+    block_op = Measurement(layout, block.reshape(layout.total_dim, -1), u, factors)
     if not block_op.is_unitary():
         raise NonUnitaryError("measurement unitary failed its unitarity post-check")
     return block_op

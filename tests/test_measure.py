@@ -195,6 +195,15 @@ class TestMeasurementUnitary:
         with pytest.raises(ValueError, match="orthogonal"):
             measurement_unitary(OS_LAYOUT, "O", [skew, Z_PROJECTORS[1]])
 
+    def test_non_orthogonal_product_family_rejected(self):
+        # product projectors are checked through their factors: |00><00|
+        # twice overlaps itself
+        system = SubsystemLayout((("S", 2), ("T", 2)))
+        basis = [Operator(system, np.diag(np.eye(4)[k])) for k in (0, 0, 3, 2)]
+        shifts = [Operator(single_factor("O", 4), np.eye(4))] * 4
+        with pytest.raises(ValueError, match="orthogonal"):
+            measurement_block("O", basis, shifts)
+
     def test_label_collision(self):
         with pytest.raises(LayoutError):
             measurement_unitary(OS_LAYOUT, "S", Z_PROJECTORS)
