@@ -55,7 +55,11 @@ def acts_trivially_on(op: Operator, label: str, tol: float = DEFAULT_TOL) -> Tri
     k, d = layout.position(label), layout.dim_of(label)
     inner = int(np.prod(layout.dims[k + 1 :], dtype=int))
     tensor = op.matrix.reshape(2 * (op.dim // (d * inner), d, inner))
-    reduced = np.trace(tensor, axis1=1, axis2=4) / d
+    # the normalized trace as the first diagonal block plus the mean offset of
+    # the others: a factor where ``op`` is exactly the identity leaves 0, where
+    # trace / d would leave the rounding of dividing a sum by d
+    first = tensor[:, 0, :, :, 0, :]
+    reduced = first + sum(tensor[:, i, :, :, i, :] - first for i in range(1, d)) / d
     rest = tensor.copy()
     for i in range(d):
         rest[:, i, :, :, i, :] -= reduced

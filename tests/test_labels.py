@@ -44,6 +44,14 @@ class TestActsTriviallyOn:
             assert check.residual < 1e-14
         assert not acts_trivially_on(op, "S1").trivial
 
+    def test_exact_identity_factor_leaves_no_residual(self, rng):
+        # a random operator on S1, embedded: the three-dim observer factors
+        # are exactly the identity, and their residual is exactly 0
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        op = embed(Operator(single_factor("S1", 2), m), LAYOUT)
+        for label in ("O1", "O2", "S2"):
+            assert acts_trivially_on(op, label).residual == 0.0
+
     def test_unknown_label(self):
         op = identity(LAYOUT)
         with pytest.raises(LayoutError):
