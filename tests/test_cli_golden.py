@@ -72,6 +72,9 @@ CASES: dict[str, tuple[list[str], str | None]] = {
     "analyze-ghzm-csv": (
         ["analyze", "--experiment", "ghzm", "--phi", "10", "20", "30", "--format", "csv"],
         None),
+    "analyze-ghzm-generic": (
+        ["analyze", "--experiment", "ghzm", "--theta", "60", "100", "130", "--phi", "10",
+         "200", "300", "--format", "csv"], None),
     "sweep-eprb": (
         ["sweep", "--config", "{config}"],
         "[sweep]\nexperiment = eprb\nphi1 = 0 60 120\nphi2 = 0\nformat = table\n"),
