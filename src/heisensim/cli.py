@@ -3,8 +3,9 @@
 Angles are taken in degrees on the command line and in config files and
 converted to radians in one place (:func:`_directions`); that conversion is
 the only unit change in the system. Exit codes: 0 success, 1 usage or
-config error, 2 verification failure, 3 internal error (a broken invariant),
-141 stdout closed by its reader (128 + SIGPIPE, as a shell reports it).
+config error, 2 verification failure, 3 internal error (a broken invariant
+or any other fault of the program), 141 stdout closed by its reader
+(128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -164,6 +165,9 @@ def _manifest_from_args(args) -> RunManifest:
             section, values = _read_config(Path(args.config).read_text(encoding="utf-8-sig"))
         except OSError as exc:
             raise ConfigError(f"cannot read {args.config}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read {args.config}: not UTF-8 text ({exc.reason} "
+                              f"at byte {exc.start})") from None
         if section != args.command:
             raise ConfigError(f"config section [{section}] does not match command "
                               f"{args.command!r}")
@@ -404,8 +408,10 @@ def main(argv=None) -> int:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return _EXIT_BROKEN_PIPE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # bad input is a usage or config error by now: any other ValueError
+        # (a numpy shape mismatch, say) is the program's own fault
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

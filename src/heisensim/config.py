@@ -180,6 +180,13 @@ def finalize_manifest(command: str, provided: dict[str, object]) -> RunManifest:
 
     if command == "bell-q" and len(values["phis"]) != 3:
         raise ConfigError("bell-q needs exactly three analyzer azimuths")
+    # a direction needs finite angles; a sweep axis or bell-q's phis is a tuple
+    for key, value in values.items():
+        if key.startswith(("theta", "phi")):
+            for angle in value if isinstance(value, tuple) else (value,):
+                if not math.isfinite(angle):
+                    name = "theta" if key.startswith("theta") else "phi"
+                    raise ConfigError(f"{key}: analyzer angle {name} must be finite, got {angle}")
 
     output_format = values.pop("format")
     verify = values.pop("verify", False)

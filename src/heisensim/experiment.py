@@ -27,7 +27,6 @@ from .measure import (
     InteractionSequence,
     ObserverSpec,
     evolve_label_sum,
-    heisenberg_evolve,
     light_cone,
     measurement_block,
     spin_projector,
@@ -139,17 +138,26 @@ class Experiment:
         """Rows ``[observable, stage, support labels, residual per label...]``
         at t0 and after the sequence without and with the entangler.
 
+        The entangler is the earliest step, so the walk of the entangled
+        sequence, latest step first, passes through the non-entangled sum:
+        each observable is evolved once, unsplit, and that sum carried over
+        the entangler alone. Each stage's support is read off the sum's
+        block before the next stage is evolved.
+
         A support outside the observable's light cone is a kernel fault and
         raises :class:`InvariantError`."""
-        stages = {"t0": InteractionSequence((), self.layout),
-                  f"{self.stage}-nonentangled": self.sequence(directions, False),
-                  f"{self.stage}-entangled": self.sequence(directions, True)}
+        steps = self.sequence(directions, True).steps
+        stages = [(stage, InteractionSequence(part, self.layout)) for stage, part in (
+            ("t0", ()), (f"{self.stage}-nonentangled", steps[1:]),
+            (f"{self.stage}-entangled", steps[:1]))]
         rows = []
         for name, label, eigenvalues in self.ledger:
-            op = ObserverSpec(label, eigenvalues).belief_operator()
-            for stage, seq in stages.items():
-                sup = support(heisenberg_evolve(op, seq), tol)
-                cone = light_cone((label,), seq)
+            evolved = ObserverSpec(label, eigenvalues).belief_operator()
+            cone = frozenset((label,))
+            for stage, seq in stages:
+                evolved = evolve_label_sum(evolved, seq, split=False)
+                cone = light_cone(cone, seq)
+                sup = support(evolved, tol)
                 if not sup.labels <= cone:
                     raise InvariantError(f"{name} at {stage} acts on {sorted(sup.labels - cone)}"
                                          f" outside its light cone {sorted(cone)}")

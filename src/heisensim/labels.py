@@ -10,15 +10,25 @@ is reported either way so borderline cases are auditable.
 Operators that start local pick up support on other factors through
 measurement interactions; the growing support set is the machine-readable
 record of which systems an observable has become entangled with.
+
+:func:`support` also takes an evolved observable as a
+:class:`~heisensim.measure.LabelSum`. Its groups merge into one block on
+their own factors, and the sum is that block tensored with the identity on
+every other factor. So each factor of the block is tested on the block, its
+residual scaled by the square root of the dimension outside it (the
+Frobenius norm of a Kronecker product with the identity), and every other
+factor reads exactly 0, all without embedding anything.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .measure import LabelSum
 from .tensor import DEFAULT_TOL, Operator, embed, single_factor
 
 
@@ -67,16 +77,19 @@ def acts_trivially_on(op: Operator, label: str, tol: float = DEFAULT_TOL) -> Tri
     return TrivialityCheck(residual < tol, residual)
 
 
-def support(op: Operator, tol: float = DEFAULT_TOL) -> SupportSet:
-    """Support set of ``op``: every factor it acts on nontrivially."""
-    residuals: dict[str, float] = {}
-    nontrivial = set()
-    for label in op.layout.labels:
-        check = acts_trivially_on(op, label, tol)
-        residuals[label] = check.residual
-        if not check.trivial:
-            nontrivial.add(label)
-    return SupportSet(labels=frozenset(nontrivial), residuals=residuals)
+def support(op: Operator | LabelSum, tol: float = DEFAULT_TOL) -> SupportSet:
+    """Support set of ``op``: every factor it acts on nontrivially. A
+    :class:`LabelSum` is tested on its block alone."""
+    block, scale = op, 1.0
+    if isinstance(op, LabelSum):
+        block = op.block()
+        scale = math.sqrt(op.layout.total_dim // block.dim)
+    residuals = dict.fromkeys(op.layout.labels, 0.0)
+    for label in block.layout.labels:
+        residuals[label] = acts_trivially_on(block, label, tol).residual * scale
+    # a NaN residual is not below the tolerance either
+    nontrivial = frozenset(label for label, r in residuals.items() if not r < tol)
+    return SupportSet(labels=nontrivial, residuals=residuals)
 
 
 def local_factor(op: Operator, label: str) -> Operator:

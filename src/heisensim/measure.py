@@ -311,6 +311,10 @@ def light_cone(labels: Iterable[str], seq: InteractionSequence) -> frozenset[str
     return frozenset(cone)
 
 
+#: merged-block entries :meth:`LabelSum.block` holds at once (16 MB complex)
+_MERGE_ENTRIES = 2**20
+
+
 def _merge(layout: SubsystemLayout, terms: int, parts, identities=()) -> tuple:
     """One group from the per-term Kronecker product of ``(positions, stack)``
     parts and the identity on each position in ``identities``: its
@@ -425,17 +429,35 @@ class LabelSum:
             terms *= a[:, flat, flat]
         return complex(terms.sum())
 
-    def dense(self) -> Operator:
-        """The sum as one operator on the layout: its groups merged per
-        term, summed, and embedded once."""
-        positions, a = _merge(self.layout, len(self), self.groups)
+    def block(self) -> Operator:
+        """The sum as one operator on the factors of its groups, in layout
+        order: its groups merged per term and summed. The sum is this
+        block tensored with the identity on every other factor.
+
+        Terms are merged a few at a time, at most ``_MERGE_ENTRIES`` entries
+        of merged blocks at once: the GHZM referee's 216 terms, merged
+        whole, would take 1.4 GB.
+        """
+        positions = sorted(k for p, _ in self.groups for k in p)
         block = SubsystemLayout(tuple(self.layout.factors[k] for k in positions))
-        return embed(Operator(block, a.sum(axis=0)), self.layout)
+        step = max(1, _MERGE_ENTRIES // block.total_dim ** 2)
+        total = None
+        for t in range(0, len(self), step):
+            n = min(step, len(self) - t)
+            _, a = _merge(self.layout, n, [(p, x[t:t + n]) for p, x in self.groups])
+            total = a.sum(axis=0) if total is None else total + a.sum(axis=0)
+        return Operator(block, total)
+
+    def dense(self) -> Operator:
+        """The sum as one operator on the layout: its block embedded once."""
+        return embed(self.block(), self.layout)
 
 
-def evolve_label_sum(op: Operator, seq: InteractionSequence, split: bool = True) -> LabelSum:
+def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
+                     split: bool = True) -> LabelSum:
     """``U† op U`` for the sequence product ``U`` (earliest step rightmost) as a
-    :class:`LabelSum`, ``op`` acting on some factors of the sequence's layout.
+    :class:`LabelSum`, ``op`` acting on some factors of the sequence's layout,
+    or already a sum on that layout, which the walk then continues.
 
     Latest step first: (a) a step that meets no group is skipped; (b) under
     ``split``, a measurement whose system factors are in no group puts
@@ -445,7 +467,12 @@ def evolve_label_sum(op: Operator, seq: InteractionSequence, split: bool = True)
     by its block, every term at once.
     """
     layout = seq.layout or op.layout
-    label_sum = LabelSum.local(op, layout)
+    if not isinstance(op, LabelSum):
+        label_sum = LabelSum.local(op, layout)
+    elif op.layout == layout:
+        label_sum = op
+    else:
+        raise LayoutError(f"a sum on {op.layout.factors} cannot evolve on {layout.factors}")
     for rows, block, measurement in seq._plan:
         groups = label_sum.groups
         touched = [g for g in groups if not set(rows).isdisjoint(g[0])]

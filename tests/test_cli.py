@@ -128,6 +128,13 @@ class TestEprb:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("config error: ") and str(missing) in err
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("[eprb]\n# 0\u00b0\nphi1 = 0\nphi2 = 120\n".encode("latin-1"))
+        code, out, err = run_cli(["eprb", "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"config error: cannot read {cfg}: not UTF-8 text")
+
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_stdout_ends_quietly(self, unbuffered):
         # the reader is gone before the first write: exit as SIGPIPE would,
@@ -503,3 +510,16 @@ class TestInternalErrors:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (EXIT_INTERNAL, "")
         assert err.startswith("internal error: ") and message in err
+
+    def test_value_error_in_the_program_exits_internal(self, capsys, monkeypatch):
+        # bad input never reaches the program as a bare ValueError, so one
+        # raised while running is a fault, not the user's mistake
+        from heisensim import schrodinger
+        from heisensim.cli import EXIT_INTERNAL
+
+        def fault(*args):
+            raise ValueError("shape-mismatch for sum")
+
+        monkeypatch.setattr(schrodinger, "_apply", fault)
+        code, out, err = run_cli(["eprb", "--phi1", "10", "--phi2", "70", "--verify"], capsys)
+        assert (code, out, err) == (EXIT_INTERNAL, "", "internal error: shape-mismatch for sum\n")

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,8 +9,10 @@ from numpy.testing import assert_allclose
 from heisensim import (
     Direction,
     EprbConfig,
+    InteractionSequence,
     LayoutError,
     NotLocallySupportedError,
+    ObserverSpec,
     Operator,
     SPIN_BETA,
     SubsystemLayout,
@@ -22,6 +27,7 @@ from heisensim import (
 )
 from heisensim.eprb import EPRB, measurement_sequence
 from heisensim.ghzm import GHZM, GhzmConfig, measurement_sequence as ghzm_sequence
+from heisensim.measure import LabelSum, evolve_label_sum
 from conftest import random_direction
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -90,6 +96,88 @@ class TestSupport:
                 local = Operator(single_factor(f"F{k}", d), m)
             sup = support(embed(local, layout), tol=1e-10)
             assert sup.labels == {f"F{k}"}
+
+
+class TestSupportOfALabelSum:
+    @pytest.mark.parametrize("entangled", [True, False])
+    def test_split_sum_matches_its_dense_operator(self, entangled, rng):
+        # B1 B2 splits into one term per outcome pair over several groups:
+        # merged into one block, it reads as the dense operator
+        seq = EPRB.sequence((random_direction(rng), random_direction(rng)), entangled)
+        b1, b2 = (evolve_label_sum(b, seq) for b in EPRB.beliefs(SPIN_BETA).values())
+        evolved = b1 @ b2
+        assert (len(evolved), len(evolved.groups)) == (4, 3 if entangled else 4)
+        sup, ref = support(evolved), support(evolved.dense())
+        assert sup.labels == ref.labels == frozenset(LAYOUT.labels)
+        for label, r in ref.residuals.items():
+            assert sup.residuals[label] == pytest.approx(r, rel=1e-12)
+
+    def test_block_merged_a_few_terms_at_a_time(self, rng, monkeypatch):
+        import heisensim.measure as measure
+
+        seq = EPRB.sequence((random_direction(rng), random_direction(rng)), True)
+        b1, b2 = (evolve_label_sum(b, seq) for b in EPRB.beliefs(SPIN_BETA).values())
+        whole = (b1 @ b2).block()
+        # four terms on 36 dims, merged as three and then one
+        monkeypatch.setattr(measure, "_MERGE_ENTRIES", 3 * whole.dim ** 2)
+        chunked = (b1 @ b2).block()
+        assert chunked.layout == whole.layout == LAYOUT
+        assert_allclose(chunked.matrix, whole.matrix, rtol=0, atol=1e-14)
+
+    def test_factors_outside_the_block_read_exactly_zero(self):
+        b1 = LabelSum.local(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
+        sup = support(b1)
+        assert sup.labels == {"O1"}
+        assert [sup.residuals[label] for label in ("O2", "S1", "S2")] == [0.0] * 3
+        assert sup.residuals["O1"] == pytest.approx(support(b1.dense()).residuals["O1"],
+                                                    rel=1e-14)
+
+
+class TestSupportLedger:
+    @pytest.mark.parametrize("exp", [EPRB, GHZM], ids=["eprb", "ghzm"])
+    def test_rows_match_the_dense_reference(self, exp, rng):
+        generic = [random_direction(rng) for _ in exp.measurements]
+        # analyzers at the poles leave exact zeros and identities behind
+        poles = [Direction(0.0, 0.0), Direction(math.pi, 1.0), random_direction(rng)]
+        for directions in (generic, poles[:len(exp.measurements)]):
+            # each stage's sequence built whole, its operator embedded: the dense reference
+            stages = {"t0": InteractionSequence((), exp.layout),
+                      f"{exp.stage}-nonentangled": exp.sequence(directions, False),
+                      f"{exp.stage}-entangled": exp.sequence(directions, True)}
+            rows = exp.support_ledger(directions, 1e-10)
+            assert [row[:2] for row in rows] == [[name, stage] for name, _, _ in exp.ledger
+                                                for stage in stages]
+            ops = {name: ObserverSpec(label, eigenvalues).belief_operator()
+                   for name, label, eigenvalues in exp.ledger}
+            for name, stage, labels, *residuals in rows:
+                ref = support(heisenberg_evolve(ops[name], stages[stage]), 1e-10)
+                assert labels == ",".join(lbl for lbl in exp.layout.labels if lbl in ref.labels)
+                for r, label in zip(residuals, exp.layout.labels):
+                    expected = ref.residuals[label]
+                    assert abs(r - expected) <= 1e-12 * max(1.0, expected), (name, stage, label)
+
+    @pytest.mark.parametrize("exp, checks", [(EPRB, 24), (GHZM, 60)], ids=["eprb", "ghzm"])
+    def test_each_block_factor_is_checked_once_and_nothing_embedded(
+            self, exp, checks, rng, monkeypatch):
+        # per observable: its own factor at t0, then each factor of the
+        # evolved block at both later stages; no operator on the whole layout
+        import heisensim.labels as labels
+
+        seen = {"acts_trivially_on": 0, "embed": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(labels, "acts_trivially_on",
+                            counted("acts_trivially_on", labels.acts_trivially_on))
+        for module in [m for n, m in sys.modules.items() if n.startswith("heisensim")]:
+            if getattr(module, "embed", None) is embed:
+                monkeypatch.setattr(module, "embed", counted("embed", embed))
+        exp.support_ledger([random_direction(rng) for _ in exp.measurements], 1e-10)
+        assert seen == {"acts_trivially_on": checks, "embed": 0}
 
 
 class TestSupportChain:

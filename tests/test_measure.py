@@ -26,6 +26,7 @@ from heisensim import (
     spin_eigenstate,
     spin_projector,
     single_factor,
+    support,
 )
 from heisensim.measure import LabelSum, evolve_label_sum, light_cone, measurement_block
 from conftest import random_direction, random_unitary
@@ -468,11 +469,25 @@ def test_label_sums_match_dense_conjugation(case, seed):
         indices = [int(rng.integers(d)) for d in layout.dims]
         flat = np.ravel_multi_index(indices, layout.dims)
         assert abs(label_sum.mean(indices) - dense.matrix[flat, flat]) < 1e-12
+        # the support read off the sum's block matches the dense operator's
+        sup, ref = support(label_sum), support(dense)
+        assert sup.labels == ref.labels
+        for label, r in ref.residuals.items():
+            assert abs(sup.residuals[label] - r) <= 1e-12 * max(1.0, r)
     # the groups cover exactly the light cone, and never overlap
     for op, label_sum in ((a, sum_a), (b, sum_b)):
         positions = [k for p, _ in label_sum.groups for k in p]
         assert len(positions) == len(set(positions))
         assert {layout.labels[k] for k in positions} == light_cone(op.layout.labels, seq)
+    # a walk cut in two and continued from the later part's sum is the same walk
+    cut = int(rng.integers(len(seq.steps) + 1))
+    later, earlier = (InteractionSequence(part, layout)
+                      for part in (seq.steps[cut:], seq.steps[:cut]))
+    for split in (True, False):
+        whole = evolve_label_sum(a, seq, split)
+        continued = evolve_label_sum(evolve_label_sum(a, later, split), earlier, split)
+        assert [p for p, _ in continued.groups] == [p for p, _ in whole.groups]
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(continued.groups, whole.groups))
 
 
 class TestLabelSums:
@@ -521,6 +536,12 @@ class TestLabelSums:
         entangled = measurement_block(
             "O", [Operator(system, np.outer(v, v.conj())) for v in bell.T], shifts)
         assert [labels for labels, _ in entangled.projectors] == [("S", "T")]
+
+    def test_sum_on_another_layout_rejected(self):
+        b = ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator()
+        other = SubsystemLayout((("O", 3), ("S", 2), ("T", 2)))
+        with pytest.raises(LayoutError):
+            evolve_label_sum(LabelSum.local(b, other), InteractionSequence((), OS_LAYOUT))
 
     def test_local_operator_off_the_layout_rejected(self):
         for op in (Operator(single_factor("X", 2), np.eye(2)),
