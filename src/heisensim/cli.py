@@ -33,14 +33,7 @@ from .config import (
 from .eprb import EPRB
 from .experiment import Experiment
 from .ghzm import GHZM
-from .lhv import (
-    _BELL_PAIRS,
-    all_eprb_sets,
-    classical_ghz_p_eu_zero,
-    eprb_q_max,
-    eprb_q_over_distribution,
-    ghz_constrained_sets,
-)
+from .lhv import _BELL_PAIRS, EPRB_SET_Q, classical_ghz_p_eu_zero, eprb_q_max, ghz_constrained_sets
 from .measure import Direction
 from .tensor import InvariantError
 
@@ -217,9 +210,19 @@ def _handle_run(man: RunManifest) -> _Rendered:
     return _Rendered(table, _columns(exp), [row], residual)
 
 
+def _equator(exp: Experiment, column: str, preset: str, azimuths,
+             entangled: bool = True, verify: bool = False):
+    """The ``column`` mean under ``preset`` at each tuple of azimuths, every
+    analyzer at theta = 90 deg, and the verification residual."""
+    points = [tuple(angle for phi in phis for angle in (90.0, phi)) for phis in azimuths]
+    means, residual = _grid(exp, points, entangled, preset, verify)
+    return [values[column] for values in means], residual
+
+
 def _handle_bell_q(man: RunManifest) -> _Rendered:
     phis_deg = man.parameters["phis"]
-    terms, residual = _bell_terms(phis_deg, man.verify)
+    pairs = [(phis_deg[a], phis_deg[b]) for a, b in _BELL_PAIRS]
+    terms, residual = _equator(EPRB, "p_uu", "probability", pairs, verify=man.verify)
     q = float(sum(terms))
     table = ["Bell quantity (analyzers in the theta = 90 deg plane)"]
     table += [f"  P_uu({_fmt(phis_deg[a])}, {_fmt(phis_deg[b])}) = {_fmt(term)}"
@@ -230,26 +233,11 @@ def _handle_bell_q(man: RunManifest) -> _Rendered:
     return _Rendered(table, columns, [row], residual)
 
 
-def _bell_terms(phis, verify: bool = False):
-    """P_uu at theta = 90 deg for each cyclic pair of the three azimuths,
-    and the verification residual."""
-    points = [(90.0, phis[a], 90.0, phis[b]) for a, b in _BELL_PAIRS]
-    means, residual = _grid(EPRB, points, True, "probability", verify)
-    return [values["p_uu"] for values in means], residual
-
-
-def _ghz_parity(triples, entangled: bool, verify: bool = False):
-    """P_eu at theta = 90 deg for each azimuth triple, and the verification residual."""
-    points = [tuple(angle for phi in phis for angle in (90.0, phi)) for phis in triples]
-    means, residual = _grid(GHZM, points, entangled, "even", verify)
-    return [values["probability"] for values in means], residual
-
-
 def _handle_ghz_table(man: RunManifest) -> _Rendered:
     triples = ((0.0, 90.0, 90.0), (90.0, 0.0, 90.0), (90.0, 90.0, 0.0), (0.0, 0.0, 0.0))
     columns = ["phi1", "phi2", "phi3", "p_eu_entangled", "p_eu_nonentangled"]
-    on, on_residual = _ghz_parity(triples, True, man.verify)
-    off, off_residual = _ghz_parity(triples, False, man.verify)
+    on, on_residual = _equator(GHZM, "probability", "even", triples, True, man.verify)
+    off, off_residual = _equator(GHZM, "probability", "even", triples, False, man.verify)
     rows = [[*phis, p_on, p_off] for phis, p_on, p_off in zip(triples, on, off)]
     residual = max(on_residual, off_residual) if man.verify else None
     table = ["GHZM parity table (theta = 90 deg)",
@@ -265,16 +253,12 @@ def _handle_ghz_table(man: RunManifest) -> _Rendered:
 
 def _lhv_eprb() -> _Rendered:
     q_max = eprb_q_max()
-    terms, _ = _bell_terms((0.0, 120.0, 240.0))
+    phis = (0.0, 120.0, 240.0)
+    terms, _ = _equator(EPRB, "p_uu", "probability", [(phis[a], phis[b]) for a, b in _BELL_PAIRS])
+    rows = [[",".join(s.outcomes), q] for s, q in EPRB_SET_Q]
     table = ["EPRB instruction sets (particle 2 forced opposite; 8 sets)",
              "  responses at 0/120/240 deg   Q"]
-    rows = []
-    for k, s in enumerate(all_eprb_sets()):
-        weights = [0.0] * 8
-        weights[k] = 1.0
-        q = eprb_q_over_distribution(weights)
-        rows.append([",".join(s.outcomes), q])
-        table.append(f"  {','.join(s.outcomes):<26}   {_fmt(q)}")
+    table += [f"  {responses:<26}   {_fmt(q)}" for responses, q in rows]
     table += [
         f"  classical maximum Q = {_fmt(q_max.value)}"
         f"   (witness {','.join(q_max.witness.outcomes)})",
@@ -285,7 +269,7 @@ def _lhv_eprb() -> _Rendered:
 
 def _lhv_ghz() -> _Rendered:
     verdicts = ghz_constrained_sets()
-    (quantum,), _ = _ghz_parity([(0.0, 0.0, 0.0)], entangled=True)
+    (quantum,), _ = _equator(GHZM, "probability", "even", [(0.0, 0.0, 0.0)])
     table = [
         f"GHZ instruction sets: 64 candidates, {len(verdicts)} satisfy the"
         " mixed-orientation constraints",

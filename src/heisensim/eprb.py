@@ -90,7 +90,6 @@ EPRB = Experiment(
     preset_key="beta_preset",
     presets=BETA_PRESETS,
     preset_line="beta preset = {preset} {eigenvalues}",
-    observers=(("B1", OBSERVER_1), ("B2", OBSERVER_2)),
     means=(
         ("mean_b1", "<B1>", ("B1",), None),
         ("mean_b2", "<B2>", ("B2",), None),

@@ -6,18 +6,16 @@ entangling interaction between the particles, and the evolved observer
 operators carry the labels that match each outcome with its partner. An
 :class:`Experiment` holds only what tells the two apart: the layout and
 initial basis state, the ``(observer, particle)`` measurement pairs, the
-entangler, any trailing readout steps and the named observables, each a
-factor label with eigenvalues. Building those operators and the interaction
-sequence, evaluating the means, cross-checking them against state evolution
-and tabulating operator support are written once, here.
+entangler, any trailing readout steps and the named observables, each on
+one factor. Building those operators and the interaction sequence,
+evaluating the means, cross-checking them against state evolution and
+tabulating operator support are written once, here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import matmul
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .labels import support
@@ -32,7 +30,7 @@ from .measure import (
     spin_projector,
 )
 from .schrodinger import product_expectation, schrodinger_evolve
-from .tensor import InvariantError, Operator, StateVector, SubsystemLayout, real_part
+from .tensor import InvariantError, Operator, StateVector, SubsystemLayout, kron, real_part
 
 Eigenvalues = tuple[float, ...]
 
@@ -43,7 +41,7 @@ class Experiment:
 
     ``means`` lists ``(column, table label, observable names, eigenvalues)``
     in output order: the value is the initial-state expectation of the
-    product of the named observables, each evolved on its own. Eigenvalues
+    product of the named observables, evolved as one observable. Eigenvalues
     of ``None`` mean the run's own. Table labels and ``preset_line`` may
     hold ``{preset}`` (the preset name) and ``{eigenvalues}`` fields.
     """
@@ -62,11 +60,9 @@ class Experiment:
     preset_key: str
     presets: Mapping[str, Eigenvalues]
     preset_line: str
-    #: ``(name, observer label)`` of each belief observable the means read
-    observers: tuple[tuple[str, str], ...]
     means: tuple[tuple[str, str, tuple[str, ...], Eigenvalues | None], ...]
-    #: ``(name, factor label, eigenvalues)`` of each time-t0 observable whose
-    #: support the ledger follows
+    #: ``(name, factor label, eigenvalues)`` of each time-t0 observable: the
+    #: means name them, and the ledger follows the support of each
     ledger: tuple[tuple[str, str, Eigenvalues], ...]
     #: called with the means by column; raises if they break an invariant
     report: Callable[..., object] = dict
@@ -85,13 +81,16 @@ class Experiment:
     def initial_state(self) -> StateVector:
         return StateVector.basis(self.layout, self.initial_indices)
 
-    @lru_cache(maxsize=4)
-    def beliefs(self, eigenvalues: Eigenvalues) -> Mapping[str, Operator]:
-        """Each observer's belief operator on its own factor (time t0), by
-        name. Cached per experiment (hashed by identity) and eigenvalue tuple;
-        the mapping is read-only, since every caller shares it."""
-        return MappingProxyType({name: ObserverSpec(label, eigenvalues).belief_operator()
-                                 for name, label in self.observers})
+    # room for every key the CLI asks for (13 over both experiments), so none evicts
+    @lru_cache(maxsize=16)
+    def observable(self, names: tuple[str, ...], eigenvalues: Eigenvalues) -> Operator:
+        """The product of the named observables at time t0, each diagonal
+        with these eigenvalues on its factor in ``ledger``. The factors are
+        distinct, or :func:`kron` raises. Cached per experiment (hashed by
+        identity), names and eigenvalues, since every caller shares it."""
+        factors = {name: label for name, label, _ in self.ledger}
+        return reduce(kron, (ObserverSpec(factors[name], eigenvalues).belief_operator()
+                             for name in names))
 
     def sequence(self, directions: Sequence[Direction], entangled: bool) -> InteractionSequence:
         """Entangler (when enabled), one spin measurement per pair, readout."""
@@ -113,26 +112,24 @@ class Experiment:
         """Every mean by column, and under ``verify`` the largest gap between
         a mean and its value in the state evolved once instead (else None).
 
-        Each distinct observable is evolved once, as a label sum; one
+        Each mean reads one observable, the product of its named ones, and
+        each distinct observable is evolved once, as a label sum; one
         sequence serves all eigenvalues, since its unitaries do not depend on
         them. The initial state is a product basis state, so each mean is
         read off the sum's diagonal entries, with nothing embedded.
         """
-        resolved = [m[3] or tuple(eigenvalues) for m in self.means]
+        keys = [(m[2], m[3] or tuple(eigenvalues)) for m in self.means]
         seq = self.sequence(directions, entangled)
-        beliefs = {e: self.beliefs(e) for e in dict.fromkeys(resolved)}
-        evolved = {e: {name: evolve_label_sum(op, seq) for name, op in observables.items()}
-                   for e, observables in beliefs.items()}
-        values = {m[0]: real_part(reduce(matmul, (evolved[e][n] for n in m[2]))
-                                  .mean(self.initial_indices))
-                  for m, e in zip(self.means, resolved)}
+        observables = {key: self.observable(*key) for key in dict.fromkeys(keys)}
+        evolved = {key: evolve_label_sum(op, seq) for key, op in observables.items()}
+        values = {m[0]: real_part(evolved[key].mean(self.initial_indices))
+                  for m, key in zip(self.means, keys)}
         self.report(**values)
         if not verify:
             return values, None
         psi = schrodinger_evolve(self.initial_state(), seq)
-        return values, max(
-            abs(values[m[0]] - product_expectation(psi, [beliefs[e][n] for n in m[2]]))
-            for m, e in zip(self.means, resolved))
+        return values, max(abs(values[m[0]] - product_expectation(psi, observables[key]))
+                           for m, key in zip(self.means, keys))
 
     def support_ledger(self, directions: Sequence[Direction], tol: float) -> list[list]:
         """Rows ``[observable, stage, support labels, residual per label...]``
@@ -152,7 +149,7 @@ class Experiment:
             (f"{self.stage}-entangled", steps[:1]))]
         rows = []
         for name, label, eigenvalues in self.ledger:
-            evolved = ObserverSpec(label, eigenvalues).belief_operator()
+            evolved = self.observable((name,), eigenvalues)
             cone = frozenset((label,))
             for stage, seq in stages:
                 evolved = evolve_label_sum(evolved, seq, split=False)

@@ -109,7 +109,6 @@ GHZM = Experiment(
     preset_key="gamma_preset",
     presets=GAMMA_PRESETS,
     preset_line="gamma preset = {preset}",
-    observers=(("G", REFEREE),),
     means=(("probability", "P_{preset[0]}u", ("G",), None),),
     # the referee beside the three observers it interrogates; the parity
     # pipeline only uses the basis structure of O1..O3, never their eigenvalues

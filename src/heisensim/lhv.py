@@ -77,26 +77,26 @@ def eprb_q_over_distribution(weights: Sequence[float]) -> float:
     return q
 
 
+#: each instruction set, in :func:`all_eprb_sets` order, with the Bell
+#: quantity of the point mass on it
+EPRB_SET_Q = tuple((s, eprb_q_over_distribution([float(j == k) for j in range(8)]))
+                   for k, s in enumerate(all_eprb_sets()))
+
+
 class QMax(NamedTuple):
     value: float
     witness: EprbInstructionSet
 
 
 def eprb_q_max() -> QMax:
-    """Maximum Bell quantity over instruction-set models.
+    """Maximum Bell quantity over instruction-set models, and the first set
+    that attains it.
 
     The quantity is affine in the weights, so the maximum over
-    distributions is attained at a point mass; enumerating the 8 vertices
-    suffices.
+    distributions is attained at a point mass; the 8 vertices suffice.
     """
-    best_value, best_set = -1.0, None
-    for k, s in enumerate(all_eprb_sets()):
-        weights = [0.0] * 8
-        weights[k] = 1.0
-        q = eprb_q_over_distribution(weights)
-        if q > best_value:
-            best_value, best_set = q, s
-    return QMax(best_value, best_set)
+    witness, value = max(EPRB_SET_Q, key=lambda pair: pair[1])
+    return QMax(value, witness)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ agreement between the two is a meaningful end-to-end check.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -48,22 +48,19 @@ def schrodinger_evolve(initial: StateVector, seq: InteractionSequence) -> StateV
     return StateVector(layout, amps.reshape(-1))
 
 
-def product_expectation(state: StateVector, operators: Sequence[Operator]) -> complex:
-    """``<psi| A B ... |psi>`` for operators each on some factors of the
-    state's layout, applied to the state tensor without embedding them."""
-    layout = state.layout
-    psi = state.amplitudes.reshape(layout.dims)
-    out = psi
-    for op in reversed(operators):
-        out = _apply(op, out, layout)
-    return complex(np.vdot(psi, out))
+def product_expectation(state: StateVector, op: Operator) -> complex:
+    """``<psi|A|psi>`` for ``A`` on some factors of the state's layout (a
+    product of observables, say), applied to the state tensor without
+    embedding it."""
+    psi = state.amplitudes.reshape(state.layout.dims)
+    return complex(np.vdot(psi, _apply(op, psi, state.layout)))
 
 
 def cross_check(op: Operator, seq: InteractionSequence, initial: StateVector) -> float:
     """Absolute difference between the two pictures' expectation values, for
     ``op`` on some factors of the initial state's layout."""
-    via_operators = product_expectation(initial, [heisenberg_evolve(op, seq)])
-    via_state = product_expectation(schrodinger_evolve(initial, seq), [op])
+    via_operators = product_expectation(initial, heisenberg_evolve(op, seq))
+    via_state = product_expectation(schrodinger_evolve(initial, seq), op)
     return abs(via_operators - via_state)
 
 

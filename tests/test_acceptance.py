@@ -139,19 +139,20 @@ def test_criterion_7_picture_equivalence(rng):
             random_direction(rng), random_direction(rng), entangled=bool(k % 2)
         )
         seq = eprb_sequence(cfg)
-        b1, b2 = (embed(b, EPRB.layout) for b in EPRB.beliefs(cfg.beta).values())
+        b1, b2 = (embed(EPRB.observable((name,), cfg.beta), EPRB.layout)
+                  for name in ("B1", "B2"))
         assert cross_check(b1 @ b2, seq, psi_eprb) < 1e-10
     psi_ghzm = GHZM.initial_state()
     for _ in range(100):
         cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
         seq = ghzm_sequence(cfg)
-        assert cross_check(GHZM.beliefs(cfg.gamma)["G"], seq, psi_ghzm) < 1e-10
+        assert cross_check(GHZM.observable(("G",), cfg.gamma), seq, psi_ghzm) < 1e-10
     print("\nACCEPTANCE 7: picture equivalence on 500 EPRB + 100 GHZM configs: PASS")
 
 
 def test_criterion_8_label_ledger(rng):
     n1, n2 = random_direction(rng), random_direction(rng)
-    b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], EPRB.layout)
+    b1 = embed(EPRB.observable(("B1",), SPIN_BETA), EPRB.layout)
     stages = [
         (b1, {"O1"}),
         (heisenberg_evolve(b1, eprb_sequence(EprbConfig(n1, n2, entangled=False))),
@@ -203,7 +204,7 @@ def test_criterion_10_locality(rng):
     # light cone, so a distant analyzer's setting never reaches it: not
     # within a tolerance, but entry for entry
     a1 = Operator(single_factor("S1", 2), np.diag([1.0, -1.0]))
-    b1 = EPRB.beliefs(SPIN_BETA)["B1"]
+    b1 = EPRB.observable(("B1",), SPIN_BETA)
     for entangled in (False, True):
         n1 = random_direction(rng)
         for op in (b1, a1):
@@ -231,7 +232,7 @@ def test_criterion_10_locality(rng):
 
     # the check can fail: the referee meets every copy through the readout,
     # so changing any one nj moves G
-    g = GHZM.beliefs(GHZM.presets["even"])["G"]
+    g = GHZM.observable(("G",), GHZM.presets["even"])
     dirs = [random_direction(rng) for _ in range(3)]
     reference = heisenberg_evolve(g, GHZM.sequence(dirs, True)).matrix
     for k in range(3):

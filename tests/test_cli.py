@@ -464,8 +464,8 @@ class TestVerifyChecksPrintedMeans:
     must fail it."""
 
     @pytest.mark.parametrize("argv, residual", [
-        # only p_uu (fixed probability eigenvalues) moves: 0.25 (1 + 1e-6)^2
-        (["eprb", "--phi1", "0", "--phi2", "90", "--verify", "--format", "csv"], 5e-7),
+        # only p_uu (fixed probability eigenvalues) moves: 0.25 (1 + 1e-6)
+        (["eprb", "--phi1", "0", "--phi2", "90", "--verify", "--format", "csv"], 2.5e-7),
         (["ghzm", "--phi", "0", "0", "0", "--verify", "--format", "csv"], 1e-6),
     ])
     def test_scaled_operator_evolution_fails(self, argv, residual, capsys, monkeypatch):
@@ -487,7 +487,8 @@ class TestInternalErrors:
     @pytest.mark.parametrize("argv, module, name, wrap, message", [
         (["ghzm", "--phi", "0", "0", "0"], "experiment", "evolve_label_sum",
          lambda f: lambda op, seq: f(op, seq) * (1 + 1e-6j), "imaginary part"),
-        (["eprb", "--phi1", "0", "--phi2", "90"], "experiment", "evolve_label_sum",
+        # p_uu = 0.5 at antiparallel analyzers, so 1.5 once scaled
+        (["eprb", "--phi1", "0", "--phi2", "180"], "experiment", "evolve_label_sum",
          lambda f: lambda op, seq: f(op, seq) * 3, "not a probability"),
         (["eprb", "--phi1", "0", "--phi2", "90", "--verify"], "schrodinger", "_apply",
          lambda f: lambda u, amps, layout: f(u, amps, layout) * 1.001, "norm drifted"),

@@ -103,9 +103,8 @@ class TestLabelCopies:
     @pytest.mark.parametrize("entangled", [True, False])
     def test_belief_has_one_term_per_outcome(self, entangled, rng):
         seq = EPRB.sequence((random_direction(rng), random_direction(rng)), entangled)
-        b1, b2 = EPRB.beliefs(SPIN_BETA).values()
-        assert len(evolve_label_sum(b1, seq)) == 2
-        assert len(evolve_label_sum(b1, seq) @ evolve_label_sum(b2, seq)) == 4
+        assert len(evolve_label_sum(EPRB.observable(("B1",), SPIN_BETA), seq)) == 2
+        assert len(evolve_label_sum(EPRB.observable(("B1", "B2"), SPIN_BETA), seq)) == 4
 
 
 class TestEntangled:
@@ -201,7 +200,7 @@ class TestOrderInvariance:
         seq = measurement_sequence(cfg)
         swapped = seq.reordered(("t1:entangle", "t2:measure-2", "t2:measure-1"))
         psi0 = EPRB.initial_state()
-        b1, b2 = EPRB.beliefs(cfg.beta).values()
+        b1, b2 = (EPRB.observable((name,), cfg.beta) for name in ("B1", "B2"))
         for s in (seq, swapped):
             prod = heisenberg_evolve(b1, s) @ heisenberg_evolve(b2, s)
             value = real_expectation(psi0, prod)
@@ -234,7 +233,7 @@ class TestCompletionInvariance:
         )
         seq = InteractionSequence(steps)
         psi0 = EPRB.initial_state()
-        b1, b2 = EPRB.beliefs(cfg.beta).values()
+        b1, b2 = (EPRB.observable((name,), cfg.beta) for name in ("B1", "B2"))
         alt = real_expectation(psi0, heisenberg_evolve(b1, seq) @ heisenberg_evolve(b2, seq))
         standard = run_eprb(cfg).mean_b1b2
         assert alt == pytest.approx(standard, abs=1e-12)

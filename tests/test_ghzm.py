@@ -139,7 +139,7 @@ class TestLabelCopies:
         # 3^3 observer basis states at the readout, then two outcomes per
         # spin measurement: 3^3 * 2^3 labelled copies
         seq = GHZM.sequence([random_direction(rng) for _ in range(3)], entangled)
-        evolved = evolve_label_sum(GHZM.beliefs(EVEN_GAMMA)["G"], seq)
+        evolved = evolve_label_sum(GHZM.observable(("G",), EVEN_GAMMA), seq)
         assert len(evolved) == 3**3 * 2**3 == 216
 
 
@@ -190,7 +190,7 @@ class TestRunGhzm:
     def test_measurement_order_invariance(self, rng):
         cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
         seq = measurement_sequence(cfg)
-        g = GHZM.beliefs(cfg.gamma)["G"]
+        g = GHZM.observable(("G",), cfg.gamma)
         psi0 = GHZM.initial_state()
         reference = real_expectation(psi0, heisenberg_evolve(g, seq))
         measure_tags = ("t2:measure-1", "t2:measure-2", "t2:measure-3")
@@ -219,6 +219,6 @@ class TestEntanglerCompletionInvariance:
         )
         value = real_expectation(
             GHZM.initial_state(),
-            heisenberg_evolve(GHZM.beliefs(cfg.gamma)["G"], InteractionSequence(steps)),
+            heisenberg_evolve(GHZM.observable(("G",), cfg.gamma), InteractionSequence(steps)),
         )
         assert value == pytest.approx(reference, abs=1e-12)

@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level name it defines goes unread in ``src``, ``tests`` and
-``perfbench``, no parameter default it declares is one that no call there
-overrides, and every file it opens names its encoding.
+``perfbench``, no public function or class it defines goes unread by the
+rest of the program unless it is listed with a reason, no parameter default
+it declares is one that no call there overrides, and every file it opens
+names its encoding.
 
 ``__init__`` is exempt: its imports are the package's public re-exports.
 """
@@ -84,6 +86,71 @@ def names_read(trees) -> set[str]:
 def test_no_unread_definitions(path, names_read):
     unread = defined_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) - names_read
     assert not unread, f"{path.name} defines {sorted(unread)} but nothing reads them"
+
+
+#: public functions and classes that nothing in ``src`` outside their own
+#: module and ``__init__``, nor ``perfbench``, reads: kept on purpose
+PUBLIC_UNREAD = {
+    "cli.build_parser": "tests compare the shared parser with a fresh one",
+    "config.parse_config": "tests parse config text without a file",
+    "eprb.EprbConfig": "tests run EPRB through it; its removal is ROADMAP item 5",
+    "eprb.EprbReport": "it is EPRB.report, which checks p_uu",
+    "eprb.singlet_entangler": "builds EPRB.entangler; tests check its action",
+    "ghzm.GhzmConfig": "tests run GHZM through it; its removal is ROADMAP item 5",
+    "ghzm.ghz_entangler": "builds GHZM.entangler; tests check its action",
+    "labels.NotLocallySupportedError": "raised by local_factor",
+    "labels.TrivialityCheck": "returned by acts_trivially_on",
+    "labels.SupportSet": "returned by support",
+    "labels.local_factor": "dense reference; tests peel factors with it (ROADMAP item 5)",
+    "lhv.EprbInstructionSet": "the EPRB sets that EPRB_SET_Q lists",
+    "lhv.all_eprb_sets": "tests enumerate the EPRB sets",
+    "lhv.eprb_q_over_distribution": "the bound over any distribution; tests check it",
+    "lhv.QMax": "returned by eprb_q_max",
+    "lhv.GhzInstructionSet": "the GHZ sets that ghz_constrained_sets judges",
+    "lhv.all_ghz_sets": "tests enumerate the GHZ sets",
+    "lhv.GhzVerdict": "returned by ghz_constrained_sets",
+    "measure.shift_operator": "the default measurement shift; tests build blocks from it",
+    "measure.spin_eigenstate": "dense reference for spin_projector (ROADMAP item 5)",
+    "schrodinger.schmidt_rank": "tests check entanglement with it (ROADMAP item 5)",
+    "tensor.identity": "tests build identities with it",
+    "tensor.projector_from_state": "dense reference; tests build projectors with it",
+    "tensor.real_expectation": "dense reference; tests read means with it",
+}
+
+
+def public_definitions(tree: ast.Module) -> set[str]:
+    return {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+            and not n.name.startswith("_")}
+
+
+@pytest.fixture(scope="module")
+def program_reads() -> dict[str, set[str]]:
+    """Names read by each module of the package but ``__init__``, by module
+    name, and by ``perfbench`` as a whole."""
+    reads = {p.stem: read_names(ast.parse(p.read_text(encoding="utf-8"))) for p in SOURCES}
+    reads["perfbench"] = set().union(*(read_names(ast.parse(p.read_text(encoding="utf-8")))
+                                       for p in (ROOT / "perfbench").rglob("*.py")))
+    return reads
+
+
+def unread_public(path: Path, program_reads) -> set[str]:
+    others = set().union(*(names for module, names in program_reads.items()
+                           if module != path.stem))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {f"{path.stem}.{name}" for name in public_definitions(tree) - others}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_public_definitions_are_read_by_the_program(path, program_reads):
+    unread = unread_public(path, program_reads) - PUBLIC_UNREAD.keys()
+    assert not unread, (f"only tests read {sorted(unread)}: make them private, delete them "
+                        "or list them in PUBLIC_UNREAD with a reason")
+
+
+def test_public_unread_list_is_current(program_reads):
+    unread = set().union(*(unread_public(path, program_reads) for path in SOURCES))
+    stale = sorted(PUBLIC_UNREAD.keys() - unread)
+    assert not stale, f"PUBLIC_UNREAD lists {stale}, which the program reads or no longer defines"
 
 
 def defaulted_parameters(node: ast.AST, cls: str | None = None):

@@ -77,7 +77,7 @@ class TestSupport:
         assert all(r < 1e-14 for r in sup.residuals.values())
 
     def test_belief_operator_supported_on_its_observer(self):
-        b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
+        b1 = embed(EPRB.observable(("B1",), SPIN_BETA), LAYOUT)
         assert support(b1).labels == {"O1"}
 
     def test_soundness_on_random_embeddings(self, rng):
@@ -104,28 +104,25 @@ class TestSupportOfALabelSum:
         # B1 B2 splits into one term per outcome pair over several groups:
         # merged into one block, it reads as the dense operator
         seq = EPRB.sequence((random_direction(rng), random_direction(rng)), entangled)
-        b1, b2 = (evolve_label_sum(b, seq) for b in EPRB.beliefs(SPIN_BETA).values())
-        evolved = b1 @ b2
-        assert (len(evolved), len(evolved.groups)) == (4, 3 if entangled else 4)
+        evolved = evolve_label_sum(EPRB.observable(("B1", "B2"), SPIN_BETA), seq)
+        assert (len(evolved), len(evolved.groups)) == (4, 2 if entangled else 3)
         sup, ref = support(evolved), support(evolved.dense())
         assert sup.labels == ref.labels == frozenset(LAYOUT.labels)
         for label, r in ref.residuals.items():
             assert sup.residuals[label] == pytest.approx(r, rel=1e-12)
 
-    def test_block_merged_a_few_terms_at_a_time(self, rng, monkeypatch):
-        import heisensim.measure as measure
-
-        seq = EPRB.sequence((random_direction(rng), random_direction(rng)), True)
-        b1, b2 = (evolve_label_sum(b, seq) for b in EPRB.beliefs(SPIN_BETA).values())
-        whole = (b1 @ b2).block()
-        # four terms on 36 dims, merged as three and then one
-        monkeypatch.setattr(measure, "_MERGE_ENTRIES", 3 * whole.dim ** 2)
-        chunked = (b1 @ b2).block()
-        assert chunked.layout == whole.layout == LAYOUT
-        assert_allclose(chunked.matrix, whole.matrix, rtol=0, atol=1e-14)
+    @pytest.mark.parametrize("entangled", [True, False])
+    def test_split_referee_block_matches_the_unsplit_block(self, entangled, rng):
+        # 216 terms over five (entangled) or seven groups, contracted over
+        # the terms, against one term on the whole layout
+        seq = GHZM.sequence([random_direction(rng) for _ in range(3)], entangled)
+        g = GHZM.observable(("G",), GHZM.presets["even"])
+        split, whole = (evolve_label_sum(g, seq, s).block() for s in (True, False))
+        assert split.layout == whole.layout == GHZM.layout
+        assert_allclose(split.matrix, whole.matrix, rtol=0, atol=1e-12)
 
     def test_factors_outside_the_block_read_exactly_zero(self):
-        b1 = LabelSum.local(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
+        b1 = LabelSum.local(EPRB.observable(("B1",), SPIN_BETA), LAYOUT)
         sup = support(b1)
         assert sup.labels == {"O1"}
         assert [sup.residuals[label] for label in ("O2", "S1", "S2")] == [0.0] * 3
@@ -183,7 +180,7 @@ class TestSupportLedger:
 class TestSupportChain:
     def test_monotone_growth(self, rng):
         plain, entangled = chain_sequences(rng)
-        b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
+        b1 = embed(EPRB.observable(("B1",), SPIN_BETA), LAYOUT)
         s_t0 = support(b1).labels
         s_plain = support(heisenberg_evolve(b1, plain)).labels
         s_ent = support(heisenberg_evolve(b1, entangled)).labels
@@ -194,7 +191,7 @@ class TestSupportChain:
 
     def test_unmeasured_factors_untouched(self, rng):
         plain, _ = chain_sequences(rng)
-        b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
+        b1 = embed(EPRB.observable(("B1",), SPIN_BETA), LAYOUT)
         evolved = heisenberg_evolve(b1, plain)
         for label in ("O2", "S2"):
             check = acts_trivially_on(evolved, label)
@@ -213,7 +210,7 @@ class TestSupportChain:
     def test_ghzm_referee_observable_spreads_everywhere(self, rng):
         dirs = [random_direction(rng) for _ in range(3)]
         seq = ghzm_sequence(GhzmConfig(*dirs))
-        evolved = heisenberg_evolve(GHZM.beliefs((0.0, 0.0, 1.0))["G"], seq)
+        evolved = heisenberg_evolve(GHZM.observable(("G",), (0.0, 0.0, 1.0)), seq)
         assert support(evolved).labels == frozenset(GHZM.layout.labels)
 
 
@@ -224,7 +221,7 @@ class TestLocalFactor:
         assert_allclose(out.matrix, SZ, atol=1e-14)
 
     def test_belief_operator_factor_is_its_diagonal(self):
-        b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
+        b1 = embed(EPRB.observable(("B1",), SPIN_BETA), LAYOUT)
         out = local_factor(b1, "O1")
         assert_allclose(np.diag(out.matrix), SPIN_BETA, atol=1e-14)
 
@@ -238,7 +235,7 @@ class TestLocalFactor:
 
     def test_wide_support_rejected(self, rng):
         _, entangled = chain_sequences(rng)
-        b1 = embed(EPRB.beliefs(SPIN_BETA)["B1"], LAYOUT)
+        b1 = embed(EPRB.observable(("B1",), SPIN_BETA), LAYOUT)
         with pytest.raises(NotLocallySupportedError):
             local_factor(heisenberg_evolve(b1, entangled), "O1")
 

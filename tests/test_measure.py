@@ -462,8 +462,12 @@ def test_label_sums_match_dense_conjugation(case, seed):
     total = seq.total_unitary()
     dense_a = conjugate_by(embed(a, layout), total)
     dense_b = conjugate_by(embed(b, layout), total)
+    # a b on the union of both supports, which may overlap, evolved as one
+    union = SubsystemLayout(tuple(f for f in layout.factors
+                                  if f[0] in a.layout.labels + b.layout.labels))
     sum_a, sum_b = evolve_label_sum(a, seq), evolve_label_sum(b, seq)
-    cases = ((sum_a, dense_a), (sum_b, dense_b), (sum_a @ sum_b, dense_a @ dense_b))
+    sum_ab = evolve_label_sum(embed(a, union) @ embed(b, union), seq)
+    cases = ((sum_a, dense_a), (sum_b, dense_b), (sum_ab, dense_a @ dense_b))
     for label_sum, dense in cases:
         assert float(np.linalg.norm(label_sum.dense().matrix - dense.matrix)) < 1e-12
         indices = [int(rng.integers(d)) for d in layout.dims]

@@ -95,7 +95,8 @@ class TestCrossCheck:
         for _ in range(25):
             cfg = EprbConfig(random_direction(rng), random_direction(rng))
             seq = eprb_sequence(cfg)
-            b1, b2 = (embed(b, EPRB.layout) for b in EPRB.beliefs(cfg.beta).values())
+            b1, b2 = (embed(EPRB.observable((name,), cfg.beta), EPRB.layout)
+                      for name in ("B1", "B2"))
             assert cross_check(b1 @ b2, seq, psi0) < 1e-10
 
     def test_ghzm_pipeline(self, rng):
@@ -103,7 +104,7 @@ class TestCrossCheck:
         for _ in range(3):
             cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
             seq = ghzm_sequence(cfg)
-            assert cross_check(GHZM.beliefs(cfg.gamma)["G"], seq, psi0) < 1e-10
+            assert cross_check(GHZM.observable(("G",), cfg.gamma), seq, psi0) < 1e-10
 
 
 class TestPictureAsymmetry:
