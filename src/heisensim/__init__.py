@@ -19,11 +19,8 @@ from .tensor import (
     conjugate_by,
     embed,
     expectation,
-    identity,
     kron,
     partial_trace,
-    projector_from_state,
-    real_expectation,
     single_factor,
 )
 from .measure import (
@@ -35,7 +32,6 @@ from .measure import (
     heisenberg_evolve,
     measurement_unitary,
     shift_operator,
-    spin_eigenstate,
     spin_projector,
 )
 from .eprb import (
@@ -55,8 +51,8 @@ from .ghzm import (
     ghz_entangler,
     run_ghzm,
 )
-from .labels import NotLocallySupportedError, SupportSet, acts_trivially_on, local_factor, support
-from .schrodinger import cross_check, schmidt_rank, schrodinger_evolve
+from .labels import SupportSet, acts_trivially_on, support
+from .schrodinger import cross_check, schrodinger_evolve
 from .lhv import (
     EprbInstructionSet,
     GhzInstructionSet,

@@ -116,20 +116,24 @@ class Experiment:
         each distinct observable is evolved once, as a label sum; one
         sequence serves all eigenvalues, since its unitaries do not depend on
         them. The initial state is a product basis state, so each mean is
-        read off the sum's diagonal entries, with nothing embedded.
+        read off the sum's diagonal entries, with nothing embedded. The
+        state evolved instead applies each named observable in turn, so a
+        fault in forming their product shows there too.
         """
         keys = [(m[2], m[3] or tuple(eigenvalues)) for m in self.means]
         seq = self.sequence(directions, entangled)
-        observables = {key: self.observable(*key) for key in dict.fromkeys(keys)}
-        evolved = {key: evolve_label_sum(op, seq) for key, op in observables.items()}
+        evolved = {key: evolve_label_sum(self.observable(*key), seq)
+                   for key in dict.fromkeys(keys)}
         values = {m[0]: real_part(evolved[key].mean(self.initial_indices))
                   for m, key in zip(self.means, keys)}
         self.report(**values)
         if not verify:
             return values, None
         psi = schrodinger_evolve(self.initial_state(), seq)
-        return values, max(abs(values[m[0]] - product_expectation(psi, observables[key]))
-                           for m, key in zip(self.means, keys))
+        return values, max(
+            abs(values[m[0]] - product_expectation(
+                psi, *(self.observable((name,), ev) for name in names)))
+            for m, (names, ev) in zip(self.means, keys))
 
     def support_ledger(self, directions: Sequence[Direction], tol: float) -> list[list]:
         """Rows ``[observable, stage, support labels, residual per label...]``

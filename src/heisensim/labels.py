@@ -29,12 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .measure import LabelSum
-from .tensor import DEFAULT_TOL, Operator, embed, single_factor
-
-
-class NotLocallySupportedError(ValueError):
-    """Asked for the local factor of an operator whose support is not that
-    single label."""
+from .tensor import DEFAULT_TOL, Operator
 
 
 class TrivialityCheck(NamedTuple):
@@ -90,28 +85,3 @@ def support(op: Operator | LabelSum, tol: float = DEFAULT_TOL) -> SupportSet:
     # a NaN residual is not below the tolerance either
     nontrivial = frozenset(label for label, r in residuals.items() if not r < tol)
     return SupportSet(labels=nontrivial, residuals=residuals)
-
-
-def local_factor(op: Operator, label: str) -> Operator:
-    """Extract the single-factor operator F with embed(F) == op.
-
-    Requires the support of ``op`` to be exactly ``{label}``.
-    """
-    layout = op.layout
-    k, m, d = layout.position(label), len(layout), layout.dim_of(label)
-    sup = support(op)
-    if sup.labels != {label}:
-        raise NotLocallySupportedError(
-            f"support is {sorted(sup.labels)}, not [{label!r}]; no local factor exists"
-        )
-    # the factor's row and column axes first, then one trace over the rest
-    tensor = np.moveaxis(op.matrix.reshape(layout.dims + layout.dims), (k, m + k), (0, 1))
-    rest = op.dim // d
-    reduced = np.trace(tensor.reshape(d, d, rest, rest), axis1=2, axis2=3) / rest
-    extracted = Operator(single_factor(label, d), reduced)
-    residual = float(np.linalg.norm(embed(extracted, op.layout).matrix - op.matrix))
-    if residual >= DEFAULT_TOL:
-        raise NotLocallySupportedError(
-            f"reconstruction from factor {label!r} misses by {residual:.3e}"
-        )
-    return extracted

@@ -24,7 +24,6 @@ from .tensor import (
     NonUnitaryError,
     Operator,
     SubsystemLayout,
-    StateVector,
     embed,
     single_factor,
 )
@@ -111,31 +110,11 @@ class Direction:
         return float(np.dot(self.unit_vector, other.unit_vector))
 
 
-def spin_eigenstate(n: Direction, outcome: str) -> StateVector:
-    """Spin-1/2 eigenstate on factor ``S`` along ``n``, half-angle, half-phase convention.
-
-    Up is ``(e^{-i phi/2} cos(theta/2), e^{i phi/2} sin(theta/2))`` in the
-    z basis; down is its orthogonal partner. At theta = 0 the azimuth only
-    contributes a global phase, so any phi is accepted there.
-    """
-    half_theta = 0.5 * n.theta
-    c, s = math.cos(half_theta), math.sin(half_theta)
-    minus, plus = cmath.exp(-0.5j * n.phi), cmath.exp(0.5j * n.phi)
-    if outcome == UP:
-        amps = np.array([minus * c, plus * s])
-    elif outcome == DOWN:
-        amps = np.array([-minus * s, plus * c])
-    else:
-        raise ValueError(f"outcome must be {UP!r} or {DOWN!r}, got {outcome!r}")
-    return StateVector(single_factor("S", 2), amps)
-
-
 def spin_projector(n: Direction, outcome: str, label: str = "S") -> Operator:
     """Projector onto the spin eigenstate along ``n``.
 
     Assembled from the z-basis projectors plus the two transition operators
-    |up><down| and |down><up| weighted by ``sin(theta) e^{-+i phi}/2``;
-    equal to the outer product of :func:`spin_eigenstate` with itself.
+    |up><down| and |down><up| weighted by ``sin(theta) e^{-+i phi}/2``.
     """
     c2 = math.cos(0.5 * n.theta) ** 2
     s2 = math.sin(0.5 * n.theta) ** 2
@@ -154,18 +133,15 @@ class InteractionSequence:
     """Ordered ``(tag, unitary)`` interaction steps on one shared layout.
 
     Order is time order: the first step acts first. Each step acts on some
-    factors of ``layout`` (default: the first step's layout), in any order,
-    and is verified unitary on that block at construction. Tags name the
-    steps, so no two steps share one.
+    factors of ``layout``, in any order, and is verified unitary on that
+    block at construction. Tags name the steps, so no two steps share one.
     """
 
     steps: tuple[tuple[str, Operator], ...]
-    layout: SubsystemLayout | None = None
+    layout: SubsystemLayout
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple((str(t), u) for t, u in self.steps))
-        if self.layout is None and self.steps:
-            object.__setattr__(self, "layout", self.steps[0][1].layout)
         if len(set(self.tags)) != len(self.steps):
             raise ValueError(f"step tags {self.tags} repeat")
         for tag, u in self.steps:
@@ -436,7 +412,7 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
     touches, with the identity on its factors in none, and conjugates them
     by its block, every term at once.
     """
-    layout = seq.layout or op.layout
+    layout = seq.layout
     if not isinstance(op, LabelSum):
         label_sum = LabelSum.local(op, layout)
     elif op.layout == layout:
@@ -469,6 +445,6 @@ def heisenberg_evolve(op: Operator, seq: InteractionSequence) -> Operator:
     """``U† op U`` on the sequence's layout, ``op`` acting on some of its
     factors: :func:`evolve_label_sum` without splitting, so one term that is
     dense only within the light cone of ``op``, embedded once."""
-    if not seq.steps and seq.layout in (None, op.layout):
+    if not seq.steps and seq.layout == op.layout:
         return op
     return evolve_label_sum(op, seq, split=False).dense()

@@ -216,10 +216,6 @@ class StateVector:
         return cls(layout, amps)
 
 
-def identity(layout: SubsystemLayout) -> Operator:
-    return Operator(layout, np.eye(layout.total_dim, dtype=complex))
-
-
 def kron(a: Operator, b: Operator) -> Operator:
     """Kronecker product; the result's factors are a's followed by b's."""
     clash = set(a.layout.labels) & set(b.layout.labels)
@@ -281,16 +277,6 @@ def real_part(value: complex) -> float:
     if abs(value.imag) >= DEFAULT_TOL:
         raise InvariantError(f"expectation {value} has imaginary part beyond {DEFAULT_TOL}")
     return value.real
-
-
-def real_expectation(state: StateVector, op: Operator) -> float:
-    """Expectation of a Hermitian observable; rejects stray imaginary parts."""
-    return real_part(expectation(state, op))
-
-
-def projector_from_state(v: StateVector) -> Operator:
-    """Rank-1 projector |v><v|."""
-    return Operator(v.layout, np.outer(v.amplitudes, v.amplitudes.conj()))
 
 
 def partial_trace(op: Operator, label: str) -> Operator:

@@ -1,0 +1,85 @@
+"""Dense references the tests check the package against.
+
+The program never builds these: it reads means off label sums and
+projectors off their closed forms. Each is kept here, small and direct, so
+a property test can compare the package's result with an independent one.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from typing import Iterable
+
+import numpy as np
+
+from heisensim.measure import DOWN, UP, Direction
+from heisensim.tensor import (
+    LayoutError,
+    Operator,
+    StateVector,
+    SubsystemLayout,
+    expectation,
+    real_part,
+    single_factor,
+)
+
+#: Gates the discrete Schmidt-rank decision; looser than the operator
+#: tolerance because singular values are compared against it directly.
+SCHMIDT_THRESHOLD = 1e-8
+
+
+def identity(layout: SubsystemLayout) -> Operator:
+    return Operator(layout, np.eye(layout.total_dim, dtype=complex))
+
+
+def real_expectation(state: StateVector, op: Operator) -> float:
+    """Expectation of a Hermitian observable; rejects stray imaginary parts."""
+    return real_part(expectation(state, op))
+
+
+def projector_from_state(v: StateVector) -> Operator:
+    """Rank-1 projector |v><v|."""
+    return Operator(v.layout, np.outer(v.amplitudes, v.amplitudes.conj()))
+
+
+def spin_eigenstate(n: Direction, outcome: str) -> StateVector:
+    """Spin-1/2 eigenstate on factor ``S`` along ``n``, half-angle, half-phase convention.
+
+    Up is ``(e^{-i phi/2} cos(theta/2), e^{i phi/2} sin(theta/2))`` in the
+    z basis; down is its orthogonal partner. At theta = 0 the azimuth only
+    contributes a global phase, so any phi is accepted there. Its outer
+    product with itself is :func:`heisensim.measure.spin_projector`.
+    """
+    half_theta = 0.5 * n.theta
+    c, s = math.cos(half_theta), math.sin(half_theta)
+    minus, plus = cmath.exp(-0.5j * n.phi), cmath.exp(0.5j * n.phi)
+    if outcome == UP:
+        amps = np.array([minus * c, plus * s])
+    elif outcome == DOWN:
+        amps = np.array([-minus * s, plus * c])
+    else:
+        raise ValueError(f"outcome must be {UP!r} or {DOWN!r}, got {outcome!r}")
+    return StateVector(single_factor("S", 2), amps)
+
+
+def schmidt_rank(state: StateVector, left_labels: Iterable[str]) -> int:
+    """Schmidt rank of the state across the given bipartition.
+
+    Rank 1 means a product state across the cut; rank > 1 means
+    entanglement between the two sides.
+    """
+    layout = state.layout
+    wanted = set(left_labels)
+    unknown = wanted - set(layout.labels)
+    if unknown:
+        raise LayoutError(f"unknown factor labels {sorted(unknown)}")
+    left = [k for k, (label, _) in enumerate(layout.factors) if label in wanted]
+    right = [k for k in range(len(layout)) if k not in left]
+    if not left or not right:
+        raise ValueError("bipartition must leave factors on both sides")
+    tensor = state.amplitudes.reshape(layout.dims)
+    tensor = tensor.transpose(left + right)
+    d_left = int(np.prod([layout.dims[k] for k in left]))
+    singulars = np.linalg.svd(tensor.reshape(d_left, -1), compute_uv=False)
+    return int(np.count_nonzero(singulars > SCHMIDT_THRESHOLD))

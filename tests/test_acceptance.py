@@ -177,7 +177,7 @@ def test_criterion_9_structural_identities(rng):
     projectors = [spin_projector(n, "up", "S"), spin_projector(n, "down", "S")]
     u_m = measurement_unitary(layout, "O", projectors)
     b = embed(spec.belief_operator(), layout)
-    evolved = heisenberg_evolve(b, InteractionSequence((("m", u_m),)))
+    evolved = heisenberg_evolve(b, InteractionSequence((("m", u_m),), layout))
     expected = np.zeros((6, 6), dtype=complex)
     for i, p in enumerate(projectors):
         u_i = shift_operator("O", 3, i + 1).matrix

@@ -479,6 +479,21 @@ class TestVerifyChecksPrintedMeans:
         assert "verification failed" in err
         assert float(out.splitlines()[-1].split(",")[-1]) == pytest.approx(residual, rel=1e-3)
 
+    def test_doubled_product_observable_fails(self, capsys, monkeypatch):
+        # the state picture applies each named observable in turn, so a
+        # product formed wrong is not read back by both pictures alike:
+        # <B1 B2> = 0.5 at 120 degrees apart, 1 once doubled
+        from heisensim.experiment import Experiment
+
+        observable = Experiment.observable
+        monkeypatch.setattr(Experiment, "observable", lambda self, names, eigenvalues: (
+            observable(self, names, eigenvalues) * (2 if len(names) == 2 else 1)))
+        argv = ["eprb", "--phi1", "0", "--phi2", "120", "--verify", "--format", "csv"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_VERIFY
+        assert "verification failed" in err
+        assert float(out.splitlines()[-1].split(",")[-1]) == pytest.approx(0.5, rel=1e-12)
+
 
 class TestInternalErrors:
     """A broken invariant is the program's fault: exit 3 with ``internal

@@ -15,7 +15,6 @@ from heisensim import (
     SPIN_BETA,
     UP,
     heisenberg_evolve,
-    real_expectation,
     run_eprb,
     singlet_entangler,
     spin_projector,
@@ -25,6 +24,7 @@ from heisensim.eprb import EPRB, measurement_sequence
 from heisensim.measure import evolve_label_sum
 from heisensim.tensor import Operator, SubsystemLayout, embed
 from conftest import random_direction
+from reference import real_expectation
 
 
 def entangled_correlation(n1: Direction, n2: Direction, beta) -> float:
@@ -231,7 +231,7 @@ class TestCompletionInvariance:
             ("t2:measure-1", alt_measurement("O1", "S1", n1)),
             ("t2:measure-2", alt_measurement("O2", "S2", n2)),
         )
-        seq = InteractionSequence(steps)
+        seq = InteractionSequence(steps, layout)
         psi0 = EPRB.initial_state()
         b1, b2 = (EPRB.observable((name,), cfg.beta) for name in ("B1", "B2"))
         alt = real_expectation(psi0, heisenberg_evolve(b1, seq) @ heisenberg_evolve(b2, seq))

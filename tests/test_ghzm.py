@@ -13,13 +13,13 @@ from heisensim import (
     ODD_GAMMA,
     ghz_entangler,
     heisenberg_evolve,
-    real_expectation,
     run_ghzm,
 )
 from heisensim.ghzm import GHZM, measurement_sequence
 from heisensim.measure import SPIN_OUTCOMES, UP, evolve_label_sum
 from heisensim.tensor import Operator, StateVector, embed
 from conftest import random_direction
+from reference import real_expectation
 
 
 def equator(phi_deg: float) -> Direction:
@@ -219,6 +219,7 @@ class TestEntanglerCompletionInvariance:
         )
         value = real_expectation(
             GHZM.initial_state(),
-            heisenberg_evolve(GHZM.observable(("G",), cfg.gamma), InteractionSequence(steps)),
+            heisenberg_evolve(GHZM.observable(("G",), cfg.gamma),
+                              InteractionSequence(steps, GHZM.layout)),
         )
         assert value == pytest.approx(reference, abs=1e-12)

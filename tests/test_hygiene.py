@@ -1,20 +1,24 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module-level name it defines goes unread in ``src``, ``tests`` and
-``perfbench``, no public function or class it defines goes unread by the
-rest of the program unless it is listed with a reason, no parameter default
-it declares is one that no call there overrides, and every file it opens
-names its encoding.
+or a module outside the standard library, ``numpy`` and the package; no
+module-level name it or ``tests/reference.py`` defines goes unread in
+``src``, ``tests`` and ``perfbench``; no public function or class it defines
+goes unread by the rest of the program unless it is listed with a reason; no
+parameter default it declares is one that no call there overrides; and
+every file it opens names its encoding.
 
-``__init__`` is exempt: its imports are the package's public re-exports.
+``__init__`` is exempt from the unused-import check: its imports are the
+package's public re-exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).parent.parent
-SOURCES = sorted(p for p in (ROOT / "src" / "heisensim").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "heisensim").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.AST) -> set[str]:
@@ -44,6 +48,25 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = imported_names(tree) - used_names(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Top-level names of the modules a tree imports; ``.`` for a relative import."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." if node.level else node.module.split(".")[0])
+    return modules
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+def test_imports_only_the_stdlib_numpy_and_the_package(path):
+    # a test helper on sys.path would import fine under pytest and fail for a user
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    foreign = imported_modules(tree) - sys.stdlib_module_names - {"numpy", "heisensim", "."}
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
 
 
 def defined_names(tree: ast.Module) -> set[str]:
@@ -82,7 +105,8 @@ def names_read(trees) -> set[str]:
     return set().union(*(read_names(tree) for tree in trees))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", [*SOURCES, ROOT / "tests" / "reference.py"],
+                         ids=lambda p: p.stem)
 def test_no_unread_definitions(path, names_read):
     unread = defined_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) - names_read
     assert not unread, f"{path.name} defines {sorted(unread)} but nothing reads them"
@@ -98,10 +122,8 @@ PUBLIC_UNREAD = {
     "eprb.singlet_entangler": "builds EPRB.entangler; tests check its action",
     "ghzm.GhzmConfig": "tests run GHZM through it; its removal is ROADMAP item 5",
     "ghzm.ghz_entangler": "builds GHZM.entangler; tests check its action",
-    "labels.NotLocallySupportedError": "raised by local_factor",
     "labels.TrivialityCheck": "returned by acts_trivially_on",
     "labels.SupportSet": "returned by support",
-    "labels.local_factor": "dense reference; tests peel factors with it (ROADMAP item 5)",
     "lhv.EprbInstructionSet": "the EPRB sets that EPRB_SET_Q lists",
     "lhv.all_eprb_sets": "tests enumerate the EPRB sets",
     "lhv.eprb_q_over_distribution": "the bound over any distribution; tests check it",
@@ -110,11 +132,6 @@ PUBLIC_UNREAD = {
     "lhv.all_ghz_sets": "tests enumerate the GHZ sets",
     "lhv.GhzVerdict": "returned by ghz_constrained_sets",
     "measure.shift_operator": "the default measurement shift; tests build blocks from it",
-    "measure.spin_eigenstate": "dense reference for spin_projector (ROADMAP item 5)",
-    "schrodinger.schmidt_rank": "tests check entanglement with it (ROADMAP item 5)",
-    "tensor.identity": "tests build identities with it",
-    "tensor.projector_from_state": "dense reference; tests build projectors with it",
-    "tensor.real_expectation": "dense reference; tests read means with it",
 }
 
 
@@ -217,8 +234,7 @@ def unencoded_file_calls(tree: ast.AST) -> list[int]:
     return lines
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "heisensim").glob("*.py")),
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
 def test_file_io_names_its_encoding(path):
     lines = unencoded_file_calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert not lines, f"{path.name} reads or writes a file in the locale's encoding at {lines}"

@@ -21,15 +21,14 @@ from heisensim import (
     heisenberg_evolve,
     kron,
     measurement_unitary,
-    projector_from_state,
     shift_operator,
-    spin_eigenstate,
     spin_projector,
     single_factor,
     support,
 )
 from heisensim.measure import LabelSum, evolve_label_sum, light_cone, measurement_block
 from conftest import random_direction, random_unitary
+from reference import projector_from_state, spin_eigenstate
 
 OS_LAYOUT = SubsystemLayout((("O", 3), ("S", 2)))
 Z_PROJECTORS = [
@@ -250,14 +249,14 @@ class TestMeasurementUnitary:
 class TestHeisenbergEvolve:
     def test_empty_sequence_is_identity(self):
         b = embed(ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator(), OS_LAYOUT)
-        out = heisenberg_evolve(b, InteractionSequence(()))
+        out = heisenberg_evolve(b, InteractionSequence((), OS_LAYOUT))
         assert out is b
 
     def test_system_observable_unchanged_by_own_eigenbasis_measurement(self):
         # measuring the observable whose eigenprojectors gate the shifts
         # leaves that observable alone
         a = embed(Operator(single_factor("S", 2), np.diag([1.0, -1.0]).astype(complex)), OS_LAYOUT)
-        seq = InteractionSequence((("measure", Z_MEASUREMENT),))
+        seq = InteractionSequence((("measure", Z_MEASUREMENT),), OS_LAYOUT)
         out = heisenberg_evolve(a, seq)
         assert float(np.linalg.norm(out.matrix - a.matrix)) < 1e-12
 
@@ -270,7 +269,7 @@ class TestHeisenbergEvolve:
         projectors = [spin_projector(n, UP, "S"), spin_projector(n, DOWN, "S")]
         u_m = measurement_unitary(OS_LAYOUT, "O", projectors)
         b = embed(spec.belief_operator(), OS_LAYOUT)
-        evolved = heisenberg_evolve(b, InteractionSequence((("measure", u_m),)))
+        evolved = heisenberg_evolve(b, InteractionSequence((("measure", u_m),), OS_LAYOUT))
 
         expected = np.zeros((6, 6), dtype=complex)
         b_small = spec.belief_operator().matrix
@@ -286,10 +285,11 @@ class TestHeisenbergEvolve:
         u1 = Operator(OS_LAYOUT, random_unitary(rng, 6))
         u2 = Operator(OS_LAYOUT, random_unitary(rng, 6))
         b = embed(ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator(), OS_LAYOUT)
-        combined = heisenberg_evolve(b, InteractionSequence((("first", u1), ("second", u2))))
+        combined = heisenberg_evolve(
+            b, InteractionSequence((("first", u1), ("second", u2)), OS_LAYOUT))
         nested = heisenberg_evolve(
-            heisenberg_evolve(b, InteractionSequence((("second", u2),))),
-            InteractionSequence((("first", u1),)),
+            heisenberg_evolve(b, InteractionSequence((("second", u2),), OS_LAYOUT)),
+            InteractionSequence((("first", u1),), OS_LAYOUT),
         )
         assert float(np.linalg.norm(nested.matrix - combined.matrix)) < 1e-12
 
@@ -300,16 +300,16 @@ class TestHeisenbergEvolve:
         u1 = measurement_unitary(layout, "O1", [spin_projector(n1, o, "S1") for o in (UP, DOWN)])
         u2 = measurement_unitary(layout, "O2", [spin_projector(n2, o, "S2") for o in (UP, DOWN)])
         b = embed(spec1.belief_operator(), layout)
-        combined = heisenberg_evolve(b, InteractionSequence((("m1", u1), ("m2", u2))))
+        combined = heisenberg_evolve(b, InteractionSequence((("m1", u1), ("m2", u2)), layout))
         stepwise = heisenberg_evolve(
-            heisenberg_evolve(b, InteractionSequence((("m1", u1),))),
-            InteractionSequence((("m2", u2),)),
+            heisenberg_evolve(b, InteractionSequence((("m1", u1),), layout)),
+            InteractionSequence((("m2", u2),), layout),
         )
         assert float(np.linalg.norm(stepwise.matrix - combined.matrix)) < 1e-12
 
     def test_layout_mismatch(self):
         b = Operator(single_factor("X", 2), np.eye(2))
-        seq = InteractionSequence((("m", Z_MEASUREMENT),))
+        seq = InteractionSequence((("m", Z_MEASUREMENT),), OS_LAYOUT)
         with pytest.raises(LayoutError):
             heisenberg_evolve(b, seq)
 
@@ -323,24 +323,26 @@ class TestInteractionSequence:
     def test_rejects_non_unitary(self):
         bad = Operator(OS_LAYOUT, np.diag([2.0] + [1.0] * 5))
         with pytest.raises(NonUnitaryError):
-            InteractionSequence((("bad", bad),))
+            InteractionSequence((("bad", bad),), OS_LAYOUT)
 
     def test_rejects_mixed_layouts(self):
         with pytest.raises(LayoutError):
             InteractionSequence(
-                (("a", Operator(OS_LAYOUT, np.eye(6))), ("b", Operator(single_factor("X", 2), np.eye(2))))
+                (("a", Operator(OS_LAYOUT, np.eye(6))), ("b", Operator(single_factor("X", 2), np.eye(2)))),
+                OS_LAYOUT,
             )
 
     def test_total_unitary_order(self, rng):
         u1 = random_unitary(rng, 6)
         u2 = random_unitary(rng, 6)
-        seq = InteractionSequence((("first", Operator(OS_LAYOUT, u1)), ("second", Operator(OS_LAYOUT, u2))))
+        seq = InteractionSequence(
+            (("first", Operator(OS_LAYOUT, u1)), ("second", Operator(OS_LAYOUT, u2))), OS_LAYOUT)
         assert_allclose(seq.total_unitary().matrix, u2 @ u1, atol=1e-14)
 
     def test_reordered(self, rng):
         u1 = Operator(OS_LAYOUT, random_unitary(rng, 6))
         u2 = Operator(OS_LAYOUT, random_unitary(rng, 6))
-        seq = InteractionSequence((("a", u1), ("b", u2)))
+        seq = InteractionSequence((("a", u1), ("b", u2)), OS_LAYOUT)
         swapped = seq.reordered(("b", "a"))
         assert swapped.tags == ("b", "a")
         with pytest.raises(ValueError):
@@ -351,14 +353,14 @@ class TestInteractionSequence:
         u1 = Operator(OS_LAYOUT, random_unitary(rng, 6))
         u2 = Operator(OS_LAYOUT, random_unitary(rng, 6))
         with pytest.raises(ValueError, match="repeat"):
-            InteractionSequence((("a", u1), ("a", u2)))
+            InteractionSequence((("a", u1), ("a", u2)), OS_LAYOUT)
 
     def test_rejects_step_off_its_layout(self):
         # a factor the layout lacks, and a factor the layout has at another dim
         for label, d in (("X", 2), ("S", 3)):
             step = Operator(single_factor(label, d), np.eye(d))
             with pytest.raises(LayoutError):
-                InteractionSequence((("m", Z_MEASUREMENT), ("bad", step)))
+                InteractionSequence((("m", Z_MEASUREMENT), ("bad", step)), OS_LAYOUT)
             with pytest.raises(LayoutError):
                 InteractionSequence((("bad", step),), OS_LAYOUT)
 

@@ -17,7 +17,6 @@ from heisensim import (
     cross_check,
     embed,
     measurement_unitary,
-    schmidt_rank,
     schrodinger_evolve,
     single_factor,
     singlet_entangler,
@@ -25,6 +24,7 @@ from heisensim import (
 from heisensim.eprb import EPRB, measurement_sequence as eprb_sequence
 from heisensim.ghzm import GHZM, measurement_sequence as ghzm_sequence
 from conftest import random_direction
+from reference import schmidt_rank
 
 OS_LAYOUT = SubsystemLayout((("O", 3), ("S", 2)))
 Z_PROJECTORS = [
@@ -41,14 +41,14 @@ def observer_system_state(c1: float, c2: float) -> StateVector:
 class TestSchrodingerEvolve:
     def test_empty_sequence(self):
         psi = observer_system_state(1.0, 0.0)
-        out = schrodinger_evolve(psi, InteractionSequence(()))
+        out = schrodinger_evolve(psi, InteractionSequence((), OS_LAYOUT))
         assert_allclose(out.amplitudes, psi.amplitudes, atol=0)
 
     def test_ideal_measurement_on_superposition(self):
         # linearity forces the amplitudes to ride along with the
         # observer-awareness shift
         psi = observer_system_state(3.0 / 5.0, 4.0 / 5.0)
-        seq = InteractionSequence((("measure", Z_MEASUREMENT),))
+        seq = InteractionSequence((("measure", Z_MEASUREMENT),), OS_LAYOUT)
         out = schrodinger_evolve(psi, seq)
         expected = np.zeros(6, dtype=complex)
         expected[1 * 2 + 0] = 3.0 / 5.0  # aware-of-up, spin up
@@ -56,7 +56,8 @@ class TestSchrodingerEvolve:
         assert_allclose(out.amplitudes, expected, atol=1e-15)
 
     def test_singlet_entangler_on_initial_particles(self):
-        seq = InteractionSequence((("entangle", embed(singlet_entangler(), EPRB.layout)),))
+        seq = InteractionSequence((("entangle", embed(singlet_entangler(), EPRB.layout)),),
+                                  EPRB.layout)
         out = schrodinger_evolve(EPRB.initial_state(), seq)
         r = 1.0 / math.sqrt(2.0)
         expected = np.zeros(36, dtype=complex)
@@ -65,7 +66,7 @@ class TestSchrodingerEvolve:
         assert_allclose(out.amplitudes, expected, atol=1e-15)
 
     def test_layout_mismatch(self):
-        seq = InteractionSequence((("measure", Z_MEASUREMENT),))
+        seq = InteractionSequence((("measure", Z_MEASUREMENT),), OS_LAYOUT)
         with pytest.raises(LayoutError):
             schrodinger_evolve(StateVector.basis(single_factor("X", 2), (0,)), seq)
 
@@ -79,7 +80,7 @@ class TestSchrodingerEvolve:
         # but trips the stricter per-step norm guard
         eps = 3e-11
         almost = Operator(single_factor("X", 2), (1.0 - eps) * np.eye(2))
-        seq = InteractionSequence((("drift", almost),))
+        seq = InteractionSequence((("drift", almost),), almost.layout)
         with pytest.raises(ValueError, match="norm"):
             schrodinger_evolve(StateVector.basis(single_factor("X", 2), (0,)), seq)
 
@@ -88,7 +89,7 @@ class TestCrossCheck:
     def test_empty_sequence_residual_zero(self):
         psi = observer_system_state(1.0, 0.0)
         b = embed(ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator(), OS_LAYOUT)
-        assert cross_check(b, InteractionSequence(()), psi) == 0.0
+        assert cross_check(b, InteractionSequence((), OS_LAYOUT), psi) == 0.0
 
     def test_eprb_pipeline(self, rng):
         psi0 = EPRB.initial_state()
@@ -110,7 +111,7 @@ class TestCrossCheck:
 class TestPictureAsymmetry:
     def test_measurement_entangles_state_but_not_heisenberg_state(self):
         psi = observer_system_state(3.0 / 5.0, 4.0 / 5.0)
-        seq = InteractionSequence((("measure", Z_MEASUREMENT),))
+        seq = InteractionSequence((("measure", Z_MEASUREMENT),), OS_LAYOUT)
         # the evolving-state picture ends entangled across the
         # observer/system cut
         evolved = schrodinger_evolve(psi, seq)

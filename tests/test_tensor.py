@@ -12,14 +12,12 @@ from heisensim import (
     conjugate_by,
     embed,
     expectation,
-    identity,
     kron,
     partial_trace,
-    projector_from_state,
-    real_expectation,
     single_factor,
 )
 from conftest import random_unitary
+from reference import identity, projector_from_state, real_expectation
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
