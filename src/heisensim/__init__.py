@@ -53,12 +53,6 @@ from .ghzm import (
 )
 from .labels import SupportSet, acts_trivially_on, support
 from .schrodinger import cross_check, schrodinger_evolve
-from .lhv import (
-    EprbInstructionSet,
-    GhzInstructionSet,
-    eprb_q_max,
-    eprb_q_over_distribution,
-    ghz_constrained_sets,
-)
+from .lhv import eprb_q_max, ghz_constrained_sets
 
 __version__ = "0.1.0"

@@ -252,36 +252,35 @@ def _handle_ghz_table(man: RunManifest) -> _Rendered:
 
 
 def _lhv_eprb() -> _Rendered:
-    q_max = eprb_q_max()
+    witness, q_max = eprb_q_max()
     phis = (0.0, 120.0, 240.0)
     terms, _ = _equator(EPRB, "p_uu", "probability", [(phis[a], phis[b]) for a, b in _BELL_PAIRS])
-    rows = [[",".join(s.outcomes), q] for s, q in EPRB_SET_Q]
+    rows = [[",".join(s), q] for s, q in EPRB_SET_Q]
     table = ["EPRB instruction sets (particle 2 forced opposite; 8 sets)",
              "  responses at 0/120/240 deg   Q"]
     table += [f"  {responses:<26}   {_fmt(q)}" for responses, q in rows]
     table += [
-        f"  classical maximum Q = {_fmt(q_max.value)}"
-        f"   (witness {','.join(q_max.witness.outcomes)})",
+        f"  classical maximum Q = {_fmt(q_max)}   (witness {','.join(witness)})",
         f"  quantum Q           = {_fmt(float(sum(terms)))}",
     ]
     return _Rendered(table, ["responses_0_120_240", "q"], rows)
 
 
 def _lhv_ghz() -> _Rendered:
-    verdicts = ghz_constrained_sets()
+    survivors = ghz_constrained_sets()
     (quantum,), _ = _equator(GHZM, "probability", "even", [(0.0, 0.0, 0.0)])
     table = [
-        f"GHZ instruction sets: 64 candidates, {len(verdicts)} satisfy the"
+        f"GHZ instruction sets: 64 candidates, {len(survivors)} satisfy the"
         " mixed-orientation constraints",
         "  responses (0 deg, 90 deg) per particle      spin-up parity at (0,0,0)",
     ]
     rows = []
-    for v in verdicts:
-        cells = ["/".join(pair) for pair in v.instruction_set.outcomes]
-        rows.append([*cells, v.parity_at_zero])
-        table.append(f"  {'  '.join(c.ljust(12) for c in cells)}  {v.parity_at_zero}")
+    for s, parity in survivors:
+        cells = ["/".join(pair) for pair in s]
+        rows.append([*cells, parity])
+        table.append(f"  {'  '.join(c.ljust(12) for c in cells)}  {parity}")
     table += [
-        f"  classical P_eu(0, 0, 0) = {_fmt(classical_ghz_p_eu_zero())}",
+        f"  classical P_eu(0, 0, 0) = {_fmt(classical_ghz_p_eu_zero(survivors))}",
         f"  quantum   P_eu(0, 0, 0) = {_fmt(quantum)}",
     ]
     return _Rendered(table, ["particle1", "particle2", "particle3", "parity_at_zero"], rows)
@@ -391,8 +390,8 @@ def main(argv=None) -> int:
         with open(os.devnull, "w", encoding="utf-8") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return _EXIT_BROKEN_PIPE
-    except ValueError as exc:
-        # bad input is a usage or config error by now: any other ValueError
+    except Exception as exc:
+        # bad input is a usage or config error by now: any other exception
         # (a numpy shape mismatch, say) is the program's own fault
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -24,17 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .measure import LabelSum
 from .tensor import DEFAULT_TOL, Operator
-
-
-class TrivialityCheck(NamedTuple):
-    trivial: bool
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -49,8 +43,8 @@ class SupportSet:
     residuals: dict[str, float]
 
 
-def acts_trivially_on(op: Operator, label: str, tol: float = DEFAULT_TOL) -> TrivialityCheck:
-    """Test whether ``op`` is identity-like on one factor.
+def acts_trivially_on(op: Operator, label: str) -> float:
+    """How far ``op`` is from identity-like on one factor: 0 when it is.
 
     Views rows and columns as ``(outer factors, factor, inner factors)``,
     subtracts the factor's normalized trace from its diagonal and takes the
@@ -68,8 +62,7 @@ def acts_trivially_on(op: Operator, label: str, tol: float = DEFAULT_TOL) -> Tri
     rest = tensor.copy()
     for i in range(d):
         rest[:, i, :, :, i, :] -= reduced
-    residual = float(np.linalg.norm(rest))
-    return TrivialityCheck(residual < tol, residual)
+    return float(np.linalg.norm(rest))
 
 
 def support(op: Operator | LabelSum, tol: float = DEFAULT_TOL) -> SupportSet:
@@ -81,7 +74,7 @@ def support(op: Operator | LabelSum, tol: float = DEFAULT_TOL) -> SupportSet:
         scale = math.sqrt(op.layout.total_dim // block.dim)
     residuals = dict.fromkeys(op.layout.labels, 0.0)
     for label in block.layout.labels:
-        residuals[label] = acts_trivially_on(block, label, tol).residual * scale
+        residuals[label] = acts_trivially_on(block, label) * scale
     # a NaN residual is not below the tolerance either
     nontrivial = frozenset(label for label, r in residuals.items() if not r < tol)
     return SupportSet(labels=nontrivial, residuals=residuals)

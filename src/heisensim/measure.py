@@ -59,10 +59,6 @@ class ObserverSpec:
             raise ValueError(f"outcome eigenvalues {outcomes} must be pairwise distinct")
 
     @property
-    def n_outcomes(self) -> int:
-        return len(self.eigenvalues) - 1
-
-    @property
     def dim(self) -> int:
         return len(self.eigenvalues)
 

@@ -273,7 +273,9 @@ def expectation(state: StateVector, op: Operator) -> complex:
 
 def real_part(value: complex) -> float:
     """The real part of an expectation of a Hermitian observable; rejects a
-    stray imaginary part."""
+    non-finite value and a stray imaginary part."""
+    if not np.isfinite(value):
+        raise InvariantError(f"expectation {value} is not finite")
     if abs(value.imag) >= DEFAULT_TOL:
         raise InvariantError(f"expectation {value} has imaginary part beyond {DEFAULT_TOL}")
     return value.real

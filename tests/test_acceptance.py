@@ -120,14 +120,14 @@ def test_criterion_5_ghzm(rng):
 
 
 def test_criterion_6_instruction_set_gap(capsys):
-    q_max = eprb_q_max()
-    assert q_max.value == 1.0
-    verdicts = ghz_constrained_sets()
-    assert verdicts and all(v.parity_at_zero == "odd" for v in verdicts)
+    _, q_max = eprb_q_max()
+    assert q_max == 1.0
+    survivors = ghz_constrained_sets()
+    assert survivors and all(parity == "odd" for _, parity in survivors)
     assert main(["bell-q", "--format", "csv"]) == EXIT_OK
     quantum_q = float(capsys.readouterr().out.splitlines()[-1].split(",")[-1])
     quantum_p = run_ghzm(GhzmConfig(*[equator(0)] * 3))
-    assert quantum_q > q_max.value + 0.1
+    assert quantum_q > q_max + 0.1
     assert quantum_p == pytest.approx(1.0, abs=1e-10)  # classical value is 0
     print("\nACCEPTANCE 6: instruction-set bounds Q <= 1 and P_eu(0,0,0) = 0, both beaten: PASS")
 

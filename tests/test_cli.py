@@ -513,8 +513,11 @@ class TestInternalErrors:
         # support outside the light cone; a cone that never grows fakes one
         (["analyze"], "experiment", "light_cone",
          lambda f: lambda labels, seq: frozenset(labels), "outside its light cone"),
+        # a NaN mean would otherwise print, with a NaN residual, and pass --verify
+        (["ghzm", "--phi", "0", "0", "0", "--verify"], "experiment", "evolve_label_sum",
+         lambda f: lambda op, seq: f(op, seq) * math.nan, "not finite"),
     ], ids=["imaginary-part", "not-a-probability", "norm-drift", "non-unitary-step",
-            "support-outside-light-cone"])
+            "support-outside-light-cone", "non-finite-mean"])
     def test_invariant_failure_exits_internal(self, argv, module, name, wrap, message,
                                               capsys, monkeypatch):
         import importlib
@@ -527,15 +530,22 @@ class TestInternalErrors:
         assert (code, out) == (EXIT_INTERNAL, "")
         assert err.startswith("internal error: ") and message in err
 
-    def test_value_error_in_the_program_exits_internal(self, capsys, monkeypatch):
-        # bad input never reaches the program as a bare ValueError, so one
+    @pytest.mark.parametrize("argv, module, name, fault", [
+        (["eprb", "--phi1", "10", "--phi2", "70", "--verify"], "schrodinger", "_apply",
+         ValueError("shape-mismatch for sum")),
+        (["lhv", "ghz"], "cli", "ghz_constrained_sets", KeyError("up")),
+    ], ids=["ValueError", "KeyError"])
+    def test_value_error_in_the_program_exits_internal(self, argv, module, name, fault,
+                                                       capsys, monkeypatch):
+        # bad input never reaches the program as a bare exception, so one
         # raised while running is a fault, not the user's mistake
-        from heisensim import schrodinger
+        import importlib
+
         from heisensim.cli import EXIT_INTERNAL
 
-        def fault(*args):
-            raise ValueError("shape-mismatch for sum")
+        def raise_fault(*args):
+            raise fault
 
-        monkeypatch.setattr(schrodinger, "_apply", fault)
-        code, out, err = run_cli(["eprb", "--phi1", "10", "--phi2", "70", "--verify"], capsys)
-        assert (code, out, err) == (EXIT_INTERNAL, "", "internal error: shape-mismatch for sum\n")
+        monkeypatch.setattr(importlib.import_module(f"heisensim.{module}"), name, raise_fault)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (EXIT_INTERNAL, "", f"internal error: {fault}\n")

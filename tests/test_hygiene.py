@@ -122,15 +122,7 @@ PUBLIC_UNREAD = {
     "eprb.singlet_entangler": "builds EPRB.entangler; tests check its action",
     "ghzm.GhzmConfig": "tests run GHZM through it; its removal is ROADMAP item 5",
     "ghzm.ghz_entangler": "builds GHZM.entangler; tests check its action",
-    "labels.TrivialityCheck": "returned by acts_trivially_on",
     "labels.SupportSet": "returned by support",
-    "lhv.EprbInstructionSet": "the EPRB sets that EPRB_SET_Q lists",
-    "lhv.all_eprb_sets": "tests enumerate the EPRB sets",
-    "lhv.eprb_q_over_distribution": "the bound over any distribution; tests check it",
-    "lhv.QMax": "returned by eprb_q_max",
-    "lhv.GhzInstructionSet": "the GHZ sets that ghz_constrained_sets judges",
-    "lhv.all_ghz_sets": "tests enumerate the GHZ sets",
-    "lhv.GhzVerdict": "returned by ghz_constrained_sets",
     "measure.shift_operator": "the default measurement shift; tests build blocks from it",
 }
 

@@ -44,7 +44,6 @@ Z_BLOCK = measurement_block("O", Z_PROJECTORS)
 class TestObserverSpec:
     def test_properties(self):
         spec = ObserverSpec("O", (0.0, 1.0, -1.0))
-        assert spec.n_outcomes == 2
         assert spec.dim == 3
         assert_allclose(np.diag(spec.belief_operator().matrix), [0.0, 1.0, -1.0])
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from heisensim import (
+    InvariantError,
     LayoutError,
     NonUnitaryError,
     Operator,
@@ -16,6 +17,7 @@ from heisensim import (
     partial_trace,
     single_factor,
 )
+from heisensim.tensor import real_part
 from conftest import random_unitary
 from reference import identity, projector_from_state, real_expectation
 
@@ -212,6 +214,13 @@ class TestExpectation:
         lop = op("S", [[0.0, 1j], [0.0, 0.0]])  # not hermitian, <L> = i/2
         with pytest.raises(ValueError):
             real_expectation(sv, lop)
+
+    @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                       complex(0.5, np.nan)], ids=["nan", "inf", "nan-imaginary"])
+    def test_real_part_rejects_non_finite(self, value):
+        # comparisons with NaN are all false, so no later check would catch it
+        with pytest.raises(InvariantError, match="not finite"):
+            real_part(value)
 
 
 class TestProjector:
