@@ -98,7 +98,7 @@ class Experiment:
         pairs = zip(self.measurements, directions, strict=True)
         for k, ((observer, particle), n) in enumerate(pairs, 1):
             projectors = [spin_projector(n, o, particle) for o in SPIN_OUTCOMES]
-            steps.append((f"t2:measure-{k}", measurement_block(observer, projectors)))
+            steps.append((f"t2:measure-{k}", measurement_block(observer, [projectors])))
         steps += self.readout
         return InteractionSequence(tuple(steps), self.layout)
 

@@ -82,12 +82,13 @@ def ghz_entangler() -> Operator:
 def _parity_block() -> Measurement:
     """The referee interaction on ``[O0, O1, O2, O3]``: an ideal measurement of
     the ``[O1, O2, O3]`` basis, one product projector per basis state ``o``,
-    shifting the referee by ``X^shift(o)``; as a matrix, the permutation
+    passed as one one-hot stack per observer, shifting the referee by
+    ``X^shift(o)``; as a matrix, the permutation
     ``|r, o> -> |r + shift(o) mod 3, o>``, independent of the referee
     eigenvalues."""
-    observers = SubsystemLayout(_LAYOUT.factors[1:4])
-    n = observers.total_dim
-    projectors = [Operator(observers, np.diag(np.eye(n)[o])) for o in range(n)]
+    states = list(product(range(3), repeat=len(OBSERVERS)))
+    projectors = [[Operator(single_factor(label, 3), np.diag(np.eye(3)[o[k]])) for o in states]
+                  for k, label in enumerate(OBSERVERS)]
     shifts = [Operator(single_factor(REFEREE, 3), np.roll(np.eye(3), s, axis=0))
               for s in _PARITY_SHIFT]
     return measurement_block(REFEREE, projectors, shifts)

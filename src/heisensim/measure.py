@@ -178,92 +178,78 @@ class InteractionSequence:
             total = embed(u, self.layout).matrix @ total
         return Operator(self.layout, total)
 
-    def reordered(self, tag_order: Sequence[str]) -> "InteractionSequence":
-        """Same steps, permuted into the given tag order."""
-        by_tag = dict(self.steps)
-        if sorted(tag_order) != sorted(by_tag):
-            raise ValueError(f"tag order {tag_order} does not permute {self.tags}")
-        return InteractionSequence(tuple((t, by_tag[t]) for t in tag_order), self.layout)
-
 
 @dataclass(frozen=True, eq=False)
 class Measurement(Operator):
     """An ideal-measurement block ``sum_i u_i (x) P_i`` on ``[observer, system
     factors]`` that keeps its terms beside the dense matrix: the ``u_i``
-    stacked on the observer's factor, and the ``P_i`` as ``(labels, stack)``
-    groups whose per-term Kronecker product they are (one group per factor
-    for product projectors)."""
+    stacked on the observer's factor, and the ``P_i`` as the ``(labels,
+    stack)`` groups it was built from, whose per-term Kronecker product they
+    are."""
 
     shifts: np.ndarray
     projectors: tuple[tuple[tuple[str, ...], np.ndarray], ...]
 
 
-def measurement_block(observer: str, projectors: Iterable[Operator],
+def measurement_block(observer: str, projectors: Sequence[Sequence[Operator]],
                       shifts: Sequence[Operator] | None = None) -> Measurement:
     """Ideal-measurement unitary ``sum_i u_i (x) P_i`` on ``[observer, system factors]``.
 
-    The projectors, complete and orthogonal, share one layout: the system's
-    factors. ``shifts`` are the ``u_i``, unitaries on the observer's factor;
-    by default ``u_i`` shifts an observer with one state more than there are
-    projectors from ignorant to aware of outcome ``i``.
+    ``projectors`` holds groups on disjoint factors, each ``n`` operators on
+    one layout: ``P_i`` is the Kronecker product of every group's ``i``-th
+    entry, in group order, and the system is the groups' factors in that
+    order. The ``P_i`` are complete and orthogonal. ``shifts`` are the
+    ``u_i``, unitaries on the observer's factor; by default ``u_i`` shifts an
+    observer with one state more than there are outcomes from ignorant to
+    aware of outcome ``i``.
     """
-    projectors = tuple(projectors)
-    layouts = {p.layout for p in projectors}
-    if len(layouts) != 1:
-        raise LayoutError("projectors must share one layout")
-    [system] = layouts
-    if observer in system.labels:
+    groups = [tuple(group) for group in projectors]
+    n = len(groups[0]) if groups else 0
+    if not n:
+        raise LayoutError("a measurement needs at least one projector group, and no empty one")
+    if any(len(group) != n for group in groups):
+        raise LayoutError(f"projector groups differ in length: {[len(g) for g in groups]}")
+    layouts = [group[0].layout for group in groups]
+    if any(q.layout != layout for layout, group in zip(layouts, groups) for q in group):
+        raise LayoutError("the projectors of a group must share one layout")
+    labels = [label for layout in layouts for label in layout.labels]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        raise LayoutError(f"projector groups share the factors {shared}")
+    if observer in labels:
         raise LayoutError(f"observer and system share the label {observer!r}")
-    p = np.stack([q.matrix for q in projectors])
-    factors = _product_factors(system, p)
-    # |P_i P_j| for i != j is the product of the factors' |F_i F_j|, since
-    # P_i P_j is the Kronecker product of the F_i F_j; |P_i P_i - P_i| on the diagonal
-    gaps = np.prod([np.linalg.norm(f[:, None] @ f[None], axis=(2, 3)) for _, f in factors], axis=0)
-    gaps[np.diag_indices(len(p))] = np.linalg.norm(p @ p - p, axis=(1, 2))
-    if np.any(gaps >= DEFAULT_TOL):
-        raise ValueError("projector family is not orthogonal within tolerance")
-    if float(np.linalg.norm(p.sum(axis=0) - np.eye(system.total_dim))) >= DEFAULT_TOL:
-        raise ValueError("projector family does not sum to the identity (incomplete family)")
-
     if shifts is None:
-        shifts = [shift_operator(observer, len(projectors) + 1, i + 1)
-                  for i in range(len(projectors))]
-    if (len(shifts) != len(projectors) or len({u.layout for u in shifts}) != 1
+        shifts = [shift_operator(observer, n + 1, i + 1) for i in range(n)]
+    elif bad := [i for i, v in enumerate(shifts) if not v.is_unitary()]:
+        raise ValueError(f"shift {bad[0]} on {observer!r} is not unitary within {DEFAULT_TOL}")
+    if (len(shifts) != n or len({v.layout for v in shifts}) != 1
             or shifts[0].layout.labels != (observer,)):
         raise LayoutError(f"need one shift on factor {observer!r} per projector")
-    layout = SubsystemLayout(shifts[0].layout.factors + system.factors)
     u = np.stack([v.matrix for v in shifts])
-    block = (u[:, :, None, :, None] * p[:, None, :, None, :]).sum(axis=0)
-    block_op = Measurement(layout, block.reshape(layout.total_dim, -1), u, factors)
+
+    layout = SubsystemLayout((*shifts[0].layout.factors, *(f for g in layouts for f in g.factors)))
+    stacks = [np.stack([q.matrix for q in group]) for group in groups]
+    # |P_i P_j| for i != j is the product of the groups' |F_i F_j|, since
+    # P_i P_j is the Kronecker product of the F_i F_j; |P_i P_i - P_i| on the diagonal
+    gaps = np.prod([np.linalg.norm(f[:, None] @ f[None], axis=(2, 3)) for f in stacks], axis=0)
+    _, p = _merge(layout, n, [(tuple(map(layout.position, g.labels)), f)
+                              for g, f in zip(layouts, stacks)])
+    gaps[np.diag_indices(n)] = np.linalg.norm(p @ p - p, axis=(1, 2))
+    if np.any(gaps >= DEFAULT_TOL):
+        raise ValueError("projector family is not orthogonal within tolerance")
+    if float(np.linalg.norm(p.sum(axis=0) - np.eye(p.shape[-1]))) >= DEFAULT_TOL:
+        raise ValueError("projector family does not sum to the identity (incomplete family)")
+
+    block = np.einsum("iab,icd->acbd", u, p).reshape(layout.total_dim, -1)
+    block_op = Measurement(layout, block, u,
+                           tuple((g.labels, f) for g, f in zip(layouts, stacks)))
     if not block_op.is_unitary():
         raise NonUnitaryError("measurement unitary failed its unitarity post-check")
     return block_op
 
 
-def _product_factors(system: SubsystemLayout, stack: np.ndarray) -> tuple:
-    """A projector stack on ``system`` as ``(labels, stack)`` groups: one per
-    factor when the Kronecker product of the projectors' partial traces,
-    normalized, gives back every projector exactly, else the stack whole."""
-    whole = ((system.labels, stack),)
-    n, k = len(stack), len(system)
-    if k == 1:
-        return whole
-    x = stack.reshape(n, *system.dims, *system.dims)
-    traces = np.einsum(x, [0, *range(1, k + 1), *range(1, k + 1)], [0])
-    if not np.all(traces):
-        return whole
-    # trace out every factor but j: factor j keeps a column index of its own
-    factors = [np.einsum(x, [0, *range(1, k + 1), *(k + 1 if i == j else i + 1 for i in range(k))],
-                         [0, j + 1, k + 1]) for j in range(k)]
-    factors[0] = factors[0] / traces[:, None, None] ** (k - 1)
-    _, rebuilt = _merge(system, n, [((j,), f) for j, f in enumerate(factors)])
-    if not np.array_equal(rebuilt, stack):
-        return whole
-    return tuple(((label,), f) for label, f in zip(system.labels, factors))
-
-
 def measurement_unitary(layout: SubsystemLayout, observer: str,
-                        projectors: Iterable[Operator]) -> Operator:
+                        projectors: Sequence[Sequence[Operator]]) -> Operator:
     """Ideal-measurement unitary ``sum_i u_i (x) P_i`` on the full layout:
     :func:`measurement_block` embedded."""
     return embed(measurement_block(observer, projectors), layout)

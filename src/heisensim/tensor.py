@@ -127,8 +127,8 @@ def _as_finite_complex(data, shape: tuple[int, ...], what: str) -> np.ndarray:
 class Operator:
     """Dense complex square matrix bound to a layout.
 
-    Unitarity and hermiticity are properties checked by predicates, not
-    assumed at construction; intermediate non-unitary algebra (projectors,
+    Unitarity is a property checked by a predicate, not assumed at
+    construction; intermediate non-unitary algebra (projectors,
     transition operators) is legitimate.
     """
 
@@ -144,9 +144,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.layout.total_dim
-
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T)) < tol
 
     @cached_property
     def _unitarity_residual(self) -> float:
@@ -178,8 +175,7 @@ class Operator:
 class StateVector:
     """Dense complex unit vector bound to a layout.
 
-    The Euclidean norm must be 1 within ``STATE_NORM_TOL`` at construction;
-    use :meth:`normalized` to build one from unnormalized amplitudes.
+    The Euclidean norm must be 1 within ``STATE_NORM_TOL`` at construction.
     """
 
     layout: SubsystemLayout
@@ -192,14 +188,6 @@ class StateVector:
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {STATE_NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def normalized(cls, layout: SubsystemLayout, amplitudes) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(layout, amps / norm)
 
     @classmethod
     def basis(cls, layout: SubsystemLayout, indices: Sequence[int]) -> "StateVector":

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from heisensim.measure import DOWN, UP, Direction
+from heisensim.measure import DOWN, UP, Direction, InteractionSequence
 from heisensim.tensor import (
     LayoutError,
     Operator,
@@ -31,6 +31,27 @@ SCHMIDT_THRESHOLD = 1e-8
 
 def identity(layout: SubsystemLayout) -> Operator:
     return Operator(layout, np.eye(layout.total_dim, dtype=complex))
+
+
+def is_hermitian(op: Operator, tol: float) -> bool:
+    return float(np.linalg.norm(op.matrix - op.matrix.conj().T)) < tol
+
+
+def normalized(layout: SubsystemLayout, amplitudes) -> StateVector:
+    """The state with these amplitudes scaled to unit norm."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    norm = float(np.linalg.norm(amps))
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return StateVector(layout, amps / norm)
+
+
+def reordered(seq: InteractionSequence, tag_order: Sequence[str]) -> InteractionSequence:
+    """The sequence's steps, permuted into the given tag order."""
+    by_tag = dict(seq.steps)
+    if sorted(tag_order) != sorted(by_tag):
+        raise ValueError(f"tag order {tag_order} does not permute {seq.tags}")
+    return InteractionSequence(tuple((t, by_tag[t]) for t in tag_order), seq.layout)
 
 
 def real_expectation(state: StateVector, op: Operator) -> float:

@@ -175,7 +175,7 @@ def test_criterion_9_structural_identities(rng):
     spec = ObserverSpec("O", beta)
     n = random_direction(rng)
     projectors = [spin_projector(n, "up", "S"), spin_projector(n, "down", "S")]
-    u_m = measurement_unitary(layout, "O", projectors)
+    u_m = measurement_unitary(layout, "O", [projectors])
     b = embed(spec.belief_operator(), layout)
     evolved = heisenberg_evolve(b, InteractionSequence((("m", u_m),), layout))
     expected = np.zeros((6, 6), dtype=complex)
@@ -187,8 +187,8 @@ def test_criterion_9_structural_identities(rng):
     # the two EPRB measurement unitaries commute
     full = EPRB.layout
     n1, n2 = random_direction(rng), random_direction(rng)
-    u1 = measurement_unitary(full, "O1", [spin_projector(n1, o, "S1") for o in ("up", "down")])
-    u2 = measurement_unitary(full, "O2", [spin_projector(n2, o, "S2") for o in ("up", "down")])
+    u1 = measurement_unitary(full, "O1", [[spin_projector(n1, o, "S1") for o in ("up", "down")]])
+    u2 = measurement_unitary(full, "O2", [[spin_projector(n2, o, "S2") for o in ("up", "down")]])
     assert float(np.linalg.norm((u1 @ u2).matrix - (u2 @ u1).matrix)) < 1e-12
 
     # projector completeness across the sphere

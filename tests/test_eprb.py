@@ -24,7 +24,7 @@ from heisensim.eprb import EPRB, measurement_sequence
 from heisensim.measure import evolve_label_sum
 from heisensim.tensor import Operator, SubsystemLayout, embed
 from conftest import random_direction
-from reference import real_expectation
+from reference import real_expectation, reordered
 
 
 def entangled_correlation(n1: Direction, n2: Direction, beta) -> float:
@@ -198,7 +198,7 @@ class TestOrderInvariance:
     def test_swapping_measurements_changes_nothing(self, rng):
         cfg = EprbConfig(random_direction(rng), random_direction(rng))
         seq = measurement_sequence(cfg)
-        swapped = seq.reordered(("t1:entangle", "t2:measure-2", "t2:measure-1"))
+        swapped = reordered(seq, ("t1:entangle", "t2:measure-2", "t2:measure-1"))
         psi0 = EPRB.initial_state()
         b1, b2 = (EPRB.observable((name,), cfg.beta) for name in ("B1", "B2"))
         for s in (seq, swapped):

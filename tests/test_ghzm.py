@@ -19,7 +19,7 @@ from heisensim.ghzm import GHZM, measurement_sequence
 from heisensim.measure import SPIN_OUTCOMES, UP, evolve_label_sum
 from heisensim.tensor import Operator, StateVector, embed
 from conftest import random_direction
-from reference import real_expectation
+from reference import real_expectation, reordered
 
 
 def equator(phi_deg: float) -> Direction:
@@ -195,8 +195,8 @@ class TestRunGhzm:
         reference = real_expectation(psi0, heisenberg_evolve(g, seq))
         measure_tags = ("t2:measure-1", "t2:measure-2", "t2:measure-3")
         for perm in permutations(measure_tags):
-            reordered = seq.reordered(("t1:entangle", *perm, "t3:parity"))
-            value = real_expectation(psi0, heisenberg_evolve(g, reordered))
+            permuted = reordered(seq, ("t1:entangle", *perm, "t3:parity"))
+            value = real_expectation(psi0, heisenberg_evolve(g, permuted))
             assert value == pytest.approx(reference, abs=1e-12)
 
 

@@ -2,7 +2,8 @@
 or a module outside the standard library, ``numpy`` and the package; no
 module-level name it or ``tests/reference.py`` defines goes unread in
 ``src``, ``tests`` and ``perfbench``; no public function or class it defines
-goes unread by the rest of the program unless it is listed with a reason; no
+goes unread by the rest of the program, and no public method or property
+unread as an attribute in ``src``, unless it is listed with a reason; no
 parameter default it declares is one that no call there overrides; and
 every file it opens names its encoding.
 
@@ -113,16 +114,19 @@ def test_no_unread_definitions(path, names_read):
 
 
 #: public functions and classes that nothing in ``src`` outside their own
-#: module and ``__init__``, nor ``perfbench``, reads: kept on purpose
+#: module and ``__init__``, nor ``perfbench``, reads, and public methods and
+#: properties that nothing in ``src`` reads as an attribute: kept on purpose
 PUBLIC_UNREAD = {
+    "cli._Parser.error": "argparse calls it on a usage error",
     "cli.build_parser": "tests compare the shared parser with a fresh one",
     "config.parse_config": "tests parse config text without a file",
-    "eprb.EprbConfig": "tests run EPRB through it; its removal is ROADMAP item 5",
+    "eprb.EprbConfig": "tests run EPRB through it; its removal is ROADMAP item 2",
     "eprb.EprbReport": "it is EPRB.report, which checks p_uu",
     "eprb.singlet_entangler": "builds EPRB.entangler; tests check its action",
-    "ghzm.GhzmConfig": "tests run GHZM through it; its removal is ROADMAP item 5",
+    "ghzm.GhzmConfig": "tests run GHZM through it; its removal is ROADMAP item 2",
     "ghzm.ghz_entangler": "builds GHZM.entangler; tests check its action",
     "labels.SupportSet": "returned by support",
+    "measure.InteractionSequence.total_unitary": "perfbench traces it; ROADMAP item 2 moves it",
     "measure.shift_operator": "the default measurement shift; tests build blocks from it",
 }
 
@@ -156,8 +160,30 @@ def test_public_definitions_are_read_by_the_program(path, program_reads):
                         "or list them in PUBLIC_UNREAD with a reason")
 
 
-def test_public_unread_list_is_current(program_reads):
-    unread = set().union(*(unread_public(path, program_reads) for path in SOURCES))
+@pytest.fixture(scope="module")
+def src_attributes() -> set[str]:
+    """Every attribute name that the package reads."""
+    return {n.attr for p in PACKAGE for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def unread_methods(path: Path, src_attributes) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {f"{path.stem}.{c.name}.{f.name}" for c in tree.body if isinstance(c, ast.ClassDef)
+            for f in c.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not f.name.startswith("_") and f.name not in src_attributes}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_public_methods_are_read_by_the_program(path, src_attributes):
+    unread = unread_methods(path, src_attributes) - PUBLIC_UNREAD.keys()
+    assert not unread, (f"nothing in src reads {sorted(unread)}: make them private, delete "
+                        "them or list them in PUBLIC_UNREAD with a reason")
+
+
+def test_public_unread_list_is_current(program_reads, src_attributes):
+    unread = set().union(*(unread_public(path, program_reads) | unread_methods(path, src_attributes)
+                           for path in SOURCES))
     stale = sorted(PUBLIC_UNREAD.keys() - unread)
     assert not stale, f"PUBLIC_UNREAD lists {stale}, which the program reads or no longer defines"
 

@@ -28,7 +28,7 @@ from heisensim import (
 )
 from heisensim.measure import LabelSum, evolve_label_sum, light_cone, measurement_block
 from conftest import random_direction, random_unitary
-from reference import projector_from_state, spin_eigenstate
+from reference import is_hermitian, projector_from_state, reordered, spin_eigenstate
 
 OS_LAYOUT = SubsystemLayout((("O", 3), ("S", 2)))
 Z_PROJECTORS = [
@@ -37,8 +37,17 @@ Z_PROJECTORS = [
 ]
 
 
-Z_MEASUREMENT = measurement_unitary(OS_LAYOUT, "O", Z_PROJECTORS)
-Z_BLOCK = measurement_block("O", Z_PROJECTORS)
+Z_MEASUREMENT = measurement_unitary(OS_LAYOUT, "O", [Z_PROJECTORS])
+Z_BLOCK = measurement_block("O", [Z_PROJECTORS])
+
+
+def product_groups(layout, indices):
+    """The projectors onto the product basis states of ``layout`` at the given
+    flat indices, one group per factor: for each state, the projector onto
+    its index on that factor."""
+    states = [np.unravel_index(k, layout.dims) for k in indices]
+    return [[Operator(single_factor(label, d), np.diag(np.eye(d)[s[j]])) for s in states]
+            for j, (label, d) in enumerate(layout.factors)]
 
 
 class TestObserverSpec:
@@ -176,7 +185,7 @@ class TestMeasurementUnitary:
     def test_equals_product_of_embeds(self, rng):
         n = random_direction(rng)
         projectors = [spin_projector(n, UP, "S"), spin_projector(n, DOWN, "S")]
-        u = measurement_unitary(OS_LAYOUT, "O", projectors)
+        u = measurement_unitary(OS_LAYOUT, "O", [projectors])
         via_products = np.zeros((6, 6), dtype=complex)
         for i, p in enumerate(projectors):
             shift_full = embed(shift_operator("O", 3, i + 1), OS_LAYOUT)
@@ -187,30 +196,36 @@ class TestMeasurementUnitary:
     def test_incomplete_family_rejected(self):
         zero = Operator(single_factor("S", 2), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="identity"):
-            measurement_unitary(OS_LAYOUT, "O", [Z_PROJECTORS[0], zero])
+            measurement_unitary(OS_LAYOUT, "O", [[Z_PROJECTORS[0], zero]])
+        # complete on each factor, not on both: |00><00| + |11><11|
+        system = SubsystemLayout((("S", 2), ("T", 2)))
+        with pytest.raises(ValueError, match="identity"):
+            measurement_block("O", product_groups(system, (0, 3)))
 
     def test_non_orthogonal_family_rejected(self):
         skew = Operator(single_factor("S", 2), np.full((2, 2), 0.5))
         with pytest.raises(ValueError, match="orthogonal"):
-            measurement_unitary(OS_LAYOUT, "O", [skew, Z_PROJECTORS[1]])
+            measurement_unitary(OS_LAYOUT, "O", [[skew, Z_PROJECTORS[1]]])
 
     def test_non_orthogonal_product_family_rejected(self):
         # product projectors are checked through their factors: |00><00|
         # twice overlaps itself
         system = SubsystemLayout((("S", 2), ("T", 2)))
-        basis = [Operator(system, np.diag(np.eye(4)[k])) for k in (0, 0, 3, 2)]
+        basis = product_groups(system, (0, 0, 3, 2))
         shifts = [Operator(single_factor("O", 4), np.eye(4))] * 4
         with pytest.raises(ValueError, match="orthogonal"):
             measurement_block("O", basis, shifts)
 
     def test_label_collision(self):
-        with pytest.raises(LayoutError):
-            measurement_unitary(OS_LAYOUT, "S", Z_PROJECTORS)
+        with pytest.raises(LayoutError, match="observer and system"):
+            measurement_unitary(OS_LAYOUT, "S", [Z_PROJECTORS])
+        with pytest.raises(LayoutError, match="groups share the factors \\['S'\\]"):
+            measurement_block("O", [Z_PROJECTORS, Z_PROJECTORS])
 
     def test_three_outcomes_give_a_four_state_observer(self, rng):
         basis = random_unitary(rng, 3)
         projectors = [Operator(single_factor("S", 3), np.outer(v, v.conj())) for v in basis.T]
-        block = measurement_block("O", projectors)
+        block = measurement_block("O", [projectors])
         assert block.layout == SubsystemLayout((("O", 4), ("S", 3)))
         expected = sum(np.kron(shift_operator("O", 4, i + 1).matrix, p.matrix)
                        for i, p in enumerate(projectors))
@@ -219,28 +234,50 @@ class TestMeasurementUnitary:
     def test_projectors_on_other_factors_rejected(self):
         on_t = Operator(single_factor("T", 2), np.diag([0.0, 1.0]).astype(complex))
         with pytest.raises(LayoutError, match="one layout"):
-            measurement_block("O", [Z_PROJECTORS[0], on_t])
+            measurement_block("O", [[Z_PROJECTORS[0], on_t]])
+
+    @pytest.mark.parametrize("groups, message", [
+        ([], "at least one"),
+        ([[]], "at least one"),
+        ([Z_PROJECTORS, [Operator(single_factor("T", 2), np.eye(2))]], "differ in length"),
+    ], ids=["no-group", "empty-group", "unequal-lengths"])
+    def test_malformed_groups_rejected(self, groups, message):
+        with pytest.raises(LayoutError, match=message):
+            measurement_block("O", groups)
 
     def test_explicit_shifts_on_a_product_basis(self):
         # four product projectors on [S, T], each gating its own power of
-        # the cyclic shift on a 4-state observer
+        # the cyclic shift on a 4-state observer; passed whole or one group
+        # per factor, they give the same block
         system = SubsystemLayout((("S", 2), ("T", 2)))
         projectors = [Operator(system, np.diag(np.eye(4)[k])) for k in range(4)]
         shifts = [Operator(single_factor("O", 4), np.roll(np.eye(4), k, axis=0))
                   for k in range(4)]
-        block = measurement_block("O", projectors, shifts)
+        block = measurement_block("O", [projectors], shifts)
         assert block.layout == SubsystemLayout((("O", 4), ("S", 2), ("T", 2)))
         expected = sum(np.kron(u.matrix, p.matrix) for u, p in zip(shifts, projectors))
         assert_allclose(block.matrix, expected, atol=0)
+        per_factor = measurement_block("O", product_groups(system, range(4)), shifts)
+        assert per_factor.layout == block.layout
+        assert_allclose(per_factor.matrix, expected, atol=0)
         for bad in (shifts[:3], [Operator(single_factor("Q", 4), np.eye(4))] * 4):
             with pytest.raises(LayoutError, match="shift"):
-                measurement_block("O", projectors, bad)
+                measurement_block("O", [projectors], bad)
+
+    def test_non_unitary_shift_is_the_callers_error(self):
+        # a ValueError naming the shift, not the post-check's internal fault
+        doubled = [Operator(single_factor("O", 2), 2 * np.eye(2))] * 2
+        with pytest.raises(ValueError, match="shift 0 on 'O' is not unitary") as raised:
+            measurement_block("O", [Z_PROJECTORS], doubled)
+        assert not isinstance(raised.value, NonUnitaryError)
 
     def test_disjoint_measurements_commute(self, rng):
         layout = SubsystemLayout((("O1", 3), ("O2", 3), ("S1", 2), ("S2", 2)))
         n1, n2 = random_direction(rng), random_direction(rng)
-        u1 = measurement_unitary(layout, "O1", [spin_projector(n1, o, "S1") for o in (UP, DOWN)])
-        u2 = measurement_unitary(layout, "O2", [spin_projector(n2, o, "S2") for o in (UP, DOWN)])
+        u1 = measurement_unitary(layout, "O1",
+                                 [[spin_projector(n1, o, "S1") for o in (UP, DOWN)]])
+        u2 = measurement_unitary(layout, "O2",
+                                 [[spin_projector(n2, o, "S2") for o in (UP, DOWN)]])
         commutator = (u1 @ u2).matrix - (u2 @ u1).matrix
         assert float(np.linalg.norm(commutator)) < 1e-12
 
@@ -266,7 +303,7 @@ class TestHeisenbergEvolve:
         spec = ObserverSpec("O", beta)
         n = random_direction(rng)
         projectors = [spin_projector(n, UP, "S"), spin_projector(n, DOWN, "S")]
-        u_m = measurement_unitary(OS_LAYOUT, "O", projectors)
+        u_m = measurement_unitary(OS_LAYOUT, "O", [projectors])
         b = embed(spec.belief_operator(), OS_LAYOUT)
         evolved = heisenberg_evolve(b, InteractionSequence((("measure", u_m),), OS_LAYOUT))
 
@@ -296,8 +333,10 @@ class TestHeisenbergEvolve:
         layout = SubsystemLayout((("O1", 3), ("O2", 3), ("S1", 2), ("S2", 2)))
         n1, n2 = random_direction(rng), random_direction(rng)
         spec1 = ObserverSpec("O1", (0.0, 1.0, -1.0))
-        u1 = measurement_unitary(layout, "O1", [spin_projector(n1, o, "S1") for o in (UP, DOWN)])
-        u2 = measurement_unitary(layout, "O2", [spin_projector(n2, o, "S2") for o in (UP, DOWN)])
+        u1 = measurement_unitary(layout, "O1",
+                                 [[spin_projector(n1, o, "S1") for o in (UP, DOWN)]])
+        u2 = measurement_unitary(layout, "O2",
+                                 [[spin_projector(n2, o, "S2") for o in (UP, DOWN)]])
         b = embed(spec1.belief_operator(), layout)
         combined = heisenberg_evolve(b, InteractionSequence((("m1", u1), ("m2", u2)), layout))
         stepwise = heisenberg_evolve(
@@ -342,10 +381,10 @@ class TestInteractionSequence:
         u1 = Operator(OS_LAYOUT, random_unitary(rng, 6))
         u2 = Operator(OS_LAYOUT, random_unitary(rng, 6))
         seq = InteractionSequence((("a", u1), ("b", u2)), OS_LAYOUT)
-        swapped = seq.reordered(("b", "a"))
+        swapped = reordered(seq, ("b", "a"))
         assert swapped.tags == ("b", "a")
         with pytest.raises(ValueError):
-            seq.reordered(("a", "c"))
+            reordered(seq, ("a", "c"))
 
     def test_rejects_repeated_tags(self, rng):
         # reordered names steps by tag, so a repeated tag would drop a step
@@ -395,22 +434,26 @@ def test_local_evolution_matches_dense_conjugation(case, hermitian, seed):
     dense = conjugate_by(op, seq.total_unitary())
     assert float(np.linalg.norm(evolved.matrix - dense.matrix)) < 1e-12
     if hermitian:
-        assert evolved.is_hermitian(1e-12)
+        assert is_hermitian(evolved, 1e-12)
 
 
 def random_measurement(rng, layout, observer, system, n_outcomes):
     """An ideal measurement on the given factors: a random orthonormal basis
-    of the system split into ``n_outcomes`` projectors, or for 0 outcomes
-    the product basis, one projector per basis state; each projector gates
-    a random unitary on the observer."""
+    of the system split into ``n_outcomes`` projectors, one group on the
+    whole system, or for 0 outcomes the product basis, one projector per
+    basis state, one group per factor; each projector gates a random unitary
+    on the observer."""
     system_layout = SubsystemLayout(tuple(layout.factors[k] for k in system))
     d = system_layout.total_dim
-    basis = np.eye(d) if n_outcomes == 0 else random_unitary(rng, d)
-    cuts = np.array_split(np.arange(d), n_outcomes or d)
-    projectors = [Operator(system_layout, basis[:, cut] @ basis[:, cut].conj().T) for cut in cuts]
+    if n_outcomes == 0:
+        projectors = product_groups(system_layout, range(d))
+    else:
+        basis = random_unitary(rng, d)
+        projectors = [[Operator(system_layout, basis[:, cut] @ basis[:, cut].conj().T)
+                       for cut in np.array_split(np.arange(d), n_outcomes)]]
     observer_layout = single_factor(*layout.factors[observer])
     shifts = [Operator(observer_layout, random_unitary(rng, observer_layout.total_dim))
-              for _ in cuts]
+              for _ in projectors[0]]
     return measurement_block(observer_layout.labels[0], projectors, shifts)
 
 
@@ -419,7 +462,7 @@ def structured_sequences(draw):
     """A layout of 2-4 factors of dim 2-3; 1-4 steps, each a dense block on a
     random subset of factors in random order or a measurement of a random
     system subset by another factor (in a random basis, or in the product
-    basis, whose projectors split per factor); and two local observables on
+    basis, passed one group per factor); and two local observables on
     random subsets, so measurements split some terms and fall back to the
     dense block on others (a system factor already in the sum)."""
     dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
@@ -520,7 +563,7 @@ class TestLabelSums:
         # rule (a): the same arrays come out untouched
         layout = SubsystemLayout((("O", 3), ("S", 2), ("T", 2)))
         t = Operator(single_factor("T", 2), np.diag([1.0, -1.0]))
-        seq = InteractionSequence((("m", measurement_block("O", Z_PROJECTORS)),), layout)
+        seq = InteractionSequence((("m", measurement_block("O", [Z_PROJECTORS])),), layout)
         start = LabelSum.local(t, layout)
         evolved = evolve_label_sum(t, seq)
         assert evolved.groups[0][0] == (2,)
@@ -534,12 +577,12 @@ class TestLabelSums:
     def test_product_projectors_split_per_factor(self, rng):
         system = SubsystemLayout((("S", 2), ("T", 2)))
         shifts = [Operator(single_factor("O", 4), np.eye(4))] * 4
-        basis = [Operator(system, np.diag(np.eye(4)[k])) for k in range(4)]
-        product = measurement_block("O", basis, shifts)
-        assert [labels for labels, _ in product.projectors] == [("S",), ("T",)]
+        basis = product_groups(system, range(4))
+        per_factor = measurement_block("O", basis, shifts)
+        assert [labels for labels, _ in per_factor.projectors] == [("S",), ("T",)]
         bell = random_unitary(rng, 4)
         entangled = measurement_block(
-            "O", [Operator(system, np.outer(v, v.conj())) for v in bell.T], shifts)
+            "O", [[Operator(system, np.outer(v, v.conj())) for v in bell.T]], shifts)
         assert [labels for labels, _ in entangled.projectors] == [("S", "T")]
 
     def test_sum_on_another_layout_rejected(self):
@@ -568,8 +611,8 @@ class TestLightCone:
         seq = InteractionSequence((("cd", self.step("C", "D")), ("ab", self.step("A", "B")),
                                    ("bc", self.step("B", "C"))), self.LAYOUT)
         assert light_cone(("C",), seq) == {"A", "B", "C", "D"}
-        assert light_cone(("A",), seq.reordered(("ab", "bc", "cd"))) == {"A", "B"}
-        assert light_cone(("D",), seq.reordered(("ab", "bc", "cd"))) == {"A", "B", "C", "D"}
+        assert light_cone(("A",), reordered(seq, ("ab", "bc", "cd"))) == {"A", "B"}
+        assert light_cone(("D",), reordered(seq, ("ab", "bc", "cd"))) == {"A", "B", "C", "D"}
 
     def test_empty_sequence(self):
         assert light_cone(("A",), InteractionSequence((), self.LAYOUT)) == {"A"}

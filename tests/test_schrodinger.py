@@ -31,7 +31,7 @@ Z_PROJECTORS = [
     Operator(single_factor("S", 2), np.diag([1.0, 0.0]).astype(complex)),
     Operator(single_factor("S", 2), np.diag([0.0, 1.0]).astype(complex)),
 ]
-Z_MEASUREMENT = measurement_unitary(OS_LAYOUT, "O", Z_PROJECTORS)
+Z_MEASUREMENT = measurement_unitary(OS_LAYOUT, "O", [Z_PROJECTORS])
 
 
 def observer_system_state(c1: float, c2: float) -> StateVector:

@@ -19,7 +19,7 @@ from heisensim import (
 )
 from heisensim.tensor import real_part
 from conftest import random_unitary
-from reference import identity, projector_from_state, real_expectation
+from reference import identity, is_hermitian, normalized, projector_from_state, real_expectation
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -60,7 +60,7 @@ class TestStateVector:
         lay = single_factor("S", 2)
         with pytest.raises(ValueError):
             StateVector(lay, [1.0, 1.0])
-        sv = StateVector.normalized(lay, [1.0, 1.0])
+        sv = normalized(lay, [1.0, 1.0])
         assert_allclose(np.linalg.norm(sv.amplitudes), 1.0, atol=1e-15)
 
     def test_basis_indexing_is_mixed_radix(self):
@@ -191,7 +191,7 @@ class TestConjugateBy:
 class TestExpectation:
     def test_identity_gives_one(self, rng):
         lay = single_factor("A", 5)
-        sv = StateVector.normalized(lay, rng.normal(size=5) + 1j * rng.normal(size=5))
+        sv = normalized(lay, rng.normal(size=5) + 1j * rng.normal(size=5))
         assert real_expectation(sv, identity(lay)) == pytest.approx(1.0, abs=1e-14)
 
     def test_spin_up_reads_plus_one(self):
@@ -199,7 +199,7 @@ class TestExpectation:
         assert real_expectation(sv, op("S", SZ)) == pytest.approx(1.0, abs=0)
 
     def test_transverse_state_reads_zero(self):
-        sv = StateVector.normalized(single_factor("S", 2), [1.0, 1.0])
+        sv = normalized(single_factor("S", 2), [1.0, 1.0])
         assert real_expectation(sv, op("S", SZ)) == pytest.approx(0.0, abs=1e-15)
 
     def test_layout_mismatch(self):
@@ -208,7 +208,7 @@ class TestExpectation:
             expectation(sv, op("T", SZ))
 
     def test_real_wrapper_rejects_imaginary(self):
-        sv = StateVector.normalized(single_factor("S", 2), [1.0, 1.0])
+        sv = normalized(single_factor("S", 2), [1.0, 1.0])
         skew = op("S", [[0.0, 1j], [-1j, 0.0]])  # hermitian, fine
         real_expectation(sv, skew)
         lop = op("S", [[0.0, 1j], [0.0, 0.0]])  # not hermitian, <L> = i/2
@@ -229,13 +229,13 @@ class TestProjector:
         assert_allclose(p.matrix, np.diag([1.0, 0.0]), atol=0)
 
     def test_idempotent_unit_trace(self, rng):
-        sv = StateVector.normalized(
+        sv = normalized(
             single_factor("S", 4), rng.normal(size=4) + 1j * rng.normal(size=4)
         )
         p = projector_from_state(sv)
         assert_allclose((p @ p).matrix, p.matrix, atol=1e-12)
         assert np.trace(p.matrix) == pytest.approx(1.0, abs=1e-12)
-        assert p.is_hermitian(1e-12)
+        assert is_hermitian(p, 1e-12)
 
 
 class TestPartialTrace:
@@ -288,7 +288,7 @@ def test_picture_equivalence_kernel_identity(dim, seed):
     lay = single_factor("A", dim)
     a = op("A", rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), dim=dim)
     u = op("A", random_unitary(rng, dim))
-    psi = StateVector.normalized(lay, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    psi = normalized(lay, rng.normal(size=dim) + 1j * rng.normal(size=dim))
     lhs = expectation(psi, conjugate_by(a, u))
     rhs = expectation(StateVector(lay, u.matrix @ psi.amplitudes), a)
     assert abs(lhs - rhs) < 1e-10
@@ -301,6 +301,6 @@ def test_real_projector_combinations_are_hermitian(dim, seed):
     lay = single_factor("A", dim)
     total = np.zeros((dim, dim), dtype=complex)
     for _ in range(3):
-        sv = StateVector.normalized(lay, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        sv = normalized(lay, rng.normal(size=dim) + 1j * rng.normal(size=dim))
         total += rng.normal() * projector_from_state(sv).matrix
-    assert Operator(lay, total).is_hermitian(1e-12)
+    assert is_hermitian(Operator(lay, total), 1e-12)
