@@ -219,15 +219,20 @@ def measurement_block(observer: str, projectors: Sequence[Sequence[Operator]],
     if observer in labels:
         raise LayoutError(f"observer and system share the label {observer!r}")
     if shifts is None:
-        shifts = [shift_operator(observer, n + 1, i + 1) for i in range(n)]
-    elif bad := [i for i, v in enumerate(shifts) if not v.is_unitary()]:
-        raise ValueError(f"shift {bad[0]} on {observer!r} is not unitary within {DEFAULT_TOL}")
-    if (len(shifts) != n or len({v.layout for v in shifts}) != 1
-            or shifts[0].layout.labels != (observer,)):
-        raise LayoutError(f"need one shift on factor {observer!r} per projector")
-    u = np.stack([v.matrix for v in shifts])
+        # u_i is shift_operator(observer, n + 1, i + 1): its row r is row r - i - 1 of I
+        rows = (np.arange(n + 1) - np.arange(1, n + 1)[:, None]) % (n + 1)
+        u = np.eye(n + 1, dtype=complex)[rows]
+        observer_layout = single_factor(observer, n + 1)
+    else:
+        if bad := [i for i, v in enumerate(shifts) if not v.is_unitary()]:
+            raise ValueError(f"shift {bad[0]} on {observer!r} is not unitary within {DEFAULT_TOL}")
+        if (len(shifts) != n or len({v.layout for v in shifts}) != 1
+                or shifts[0].layout.labels != (observer,)):
+            raise LayoutError(f"need one shift on factor {observer!r} per projector")
+        u = np.stack([v.matrix for v in shifts])
+        observer_layout = shifts[0].layout
 
-    layout = SubsystemLayout((*shifts[0].layout.factors, *(f for g in layouts for f in g.factors)))
+    layout = SubsystemLayout((*observer_layout.factors, *(f for g in layouts for f in g.factors)))
     stacks = [np.stack([q.matrix for q in group]) for group in groups]
     # |P_i P_j| for i != j is the product of the groups' |F_i F_j|, since
     # P_i P_j is the Kronecker product of the F_i F_j; |P_i P_i - P_i| on the diagonal
@@ -312,6 +317,24 @@ def _conjugate(layout: SubsystemLayout, positions, a: np.ndarray, rows, u: np.nd
     return y.reshape(len(u), *x.shape).transpose(back).reshape(-1, *a.shape[1:])
 
 
+def _commutes(layout: SubsystemLayout, terms: int, groups, positions, f: np.ndarray) -> bool:
+    """Whether each entry of a projector group's ``(n, d, d)`` stack ``f`` on
+    ``positions`` commutes bitwise with every term of the ``groups`` it
+    meets, both merged onto their shared factors with the identity padded
+    in. One entry at a time, stopping at the first that does not."""
+    meet = [g for g in groups if not set(positions).isdisjoint(g[0])]
+    if not meet:
+        return True
+    covered = set().union(*(g[0] for g in meet))
+    merged, a = _merge(layout, terms, meet, sorted(set(positions) - covered))
+    pad = sorted(set(merged) - set(positions))
+    for entry in f:
+        _, e = _merge(layout, 1, [(positions, entry[None])], pad)
+        if not np.array_equal(e @ a, a @ e):
+            return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class LabelSum:
     """An operator on ``layout`` as a sum of product terms ``sum_t (x)_g a[g][t]``.
@@ -387,7 +410,10 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
     :class:`LabelSum`, ``op`` acting on some factors of the sequence's layout,
     or already a sum on that layout, which the walk then continues.
 
-    Latest step first: (a) a step that meets no group is skipped; (b) under
+    Latest step first: (a) a step that meets no group is skipped, and so is
+    a measurement whose observer is in no group when each of its projector
+    groups commutes exactly, entry by entry, with every term of the groups
+    it meets, since then ``sum_i u_i† u_i (x) a P_i`` is ``a``; (b) under
     ``split``, a measurement whose system factors are in no group puts
     ``u_i† a u_i`` on the observer's group and ``P_i`` on the system, one
     term per term and outcome; (c) any other step merges the groups it
@@ -409,6 +435,9 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
         rest = tuple(g for g in groups if set(rows).isdisjoint(g[0]))
         covered = set().union(*(g[0] for g in touched))
         terms = len(label_sum)
+        if measurement and rows[0] not in covered and all(
+                _commutes(layout, terms, touched, p, f) for p, f in measurement[2]):
+            continue
         if split and measurement and not any(covered.intersection(p) for p, _ in measurement[2]):
             target, shifts, controls = measurement
             positions, a = _merge(layout, terms, touched, sorted(set(target) - covered))

@@ -127,7 +127,8 @@ PUBLIC_UNREAD = {
     "ghzm.ghz_entangler": "builds GHZM.entangler; tests check its action",
     "labels.SupportSet": "returned by support",
     "measure.InteractionSequence.total_unitary": "perfbench traces it; ROADMAP item 2 moves it",
-    "measure.shift_operator": "the default measurement shift; tests build blocks from it",
+    "measure.shift_operator": "names the default shifts, which measurement_block indexes "
+                              "out of the identity; tests build reference blocks from it",
 }
 
 

@@ -14,6 +14,7 @@ from heisensim import (
     NonUnitaryError,
     ObserverSpec,
     Operator,
+    SPIN_BETA,
     StateVector,
     SubsystemLayout,
     conjugate_by,
@@ -26,6 +27,7 @@ from heisensim import (
     single_factor,
     support,
 )
+from heisensim.ghzm import GHZM
 from heisensim.measure import LabelSum, evolve_label_sum, light_cone, measurement_block
 from conftest import random_direction, random_unitary
 from reference import is_hermitian, projector_from_state, reordered, spin_eigenstate
@@ -230,6 +232,9 @@ class TestMeasurementUnitary:
         expected = sum(np.kron(shift_operator("O", 4, i + 1).matrix, p.matrix)
                        for i, p in enumerate(projectors))
         assert_allclose(block.matrix, expected, atol=0)
+        # the default shifts are those permutations, bit for bit
+        shifts = np.stack([shift_operator("O", 4, i + 1).matrix for i in range(3)])
+        assert block.shifts.tobytes() == shifts.tobytes()
 
     def test_projectors_on_other_factors_rejected(self):
         on_t = Operator(single_factor("T", 2), np.diag([0.0, 1.0]).astype(complex))
@@ -437,18 +442,18 @@ def test_local_evolution_matches_dense_conjugation(case, hermitian, seed):
         assert is_hermitian(evolved, 1e-12)
 
 
-def random_measurement(rng, layout, observer, system, n_outcomes):
-    """An ideal measurement on the given factors: a random orthonormal basis
-    of the system split into ``n_outcomes`` projectors, one group on the
-    whole system, or for 0 outcomes the product basis, one projector per
-    basis state, one group per factor; each projector gates a random unitary
-    on the observer."""
+def random_measurement(rng, layout, observer, system, n_outcomes, z_basis):
+    """An ideal measurement on the given factors: an orthonormal basis of the
+    system, random or under ``z_basis`` the product basis, split into
+    ``n_outcomes`` projectors, one group on the whole system, or for 0
+    outcomes the product basis, one projector per basis state, one group per
+    factor; each projector gates a random unitary on the observer."""
     system_layout = SubsystemLayout(tuple(layout.factors[k] for k in system))
     d = system_layout.total_dim
     if n_outcomes == 0:
         projectors = product_groups(system_layout, range(d))
     else:
-        basis = random_unitary(rng, d)
+        basis = np.eye(d) if z_basis else random_unitary(rng, d)
         projectors = [[Operator(system_layout, basis[:, cut] @ basis[:, cut].conj().T)
                        for cut in np.array_split(np.arange(d), n_outcomes)]]
     observer_layout = single_factor(*layout.factors[observer])
@@ -461,20 +466,24 @@ def random_measurement(rng, layout, observer, system, n_outcomes):
 def structured_sequences(draw):
     """A layout of 2-4 factors of dim 2-3; 1-4 steps, each a dense block on a
     random subset of factors in random order or a measurement of a random
-    system subset by another factor (in a random basis, or in the product
-    basis, passed one group per factor); and two local observables on
-    random subsets, so measurements split some terms and fall back to the
-    dense block on others (a system factor already in the sum)."""
+    system subset by another factor (in a random basis or the product basis,
+    split into one or two outcomes, or in the product basis passed one group
+    per factor); and two local observables on random subsets, each random
+    or diagonal, so measurements split some terms, fall back to the dense
+    block on others (a system factor already in the sum) and are skipped
+    when a diagonal observable meets a product-basis measurement."""
     dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
     factors = range(len(dims))
     subset = st.permutations(factors).flatmap(
         lambda perm: st.integers(1, len(perm)).map(lambda k: tuple(perm[:k])))
     measurement = st.permutations(factors).flatmap(
         lambda perm: st.integers(2, len(perm)).flatmap(
-            lambda k: st.integers(0, 2).map(lambda n: ("measure", perm[0], perm[1:k], n))))
+            lambda k: st.tuples(st.integers(0, 2), st.booleans()).map(
+                lambda nz: ("measure", perm[0], perm[1:k], *nz))))
     steps = draw(st.lists(st.one_of(subset.map(lambda s: ("dense", s)), measurement),
                           min_size=1, max_size=4))
-    return dims, steps, draw(subset), draw(subset)
+    observable = st.tuples(subset, st.booleans())
+    return dims, steps, draw(observable), draw(observable)
 
 
 def build_structured(case, seed):
@@ -487,12 +496,17 @@ def build_structured(case, seed):
             block = SubsystemLayout(tuple(layout.factors[p] for p in spec[1]))
             steps.append((f"s{k}", Operator(block, random_unitary(rng, block.total_dim))))
         else:
-            _, observer, system, n = spec
-            steps.append((f"s{k}", random_measurement(rng, layout, observer, sorted(system), n)))
+            _, observer, system, n, z_basis = spec
+            steps.append((f"s{k}", random_measurement(rng, layout, observer, sorted(system), n,
+                                                      z_basis)))
     seq = InteractionSequence(tuple(steps), layout)
 
-    def local(positions):
+    def local(spec):
+        positions, diagonal = spec
         block = SubsystemLayout(tuple(layout.factors[p] for p in positions))
+        if diagonal:
+            v = rng.normal(size=block.total_dim)
+            return Operator(block, np.diag(v / np.linalg.norm(v)))
         m = rng.normal(size=(block.total_dim,) * 2) + 1j * rng.normal(size=(block.total_dim,) * 2)
         return Operator(block, (m + m.conj().T) / np.linalg.norm(m + m.conj().T))
 
@@ -522,11 +536,15 @@ def test_label_sums_match_dense_conjugation(case, seed):
         assert sup.labels == ref.labels
         for label, r in ref.residuals.items():
             assert abs(sup.residuals[label] - r) <= 1e-12 * max(1.0, r)
-    # the groups cover exactly the light cone, and never overlap
+    # the groups never overlap and cover exactly the light cone, or lie
+    # within it when a measurement in the product basis, whose projectors
+    # can commute exactly with a term, may have been skipped
+    skippable = any(spec[0] == "measure" and (spec[3] == 0 or spec[4]) for spec in case[1])
     for op, label_sum in ((a, sum_a), (b, sum_b)):
         positions = [k for p, _ in label_sum.groups for k in p]
         assert len(positions) == len(set(positions))
-        assert {layout.labels[k] for k in positions} == light_cone(op.layout.labels, seq)
+        labels, cone = {layout.labels[k] for k in positions}, light_cone(op.layout.labels, seq)
+        assert labels <= cone if skippable else labels == cone
     # a walk cut in two and continued from the later part's sum is the same walk
     cut = int(rng.integers(len(seq.steps) + 1))
     later, earlier = (InteractionSequence(part, layout)
@@ -568,6 +586,34 @@ class TestLabelSums:
         evolved = evolve_label_sum(t, seq)
         assert evolved.groups[0][0] == (2,)
         assert_allclose(evolved.groups[0][1], start.groups[0][1], atol=0)
+
+    def test_referee_leaves_an_observer_it_reads_unchanged(self):
+        # the parity readout's one-hot projectors on O1 commute with B1,
+        # which is diagonal there: the step is skipped, the same arrays out
+        b1 = ObserverSpec("O1", SPIN_BETA).belief_operator()
+        seq = InteractionSequence(GHZM.readout, GHZM.layout)
+        start = LabelSum.local(b1, GHZM.layout)
+        for split in (True, False):
+            evolved = evolve_label_sum(b1, seq, split)
+            assert len(evolved) == 1
+            assert [p for p, _ in evolved.groups] == [(1,)]
+            assert_allclose(evolved.groups[0][1], start.groups[0][1], atol=0)
+
+    def test_observable_diagonal_in_the_measured_basis_is_skipped(self, rng):
+        a = Operator(single_factor("S", 2), np.diag(rng.normal(size=2)))
+        evolved = evolve_label_sum(a, InteractionSequence((("m", Z_BLOCK),), OS_LAYOUT))
+        assert [p for p, _ in evolved.groups] == [(1,)]
+        assert_allclose(evolved.groups[0][1], a.matrix[None], atol=0)
+
+    def test_observable_off_the_measured_basis_is_not_skipped(self, rng):
+        a = Operator(single_factor("S", 2), np.diag(rng.normal(size=2)))
+        n = Direction(1.1, 0.4)
+        block = measurement_block("O", [[spin_projector(n, o, "S") for o in (UP, DOWN)]])
+        seq = InteractionSequence((("m", block),), OS_LAYOUT)
+        evolved = evolve_label_sum(a, seq)
+        assert [p for p, _ in evolved.groups] == [(0, 1)]
+        dense = conjugate_by(embed(a, OS_LAYOUT), seq.total_unitary())
+        assert float(np.linalg.norm(evolved.dense().matrix - dense.matrix)) < 1e-12
 
     def test_scalar_multiple(self, rng):
         b = ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator()
