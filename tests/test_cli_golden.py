@@ -69,12 +69,17 @@ CASES: dict[str, tuple[list[str], str | None]] = {
     "lhv-ghz-csv": (["lhv", "ghz", "--format", "csv"], None),
     "analyze": (["analyze"], None),
     "analyze-csv": (["analyze", "--format", "csv", "--phi1", "30"], None),
+    "analyze-eprb-poles": (["analyze", "--theta", "0", "180", "--phi", "0", "0", "--format", "csv"],
+                           None),
     "analyze-ghzm-csv": (
         ["analyze", "--experiment", "ghzm", "--phi", "10", "20", "30", "--format", "csv"],
         None),
     "analyze-ghzm-generic": (
         ["analyze", "--experiment", "ghzm", "--theta", "60", "100", "130", "--phi", "10",
          "200", "300", "--format", "csv"], None),
+    "analyze-ghzm-poles": (
+        ["analyze", "--experiment", "ghzm", "--theta", "0", "90", "180", "--phi", "0", "0", "45",
+         "--format", "csv"], None),
     "sweep-eprb": (
         ["sweep", "--config", "{config}"],
         "[sweep]\nexperiment = eprb\nphi1 = 0 60 120\nphi2 = 0\nformat = table\n"),
