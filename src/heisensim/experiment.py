@@ -141,28 +141,48 @@ class Experiment:
 
         The entangler is the earliest step, so the walk of the entangled
         sequence, latest step first, passes through the non-entangled sum:
-        each observable is evolved once, unsplit, and that sum carried over
-        the entangler alone. Each stage's support is read off the sum's
-        block before the next stage is evolved.
+        each observable is evolved once, unsplit, one step at a time, and
+        that sum carried over the entangler alone.
+
+        A factor's residual is read off the sum's block right after the last
+        step of a stage's walk that acts on it, and a factor that no step of
+        a stage acts on keeps its residual from the stage before; at t0 every
+        factor is read. This is exact: the steps still to come act on other
+        factors, and conjugating by a unitary ``V`` on other factors commutes
+        with the partial trace over this one, so ``V† A V`` is as far from
+        the identity there as ``A``. Each read block holds only the factors
+        the walk has reached so far.
 
         A support outside the observable's light cone is a kernel fault and
         raises :class:`InvariantError`."""
         steps = self.sequence(directions, True).steps
-        stages = [(stage, InteractionSequence(part, self.layout)) for stage, part in (
-            ("t0", ()), (f"{self.stage}-nonentangled", steps[1:]),
-            (f"{self.stage}-entangled", steps[:1]))]
+        # per stage, latest step first: the step alone, and the factors it acts
+        # on that no earlier step of the stage does; t0 reads every factor
+        stages = [("t0", [(InteractionSequence((), self.layout), self.layout.labels)])]
+        for stage, part in ((f"{self.stage}-nonentangled", steps[1:]),
+                            (f"{self.stage}-entangled", steps[:1])):
+            walk, earlier = [], set()
+            for step in part:
+                labels = [lbl for lbl in step[1].layout.labels if lbl not in earlier]
+                earlier.update(labels)
+                walk.append((InteractionSequence((step,), self.layout), labels))
+            stages.append((stage, walk[::-1]))
         rows = []
         for name, label, eigenvalues in self.ledger:
             evolved = self.observable((name,), eigenvalues)
             cone = frozenset((label,))
-            for stage, seq in stages:
-                evolved = evolve_label_sum(evolved, seq, split=False)
-                cone = light_cone(cone, seq)
-                sup = support(evolved, tol)
-                if not sup.labels <= cone:
-                    raise InvariantError(f"{name} at {stage} acts on {sorted(sup.labels - cone)}"
+            nontrivial, residuals = frozenset(), {}
+            for stage, walk in stages:
+                for seq, labels in walk:
+                    evolved = evolve_label_sum(evolved, seq, split=False)
+                    cone = light_cone(cone, seq)
+                    sup = support(evolved, tol, labels)
+                    nontrivial = nontrivial - set(labels) | sup.labels
+                    residuals.update(sup.residuals)
+                if not nontrivial <= cone:
+                    raise InvariantError(f"{name} at {stage} acts on {sorted(nontrivial - cone)}"
                                          f" outside its light cone {sorted(cone)}")
-                ordered = [lbl for lbl in self.layout.labels if lbl in sup.labels]
-                residuals = [sup.residuals[lbl] for lbl in self.layout.labels]
-                rows.append([name, stage, ",".join(ordered), *residuals])
+                ordered = [lbl for lbl in self.layout.labels if lbl in nontrivial]
+                rows.append([name, stage, ",".join(ordered),
+                             *(residuals[lbl] for lbl in self.layout.labels)])
         return rows

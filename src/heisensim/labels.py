@@ -17,13 +17,22 @@ their own factors, and the sum is that block tensored with the identity on
 every other factor. So each factor of the block is tested on the block, its
 residual scaled by the square root of the dimension outside it (the
 Frobenius norm of a Kronecker product with the identity), and every other
-factor reads exactly 0, all without embedding anything.
+factor reads exactly 0, all without embedding anything. It may be asked for
+some factors only, and forms no block when none of them lies in it.
+
+A factor's residual is final once no interaction still to be applied acts
+on it: for a unitary ``V`` on other factors the partial trace over this one
+commutes with conjugation by ``V``, so ``acts_trivially_on(V† A V, k)``
+equals ``acts_trivially_on(A, k)`` in exact arithmetic. The support ledger
+reads each factor at that point of its walk, on the smallest block that
+holds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +44,7 @@ from .tensor import DEFAULT_TOL, Operator
 class SupportSet:
     """Labels an operator acts on nontrivially, plus per-label residuals.
 
-    ``residuals`` maps every layout label to its reconstruction error; a
+    ``residuals`` maps every label read to its reconstruction error; a
     label is in ``labels`` iff its residual reached the tolerance.
     """
 
@@ -65,15 +74,21 @@ def acts_trivially_on(op: Operator, label: str) -> float:
     return float(np.linalg.norm(rest))
 
 
-def support(op: Operator | LabelSum, tol: float = DEFAULT_TOL) -> SupportSet:
-    """Support set of ``op``: every factor it acts on nontrivially. A
-    :class:`LabelSum` is tested on its block alone."""
-    block, scale = op, 1.0
+def support(op: Operator | LabelSum, tol: float = DEFAULT_TOL,
+            labels: Iterable[str] | None = None) -> SupportSet:
+    """Support set of ``op`` among ``labels``, by default every factor of its
+    layout: the labels it acts on nontrivially. A :class:`LabelSum` is tested
+    on its block alone, and when every label lies outside the block no block
+    is formed."""
+    residuals = dict.fromkeys(op.layout.labels if labels is None else labels, 0.0)
+    block, scale, read = op, 1.0, list(residuals)
     if isinstance(op, LabelSum):
-        block = op.block()
-        scale = math.sqrt(op.layout.total_dim // block.dim)
-    residuals = dict.fromkeys(op.layout.labels, 0.0)
-    for label in block.layout.labels:
+        inside = {k for positions, _ in op.groups for k in positions}
+        read = [label for label in residuals if op.layout.position(label) in inside]
+        if read:
+            block = op.block()
+            scale = math.sqrt(op.layout.total_dim // block.dim)
+    for label in read:
         residuals[label] = acts_trivially_on(block, label) * scale
     # a NaN residual is not below the tolerance either
     nontrivial = frozenset(label for label, r in residuals.items() if not r < tol)

@@ -385,17 +385,21 @@ class LabelSum:
         dimension; each side is merged per term, and the two are contracted
         over the terms. No term's whole block is formed: each side of the
         split GHZM referee (216 terms on 648 dims) holds at most 36 dims.
+        One group of one term, as every unsplit sum is, is its own block.
         """
-        sides, dims = ([], []), [1, 1]
-        for group in sorted(self.groups, key=lambda g: -g[1].shape[-1]):
-            k = int(dims[1] < dims[0])
-            sides[k].append(group)
-            dims[k] *= group[1].shape[-1]
-        (p, a), (q, b) = (_merge(self.layout, len(self), side) if side
-                          else ((), np.ones((len(self), 1, 1))) for side in sides)
-        n = dims[0] * dims[1]
-        total = np.tensordot(a, b, (0, 0)).transpose(0, 2, 1, 3).reshape(1, n, n)
-        positions, total = _merge(self.layout, 1, [(p + q, total)])
+        if len(self.groups) == 1 and len(self) == 1:
+            (positions, total), = self.groups
+        else:
+            sides, dims = ([], []), [1, 1]
+            for group in sorted(self.groups, key=lambda g: -g[1].shape[-1]):
+                k = int(dims[1] < dims[0])
+                sides[k].append(group)
+                dims[k] *= group[1].shape[-1]
+            (p, a), (q, b) = (_merge(self.layout, len(self), side) if side
+                              else ((), np.ones((len(self), 1, 1))) for side in sides)
+            n = dims[0] * dims[1]
+            total = np.tensordot(a, b, (0, 0)).transpose(0, 2, 1, 3).reshape(1, n, n)
+            positions, total = _merge(self.layout, 1, [(p + q, total)])
         return Operator(SubsystemLayout(tuple(self.layout.factors[k] for k in positions)),
                         total[0])
 

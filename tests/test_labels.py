@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -130,6 +131,54 @@ class TestSupportOfALabelSum:
         assert sup.residuals["O1"] == pytest.approx(support(b1.dense()).residuals["O1"],
                                                     rel=1e-14)
 
+    def test_labels_outside_the_block_read_zero_and_form_no_block(self, monkeypatch):
+        b1 = LabelSum.local(EPRB.observable(("B1",), SPIN_BETA), LAYOUT)
+        some = support(b1, labels=("O1", "S2"))
+        assert (some.labels, some.residuals) == ({"O1"}, {"O1": support(b1).residuals["O1"],
+                                                          "S2": 0.0})
+        monkeypatch.setattr(LabelSum, "block", None)
+        assert support(b1, labels=("S2", "O2")).residuals == {"S2": 0.0, "O2": 0.0}
+        with pytest.raises(LayoutError):
+            support(b1, labels=("missing",))
+
+    def test_a_one_term_group_is_its_own_block(self, rng):
+        # the group's matrix itself, not a contraction of it with ones
+        seq = EPRB.sequence((random_direction(rng), random_direction(rng)), True)
+        evolved = evolve_label_sum(EPRB.observable(("B1",), SPIN_BETA), seq, split=False)
+        (_, a), = evolved.groups
+        block = evolved.block()
+        assert block.layout.labels == ("O1", "S1", "S2")
+        assert np.shares_memory(block.matrix, a)
+        assert np.array_equal(block.matrix, a[0])
+
+
+def assert_ledger_matches_the_dense_reference(exp, directions):
+    # each stage's sequence built whole and multiplied out, the operator
+    # embedded and conjugated by it: the dense reference, independent of the
+    # label-sum walk and of when the ledger reads each factor
+    stages = {"t0": None,
+              f"{exp.stage}-nonentangled": exp.sequence(directions, False).total_unitary(),
+              f"{exp.stage}-entangled": exp.sequence(directions, True).total_unitary()}
+    rows = exp.support_ledger(directions, 1e-10)
+    assert [row[:2] for row in rows] == [[name, stage] for name, _, _ in exp.ledger
+                                        for stage in stages]
+    ops = {name: embed(ObserverSpec(label, eigenvalues).belief_operator(), exp.layout)
+           for name, label, eigenvalues in exp.ledger}
+    for name, stage, labels, *residuals in rows:
+        total = stages[stage]
+        dense = ops[name] if total is None else conjugate_by(ops[name], total)
+        ref = support(dense, 1e-10)
+        assert labels == ",".join(lbl for lbl in exp.layout.labels if lbl in ref.labels)
+        for r, label in zip(residuals, exp.layout.labels):
+            expected = ref.residuals[label]
+            assert abs(r - expected) <= 1e-12 * max(1.0, expected), (name, stage, label)
+
+
+#: a polar angle at either pole, so exact zeros and carried rounding noise
+#: occur, or anywhere between
+polar_angles = st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.0, math.pi))
+directions = st.builds(Direction, polar_angles, st.floats(0.0, 2 * math.pi))
+
 
 class TestSupportLedger:
     @pytest.mark.parametrize("exp", [EPRB, GHZM], ids=["eprb", "ghzm"])
@@ -138,34 +187,35 @@ class TestSupportLedger:
         # analyzers at the poles leave exact zeros and identities behind
         poles = [Direction(0.0, 0.0), Direction(math.pi, 1.0), random_direction(rng)]
         for directions in (generic, poles[:len(exp.measurements)]):
-            # each stage's sequence built whole and multiplied out, the
-            # operator embedded and conjugated by it: the dense reference,
-            # independent of the label-sum walk
-            stages = {"t0": None,
-                      f"{exp.stage}-nonentangled": exp.sequence(directions, False).total_unitary(),
-                      f"{exp.stage}-entangled": exp.sequence(directions, True).total_unitary()}
-            rows = exp.support_ledger(directions, 1e-10)
-            assert [row[:2] for row in rows] == [[name, stage] for name, _, _ in exp.ledger
-                                                for stage in stages]
-            ops = {name: embed(ObserverSpec(label, eigenvalues).belief_operator(), exp.layout)
-                   for name, label, eigenvalues in exp.ledger}
-            for name, stage, labels, *residuals in rows:
-                total = stages[stage]
-                dense = ops[name] if total is None else conjugate_by(ops[name], total)
-                ref = support(dense, 1e-10)
-                assert labels == ",".join(lbl for lbl in exp.layout.labels if lbl in ref.labels)
-                for r, label in zip(residuals, exp.layout.labels):
-                    expected = ref.residuals[label]
-                    assert abs(r - expected) <= 1e-12 * max(1.0, expected), (name, stage, label)
+            assert_ledger_matches_the_dense_reference(exp, directions)
 
-    @pytest.mark.parametrize("exp, checks", [(EPRB, 24), (GHZM, 36)], ids=["eprb", "ghzm"])
-    def test_each_block_factor_is_checked_once_and_nothing_embedded(
-            self, exp, checks, rng, monkeypatch):
-        # per observable: its own factor at t0, then each factor of the
-        # evolved block at both later stages; no operator on the whole layout
+    # a GHZM example builds and conjugates 648-dim dense operators, about 1 s
+    @pytest.mark.parametrize("exp, examples", [(EPRB, 40), (GHZM, 4)], ids=["eprb", "ghzm"])
+    def test_rows_match_the_dense_reference_at_drawn_angles(self, exp, examples):
+        n = len(exp.measurements)
+
+        @settings(max_examples=examples, deadline=None)
+        @given(st.lists(directions, min_size=n, max_size=n))
+        def check(drawn):
+            assert_ledger_matches_the_dense_reference(exp, drawn)
+
+        check()
+
+    @pytest.mark.parametrize("exp, checks, dims", [
+        (EPRB, 20, {2: 2, 3: 2, 6: 8, 12: 8}),
+        # 648-dim checks: 5 here, 14 when every factor was read at a stage's end
+        (GHZM, 29, {3: 4, 6: 6, 24: 9, 81: 1, 162: 2, 324: 2, 648: 5}),
+    ], ids=["eprb", "ghzm"])
+    def test_each_factor_is_checked_once_per_stage_after_the_last_step_on_it(
+            self, exp, checks, dims, rng, monkeypatch):
+        # per observable: its own factor at t0, then at each later stage each
+        # factor a step of the stage acts on, once, on the block right after
+        # the last step of the walk that acts on it, and only when the block
+        # holds it; no operator on the whole layout
         import heisensim.labels as labels
 
         seen = {"acts_trivially_on": 0, "embed": 0}
+        block_dims = Counter()
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -173,13 +223,17 @@ class TestSupportLedger:
                 return f(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(labels, "acts_trivially_on",
-                            counted("acts_trivially_on", labels.acts_trivially_on))
+        def checked(op, label):
+            block_dims[op.dim] += 1
+            return acts_trivially_on(op, label)
+
+        monkeypatch.setattr(labels, "acts_trivially_on", counted("acts_trivially_on", checked))
         for module in [m for n, m in sys.modules.items() if n.startswith("heisensim")]:
             if getattr(module, "embed", None) is embed:
                 monkeypatch.setattr(module, "embed", counted("embed", embed))
         exp.support_ledger([random_direction(rng) for _ in exp.measurements], 1e-10)
         assert seen == {"acts_trivially_on": checks, "embed": 0}
+        assert block_dims == dims
 
 
 class TestSupportChain:
