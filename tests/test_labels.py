@@ -206,12 +206,12 @@ class TestSupportLedger:
         # 648-dim checks: 5 here, 14 when every factor was read at a stage's end
         (GHZM, 29, {3: 4, 6: 6, 24: 9, 81: 1, 162: 2, 324: 2, 648: 5}),
     ], ids=["eprb", "ghzm"])
-    def test_each_factor_is_checked_once_per_stage_after_the_last_step_on_it(
+    def test_each_factor_read_at_most_once_after_its_last_step(
             self, exp, checks, dims, rng, monkeypatch):
         # per observable: its own factor at t0, then at each later stage each
-        # factor a step of the stage acts on, once, on the block right after
-        # the last step of the walk that acts on it, and only when the block
-        # holds it; no operator on the whole layout
+        # factor a step of the stage acts on, at most once: on the block right
+        # after the last step of the walk that acts on it, when the block holds
+        # it; no operator on the whole layout
         import heisensim.labels as labels
 
         seen = {"acts_trivially_on": 0, "embed": 0}
