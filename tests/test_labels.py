@@ -214,26 +214,22 @@ class TestSupportLedger:
         # it; no operator on the whole layout
         import heisensim.labels as labels
 
-        seen = {"acts_trivially_on": 0, "embed": 0}
-        block_dims = Counter()
-
-        def counted(name, f):
-            def wrapper(*args, **kwargs):
-                seen[name] += 1
-                return f(*args, **kwargs)
-            return wrapper
+        block_dims, embeds = Counter(), []
 
         def checked(op, label):
             block_dims[op.dim] += 1
             return acts_trivially_on(op, label)
 
-        monkeypatch.setattr(labels, "acts_trivially_on", counted("acts_trivially_on", checked))
+        def embedded(*args, **kwargs):
+            embeds.append(args)
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(labels, "acts_trivially_on", checked)
         for module in [m for n, m in sys.modules.items() if n.startswith("heisensim")]:
             if getattr(module, "embed", None) is embed:
-                monkeypatch.setattr(module, "embed", counted("embed", embed))
+                monkeypatch.setattr(module, "embed", embedded)
         exp.support_ledger([random_direction(rng) for _ in exp.measurements], 1e-10)
-        assert seen == {"acts_trivially_on": checks, "embed": 0}
-        assert block_dims == dims
+        assert (sum(block_dims.values()), block_dims, embeds) == (checks, dims, [])
 
 
 class TestSupportChain:
