@@ -116,13 +116,16 @@ class Experiment:
         each distinct observable is evolved once, as a label sum; one
         sequence serves all eigenvalues, since its unitaries do not depend on
         them. The initial state is a product basis state, so each mean is
-        read off the sum's diagonal entries, with nothing embedded. The
-        state evolved instead applies each named observable in turn, so a
-        fault in forming their product shows there too.
+        read off the sum's diagonal entries, with nothing embedded, and each
+        measured observer is read at its initial index once no earlier step
+        acts on its group, which drops the copies that weigh 0 there: the
+        sums are exact for their mean in the initial state only. The state
+        evolved instead applies each named observable in turn, so a fault in
+        forming their product shows there too.
         """
         keys = [(m[2], m[3] or tuple(eigenvalues)) for m in self.means]
         seq = self.sequence(directions, entangled)
-        evolved = {key: evolve_label_sum(self.observable(*key), seq)
+        evolved = {key: evolve_label_sum(self.observable(*key), seq, at=self.initial_indices)
                    for key in dict.fromkeys(keys)}
         values = {m[0]: real_part(evolved[key].mean(self.initial_indices))
                   for m, key in zip(self.means, keys)}

@@ -154,9 +154,10 @@ class InteractionSequence:
     def _plan(self) -> list[tuple]:
         # per step, latest first: its layout positions, its block as a stack
         # of one, and for a measurement the split of rule (b): the observer's
-        # positions and shifts, and the projectors' groups on the layout
-        plan = []
-        for _, u in reversed(self.steps):
+        # positions and shifts, the projectors' groups on the layout, and the
+        # positions that any earlier step acts on
+        plan, earlier = [], set()
+        for _, u in self.steps:
             rows = tuple(self.layout.position(label) for label in u.layout.labels)
             split = None
             if isinstance(u, Measurement):
@@ -164,9 +165,10 @@ class InteractionSequence:
                     _merge(self.layout, len(u.shifts),
                            [(tuple(self.layout.position(label) for label in labels), stack)])
                     for labels, stack in u.projectors)
-                split = (rows[:1], u.shifts, controls)
+                split = (rows[:1], u.shifts, controls, frozenset(earlier))
+            earlier.update(rows)
             plan.append((rows, u.matrix[None], split))
-        return plan
+        return plan[::-1]
 
     def total_unitary(self) -> Operator:
         """Product of all steps embedded in the layout, earliest step
@@ -317,6 +319,19 @@ def _conjugate(layout: SubsystemLayout, positions, a: np.ndarray, rows, u: np.nd
     return y.reshape(len(u), *x.shape).transpose(back).reshape(-1, *a.shape[1:])
 
 
+def _entries_at(layout: SubsystemLayout, positions, a: np.ndarray, observer: int,
+                u: np.ndarray, at: Sequence[int]) -> np.ndarray:
+    """``c[t * n + i] = v_i† a_t v_i`` with ``v_i = u_i[:, at[observer]]``, for a
+    group's ``(T, d, d)`` stack ``a`` on ``positions`` whose other factors are
+    indexed at ``at``, and an ``(n, b, b)`` stack of shifts on ``observer``:
+    each term's entry at ``at`` once conjugated by each shift."""
+    dims = tuple(layout.dims[p] for p in positions)
+    index = tuple(slice(None) if p == observer else at[p] for p in positions)
+    a = a.reshape(len(a), *dims, *dims)[(slice(None), *index, *index)]
+    v = u[:, :, at[observer]]
+    return np.einsum("ia,tab,ib->ti", v.conj(), a, v).ravel()
+
+
 def _commutes(layout: SubsystemLayout, terms: int, groups, positions, f: np.ndarray) -> bool:
     """Whether each entry of a projector group's ``(n, d, d)`` stack ``f`` on
     ``positions`` commutes bitwise with every term of the ``groups`` it
@@ -409,7 +424,7 @@ class LabelSum:
 
 
 def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
-                     split: bool = True) -> LabelSum:
+                     split: bool = True, at: Sequence[int] | None = None) -> LabelSum:
     """``U† op U`` for the sequence product ``U`` (earliest step rightmost) as a
     :class:`LabelSum`, ``op`` acting on some factors of the sequence's layout,
     or already a sum on that layout, which the walk then continues.
@@ -423,6 +438,15 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
     term per term and outcome; (c) any other step merges the groups it
     touches, with the identity on its factors in none, and conjugates them
     by its block, every term at once.
+
+    Given ``at``, the product basis state with one index per factor, rule
+    (b) reads a measured observer there once no earlier step acts on any
+    factor of its merged group: rather than keep ``u_i† a_t u_i``, it scales
+    the first projector group by ``c[t, i] = v_i† a_t v_i``, with
+    ``v_i = u_i[:, at[observer]]`` and the group's other factors indexed at
+    ``at``, drops the group and every term whose ``c`` is exactly 0. The
+    steps still to come act on other factors, so the mean at ``at`` factors
+    through this entry: the result is exact for ``.mean(at)`` only.
     """
     layout = seq.layout
     if not isinstance(op, LabelSum):
@@ -443,12 +467,20 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
                 _commutes(layout, terms, touched, p, f) for p, f in measurement[2]):
             continue
         if split and measurement and not any(covered.intersection(p) for p, _ in measurement[2]):
-            target, shifts, controls = measurement
+            target, shifts, controls, earlier = measurement
             positions, a = _merge(layout, terms, touched, sorted(set(target) - covered))
             n = len(shifts)
-            groups = ((positions, _conjugate(layout, positions, a, target, shifts)),
-                      *((p, np.repeat(x, n, axis=0)) for p, x in rest),
-                      *((p, np.tile(x, (terms, 1, 1))) for p, x in controls))
+            if at is not None and earlier.isdisjoint(positions):
+                c = _entries_at(layout, positions, a, target[0], shifts, at)
+                keep = np.flatnonzero(c)
+                (p, x), *more = controls
+                groups = ((p, x[keep % n] * c[keep, None, None]),
+                          *((q, y[keep % n]) for q, y in more),
+                          *((q, y[keep // n]) for q, y in rest))
+            else:
+                groups = ((positions, _conjugate(layout, positions, a, target, shifts)),
+                          *((p, np.repeat(x, n, axis=0)) for p, x in rest),
+                          *((p, np.tile(x, (terms, 1, 1))) for p, x in controls))
         else:
             positions, a = _merge(layout, terms, touched, sorted(set(rows) - covered))
             groups = ((positions, _conjugate(layout, positions, a, rows, block)), *rest)

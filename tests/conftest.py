@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from heisensim import Direction
 
@@ -16,6 +17,12 @@ def random_direction(rng) -> Direction:
     theta = math.acos(1.0 - 2.0 * rng.random())
     phi = 2.0 * math.pi * rng.random()
     return Direction(theta, phi)
+
+
+#: a polar angle at either pole, so exact zeros and carried rounding noise
+#: occur, or anywhere between
+polar_angles = st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.0, math.pi))
+directions = st.builds(Direction, polar_angles, st.floats(0.0, 2 * math.pi))
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:

@@ -473,7 +473,7 @@ class TestVerifyChecksPrintedMeans:
 
         evolve = experiment.evolve_label_sum
         monkeypatch.setattr(experiment, "evolve_label_sum",
-                            lambda op, seq: evolve(op, seq) * (1 + 1e-6))
+                            lambda op, seq, **kw: evolve(op, seq, **kw) * (1 + 1e-6))
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_VERIFY
         assert "verification failed" in err
@@ -501,10 +501,10 @@ class TestInternalErrors:
 
     @pytest.mark.parametrize("argv, module, name, wrap, message", [
         (["ghzm", "--phi", "0", "0", "0"], "experiment", "evolve_label_sum",
-         lambda f: lambda op, seq: f(op, seq) * (1 + 1e-6j), "imaginary part"),
+         lambda f: lambda op, seq, **kw: f(op, seq, **kw) * (1 + 1e-6j), "imaginary part"),
         # p_uu = 0.5 at antiparallel analyzers, so 1.5 once scaled
         (["eprb", "--phi1", "0", "--phi2", "180"], "experiment", "evolve_label_sum",
-         lambda f: lambda op, seq: f(op, seq) * 3, "not a probability"),
+         lambda f: lambda op, seq, **kw: f(op, seq, **kw) * 3, "not a probability"),
         (["eprb", "--phi1", "0", "--phi2", "90", "--verify"], "schrodinger", "_apply",
          lambda f: lambda u, amps, layout: f(u, amps, layout) * 1.001, "norm drifted"),
         (["ghzm", "--phi", "0", "0", "0"], "experiment", "measurement_block",
@@ -515,7 +515,7 @@ class TestInternalErrors:
          lambda f: lambda labels, seq: frozenset(labels), "outside its light cone"),
         # a NaN mean would otherwise print, with a NaN residual, and pass --verify
         (["ghzm", "--phi", "0", "0", "0", "--verify"], "experiment", "evolve_label_sum",
-         lambda f: lambda op, seq: f(op, seq) * math.nan, "not finite"),
+         lambda f: lambda op, seq, **kw: f(op, seq, **kw) * math.nan, "not finite"),
     ], ids=["imaginary-part", "not-a-probability", "norm-drift", "non-unitary-step",
             "support-outside-light-cone", "non-finite-mean"])
     def test_invariant_failure_exits_internal(self, argv, module, name, wrap, message,

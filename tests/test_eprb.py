@@ -91,7 +91,7 @@ class TestExperimentRun:
 
         evolve, seen = experiment.evolve_label_sum, []
         monkeypatch.setattr(experiment, "evolve_label_sum",
-                            lambda op, seq: seen.append(op) or evolve(op, seq))
+                            lambda op, seq, **kw: seen.append(op) or evolve(op, seq, **kw))
         for _ in range(2):
             EPRB.run(self.DIRECTIONS, True, (0.0, 1.0, -1.0))
         first, second = seen[:len(seen) // 2], seen[len(seen) // 2:]
@@ -105,6 +105,16 @@ class TestLabelCopies:
         seq = EPRB.sequence((random_direction(rng), random_direction(rng)), entangled)
         assert len(evolve_label_sum(EPRB.observable(("B1",), SPIN_BETA), seq)) == 2
         assert len(evolve_label_sum(EPRB.observable(("B1", "B2"), SPIN_BETA), seq)) == 4
+
+    @pytest.mark.parametrize("entangled", [True, False])
+    def test_joint_probability_read_at_the_initial_state_keeps_one_copy(self, entangled, rng):
+        # read at the ignorant observers, the outcome pairs other than up-up
+        # weigh 0 under the probability preset; the spin preset weighs each
+        seq = EPRB.sequence((random_direction(rng), random_direction(rng)), entangled)
+        at = EPRB.initial_indices
+        p_uu = EPRB.observable(("B1", "B2"), PROBABILITY_BETA)
+        assert (len(evolve_label_sum(p_uu, seq)), len(evolve_label_sum(p_uu, seq, at=at))) == (4, 1)
+        assert len(evolve_label_sum(EPRB.observable(("B1", "B2"), SPIN_BETA), seq, at=at)) == 4
 
 
 class TestEntangled:

@@ -142,6 +142,17 @@ class TestLabelCopies:
         evolved = evolve_label_sum(GHZM.observable(("G",), EVEN_GAMMA), seq)
         assert len(evolved) == 3**3 * 2**3 == 216
 
+    @pytest.mark.parametrize("entangled", [True, False])
+    @pytest.mark.parametrize("gamma", GHZM.presets.values(), ids=GHZM.presets.keys())
+    def test_referee_read_at_the_initial_state_keeps_four_copies(self, entangled, gamma, rng):
+        # each observer is read at its ignorant index once no earlier step
+        # acts on it: of the 216 copies, only the 4 all-aware patterns of
+        # the preset's parity weigh anything there
+        seq = GHZM.sequence([random_direction(rng) for _ in range(3)], entangled)
+        g = GHZM.observable(("G",), gamma)
+        assert len(evolve_label_sum(g, seq)) == 216
+        assert len(evolve_label_sum(g, seq, at=GHZM.initial_indices)) == 4
+
 
 class TestRunGhzm:
     def test_headline_zeros(self):

@@ -27,7 +27,7 @@ from heisensim import (
 from heisensim.eprb import EPRB, measurement_sequence
 from heisensim.ghzm import GHZM, GhzmConfig, measurement_sequence as ghzm_sequence
 from heisensim.measure import LabelSum, evolve_label_sum
-from conftest import random_direction
+from conftest import directions, random_direction
 from reference import identity
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -172,12 +172,6 @@ def assert_ledger_matches_the_dense_reference(exp, directions):
         for r, label in zip(residuals, exp.layout.labels):
             expected = ref.residuals[label]
             assert abs(r - expected) <= 1e-12 * max(1.0, expected), (name, stage, label)
-
-
-#: a polar angle at either pole, so exact zeros and carried rounding noise
-#: occur, or anywhere between
-polar_angles = st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.0, math.pi))
-directions = st.builds(Direction, polar_angles, st.floats(0.0, 2 * math.pi))
 
 
 class TestSupportLedger:

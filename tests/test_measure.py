@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from heisensim import (
@@ -27,9 +27,10 @@ from heisensim import (
     single_factor,
     support,
 )
+from heisensim.eprb import EPRB
 from heisensim.ghzm import GHZM
 from heisensim.measure import LabelSum, evolve_label_sum, light_cone, measurement_block
-from conftest import random_direction, random_unitary
+from conftest import directions, random_direction, random_unitary
 from reference import is_hermitian, projector_from_state, reordered, spin_eigenstate
 
 OS_LAYOUT = SubsystemLayout((("O", 3), ("S", 2)))
@@ -556,6 +557,42 @@ def test_label_sums_match_dense_conjugation(case, seed):
         assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(continued.groups, whole.groups))
 
 
+# EPRB's B1 B2 at its second measurement: the observers' group still holds
+# F0, which the first measurement acts on, so it is not read there
+@example(case=([3, 3, 2, 2], [("measure", 0, (2,), 2, False), ("measure", 1, (3,), 2, False)],
+               ((0, 1), False), ((1, 0), True)), seed=0)
+@settings(max_examples=200, deadline=None)
+@given(case=structured_sequences(), seed=st.integers(0, 2**31))
+def test_sums_read_at_a_basis_state_match_its_dense_entry(case, seed):
+    layout, seq, a, b, rng = build_structured(case, seed)
+    total = seq.total_unitary()
+    at = [int(rng.integers(d)) for d in layout.dims]
+    flat = np.ravel_multi_index(at, layout.dims)
+    union = SubsystemLayout(tuple(f for f in layout.factors
+                                  if f[0] in a.layout.labels + b.layout.labels))
+    for op in (a, b, Operator(union, embed(a, union).matrix @ embed(b, union).matrix)):
+        dense = conjugate_by(embed(op, layout), total).matrix[flat, flat]
+        assert abs(evolve_label_sum(op, seq, at=at).mean(at) - dense) < 1e-12
+
+
+@pytest.mark.parametrize("exp", [EPRB, GHZM], ids=["eprb", "ghzm"])
+def test_run_matches_the_full_sums_mean(exp):
+    n = len(exp.measurements)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(directions, min_size=n, max_size=n))
+    def check(drawn):
+        for entangled in (True, False):
+            seq = exp.sequence(drawn, entangled)
+            for preset in exp.presets.values():
+                values, _ = exp.run(drawn, entangled, preset)
+                for column, _, names, eigenvalues in exp.means:
+                    full = evolve_label_sum(exp.observable(names, eigenvalues or preset), seq)
+                    assert abs(values[column] - full.mean(exp.initial_indices).real) < 1e-12
+
+    check()
+
+
 class TestLabelSums:
     # Z_BLOCK keeps its terms; Z_MEASUREMENT, embedded, is a plain operator
 
@@ -614,6 +651,16 @@ class TestLabelSums:
         assert [p for p, _ in evolved.groups] == [(0, 1)]
         dense = conjugate_by(embed(a, OS_LAYOUT), seq.total_unitary())
         assert float(np.linalg.norm(evolved.dense().matrix - dense.matrix)) < 1e-12
+
+    def test_ignorant_projector_read_after_its_measurement_has_no_copies(self):
+        # every outcome shifts O out of its ignorant state, so each copy
+        # weighs 0 there and is dropped
+        ignorant = Operator(single_factor("O", 3), np.diag([1.0, 0.0, 0.0]))
+        seq = InteractionSequence((("m", Z_BLOCK),), OS_LAYOUT)
+        evolved = evolve_label_sum(ignorant, seq, at=(0, 0))
+        assert len(evolved) == len(evolved * 2.0) == 0
+        assert evolved.mean((0, 0)) == (evolved * 2.0).mean((0, 0)) == 0.0
+        assert len(evolve_label_sum(ignorant, seq)) == 2
 
     def test_scalar_multiple(self, rng):
         b = ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator()
