@@ -14,7 +14,7 @@ tabulating operator support are written once, here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Callable, Mapping, Sequence
 
@@ -24,10 +24,11 @@ from .measure import (
     Direction,
     InteractionSequence,
     ObserverSpec,
+    _default_shifts,
+    _measurement_blocks,
+    _spin_stack,
     evolve_label_sum,
     light_cone,
-    measurement_block,
-    spin_projector,
 )
 from .schrodinger import product_expectation, schrodinger_evolve
 from .tensor import InvariantError, Operator, StateVector, SubsystemLayout, kron, real_part
@@ -66,6 +67,17 @@ class Experiment:
     ledger: tuple[tuple[str, str, Eigenvalues], ...]
     #: called with the means by column; raises if they break an invariant
     report: Callable[..., object] = dict
+    #: per spin measurement, its block's layout and projector labels, and the
+    #: default shifts they share: the same on every run, so built once
+    _spin_blocks: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = len(SPIN_OUTCOMES)
+        object.__setattr__(self, "_spin_blocks", (
+            tuple(SubsystemLayout(((observer, n + 1), (particle, 2)))
+                  for observer, particle in self.measurements),
+            tuple(((particle,),) for _, particle in self.measurements),
+            _default_shifts(n)))
 
     @property
     def angle_keys(self) -> tuple[str, ...]:
@@ -93,12 +105,19 @@ class Experiment:
                              for name in names))
 
     def sequence(self, directions: Sequence[Direction], entangled: bool) -> InteractionSequence:
-        """Entangler (when enabled), one spin measurement per pair, readout."""
+        """Entangler (when enabled), one spin measurement per pair, readout.
+
+        The spin measurements are built and checked in one pass: each block
+        is the ``measurement_block`` of its observer and the
+        ``spin_projector``s of its particle along its direction, bit for bit.
+        """
+        if len(directions) != len(self.measurements):
+            raise ValueError(f"{self.name} takes {len(self.measurements)} directions, one per "
+                             f"measurement, got {len(directions)}")
+        layouts, labels, shifts = self._spin_blocks
+        blocks = _measurement_blocks(layouts, shifts, labels, [_spin_stack(directions)])
         steps = [("t1:entangle", self.entangler)] if entangled else []
-        pairs = zip(self.measurements, directions, strict=True)
-        for k, ((observer, particle), n) in enumerate(pairs, 1):
-            projectors = [spin_projector(n, o, particle) for o in SPIN_OUTCOMES]
-            steps.append((f"t2:measure-{k}", measurement_block(observer, [projectors])))
+        steps += ((f"t2:measure-{k}", block) for k, block in enumerate(blocks, 1))
         steps += self.readout
         return InteractionSequence(tuple(steps), self.layout)
 

@@ -112,16 +112,23 @@ def spin_projector(n: Direction, outcome: str, label: str = "S") -> Operator:
     Assembled from the z-basis projectors plus the two transition operators
     |up><down| and |down><up| weighted by ``sin(theta) e^{-+i phi}/2``.
     """
-    c2 = math.cos(0.5 * n.theta) ** 2
-    s2 = math.sin(0.5 * n.theta) ** 2
-    cross = 0.5 * math.sin(n.theta) * cmath.exp(-1j * n.phi)
-    if outcome == UP:
-        m = np.array([[c2, cross], [np.conj(cross), s2]])
-    elif outcome == DOWN:
-        m = np.array([[s2, -cross], [-np.conj(cross), c2]])
-    else:
+    if outcome not in SPIN_OUTCOMES:
         raise ValueError(f"outcome must be {UP!r} or {DOWN!r}, got {outcome!r}")
-    return Operator(single_factor(label, 2), m)
+    return Operator(single_factor(label, 2), _spin_stack((n,))[0, SPIN_OUTCOMES.index(outcome)])
+
+
+def _spin_stack(directions: Sequence[Direction]) -> np.ndarray:
+    """The ``(k, 2, 2, 2)`` stack of the :func:`spin_projector` matrices along
+    each direction, one per outcome in ``SPIN_OUTCOMES`` order: the same
+    scalar formula per direction, so the same bits."""
+    entries = []
+    for n in directions:
+        c2 = math.cos(0.5 * n.theta) ** 2
+        s2 = math.sin(0.5 * n.theta) ** 2
+        cross = 0.5 * math.sin(n.theta) * cmath.exp(-1j * n.phi)
+        entries.append((((c2, cross), (cross.conjugate(), s2)),
+                        ((s2, -cross), (-cross.conjugate(), c2))))
+    return np.array(entries, dtype=complex).reshape(len(entries), 2, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -221,9 +228,7 @@ def measurement_block(observer: str, projectors: Sequence[Sequence[Operator]],
     if observer in labels:
         raise LayoutError(f"observer and system share the label {observer!r}")
     if shifts is None:
-        # u_i is shift_operator(observer, n + 1, i + 1): its row r is row r - i - 1 of I
-        rows = (np.arange(n + 1) - np.arange(1, n + 1)[:, None]) % (n + 1)
-        u = np.eye(n + 1, dtype=complex)[rows]
+        u = _default_shifts(n)
         observer_layout = single_factor(observer, n + 1)
     else:
         if bad := [i for i, v in enumerate(shifts) if not v.is_unitary()]:
@@ -233,26 +238,57 @@ def measurement_block(observer: str, projectors: Sequence[Sequence[Operator]],
             raise LayoutError(f"need one shift on factor {observer!r} per projector")
         u = np.stack([v.matrix for v in shifts])
         observer_layout = shifts[0].layout
-
     layout = SubsystemLayout((*observer_layout.factors, *(f for g in layouts for f in g.factors)))
-    stacks = [np.stack([q.matrix for q in group]) for group in groups]
+    stacks = [np.stack([q.matrix for q in group])[None] for group in groups]
+    block, = _measurement_blocks([layout], u, [tuple(g.labels for g in layouts)], stacks)
+    return block
+
+
+def _default_shifts(n: int) -> np.ndarray:
+    """The read-only ``(n, n + 1, n + 1)`` stack of default shifts: ``u_i`` is
+    ``shift_operator(observer, n + 1, i + 1)``, whose row ``r`` is row
+    ``r - i - 1`` of the identity."""
+    rows = (np.arange(n + 1) - np.arange(1, n + 1)[:, None]) % (n + 1)
+    u = np.eye(n + 1, dtype=complex)[rows]
+    u.setflags(write=False)
+    return u
+
+
+def _measurement_blocks(layouts: Sequence[SubsystemLayout], u: np.ndarray,
+                        labels: Sequence[tuple[tuple[str, ...], ...]],
+                        stacks: Sequence[np.ndarray]) -> list[Measurement]:
+    """The ``k`` blocks ``sum_i u_i (x) P_i``, built and checked at once: block
+    ``j`` on ``layouts[j]``, the observer then its groups' factors, whose
+    labels are ``labels[j]``; the layouts differ in labels only. Every block
+    shares the ``(n, o, o)`` shifts
+    ``u``; ``stacks`` holds each group's ``(k, n, d, d)`` stack, so
+    ``P_i`` of block ``j`` is the Kronecker product of every group's entry
+    ``[j, i]``. Each block's entries must be finite, its ``P_i`` orthogonal
+    and complete, and the block unitary."""
+    k, n = stacks[0].shape[:2]
+    if not all(np.isfinite(f).all() for f in stacks):
+        raise ValueError("projector family contains non-finite entries")
     # |P_i P_j| for i != j is the product of the groups' |F_i F_j|, since
     # P_i P_j is the Kronecker product of the F_i F_j; |P_i P_i - P_i| on the diagonal
-    gaps = np.prod([np.linalg.norm(f[:, None] @ f[None], axis=(2, 3)) for f in stacks], axis=0)
-    _, p = _merge(layout, n, [(tuple(map(layout.position, g.labels)), f)
-                              for g, f in zip(layouts, stacks)])
-    gaps[np.diag_indices(n)] = np.linalg.norm(p @ p - p, axis=(1, 2))
+    gaps = np.prod([np.linalg.norm(f[:, :, None] @ f[:, None], axis=(-2, -1)) for f in stacks],
+                   axis=0)
+    _, p = _merge(layouts[0], k * n, [(tuple(map(layouts[0].position, group)),
+                                       f.reshape(-1, *f.shape[2:]))
+                                      for group, f in zip(labels[0], stacks)])
+    p = p.reshape(k, n, *p.shape[1:])
+    diagonal = np.arange(n)
+    gaps[:, diagonal, diagonal] = np.linalg.norm(p @ p - p, axis=(-2, -1))
     if np.any(gaps >= DEFAULT_TOL):
         raise ValueError("projector family is not orthogonal within tolerance")
-    if float(np.linalg.norm(p.sum(axis=0) - np.eye(p.shape[-1]))) >= DEFAULT_TOL:
+    if np.any(np.linalg.norm(p.sum(axis=1) - np.eye(p.shape[-1]), axis=(-2, -1)) >= DEFAULT_TOL):
         raise ValueError("projector family does not sum to the identity (incomplete family)")
 
-    block = np.einsum("iab,icd->acbd", u, p).reshape(layout.total_dim, -1)
-    block_op = Measurement(layout, block, u,
-                           tuple((g.labels, f) for g, f in zip(layouts, stacks)))
-    if not block_op.is_unitary():
+    matrices = np.einsum("iab,kicd->kacbd", u, p).reshape(k, layouts[0].total_dim, -1)
+    blocks = [Measurement(layout, m, u, tuple(zip(group_labels, (f[j] for f in stacks))))
+              for j, (layout, m, group_labels) in enumerate(zip(layouts, matrices, labels))]
+    if not all(block.is_unitary() for block in blocks):
         raise NonUnitaryError("measurement unitary failed its unitarity post-check")
-    return block_op
+    return blocks
 
 
 def measurement_unitary(layout: SubsystemLayout, observer: str,

@@ -53,37 +53,25 @@ class SubsystemLayout:
     factors: tuple[tuple[str, int], ...]
 
     def __init__(self, factors: Iterable[tuple[str, int]]):
-        object.__setattr__(
-            self, "factors", tuple((str(label), int(dim)) for label, dim in factors)
-        )
-        if not self.factors:
+        # labels, dims, total_dim and _positions are plain attributes, not
+        # fields: equality and hashing see ``factors`` alone
+        factors = tuple((str(label), int(dim)) for label, dim in factors)
+        if not factors:
             raise LayoutError("layout needs at least one factor")
-        labels = [label for label, _ in self.factors]
+        labels = tuple(label for label, _ in factors)
         if len(set(labels)) != len(labels):
-            raise LayoutError(f"duplicate factor labels in {labels}")
-        for label, dim in self.factors:
+            raise LayoutError(f"duplicate factor labels in {list(labels)}")
+        for label, dim in factors:
             if dim < 2:
                 raise LayoutError(f"factor {label!r} has dim {dim}; every dim must be >= 2")
-        if self.total_dim > MAX_TOTAL_DIM:
-            raise LayoutError(
-                f"total dimension {self.total_dim} exceeds the {MAX_TOTAL_DIM} guard"
-            )
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.factors)
-
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.factors)
-
-    @cached_property
-    def total_dim(self) -> int:
-        return reduce(lambda a, b: a * b, self.dims, 1)
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {label: k for k, (label, _) in enumerate(self.factors)}
+        dims = tuple(dim for _, dim in factors)
+        total_dim = reduce(lambda a, b: a * b, dims, 1)
+        if total_dim > MAX_TOTAL_DIM:
+            raise LayoutError(f"total dimension {total_dim} exceeds the {MAX_TOTAL_DIM} guard")
+        for name, value in (("factors", factors), ("labels", labels), ("dims", dims),
+                            ("total_dim", total_dim),
+                            ("_positions", {label: k for k, label in enumerate(labels)})):
+            object.__setattr__(self, name, value)
 
     def position(self, label: str) -> int:
         try:

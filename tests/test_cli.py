@@ -507,8 +507,14 @@ class TestInternalErrors:
          lambda f: lambda op, seq, **kw: f(op, seq, **kw) * 3, "not a probability"),
         (["eprb", "--phi1", "0", "--phi2", "90", "--verify"], "schrodinger", "_apply",
          lambda f: lambda u, amps, layout: f(u, amps, layout) * 1.001, "norm drifted"),
-        (["ghzm", "--phi", "0", "0", "0"], "experiment", "measurement_block",
-         lambda f: lambda *args: f(*args) * 1.001, "not unitary"),
+        (["ghzm", "--phi", "0", "0", "0"], "experiment", "_measurement_blocks",
+         lambda f: lambda *args: [block * 1.001 for block in f(*args)], "not unitary"),
+        # the spin projectors of one direction, up twice or down dropped
+        (["ghzm", "--phi", "0", "0", "0"], "experiment", "_spin_stack",
+         lambda f: lambda directions: f(directions)[:, [0, 0]], "not orthogonal"),
+        (["eprb", "--phi1", "0", "--phi2", "90"], "experiment", "_spin_stack",
+         lambda f: lambda directions: f(directions) * [[[1]], [[0]]],
+         "does not sum to the identity"),
         # a kernel that put a block on the wrong factors would show as a
         # support outside the light cone; a cone that never grows fakes one
         (["analyze"], "experiment", "light_cone",
@@ -517,6 +523,7 @@ class TestInternalErrors:
         (["ghzm", "--phi", "0", "0", "0", "--verify"], "experiment", "evolve_label_sum",
          lambda f: lambda op, seq, **kw: f(op, seq, **kw) * math.nan, "not finite"),
     ], ids=["imaginary-part", "not-a-probability", "norm-drift", "non-unitary-step",
+            "non-orthogonal-spin-projectors", "incomplete-spin-projectors",
             "support-outside-light-cone", "non-finite-mean"])
     def test_invariant_failure_exits_internal(self, argv, module, name, wrap, message,
                                               capsys, monkeypatch):

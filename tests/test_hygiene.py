@@ -129,6 +129,8 @@ PUBLIC_UNREAD = {
     "measure.InteractionSequence.total_unitary": "perfbench traces it; ROADMAP item 2 moves it",
     "measure.shift_operator": "names the default shifts, which measurement_block indexes "
                               "out of the identity; tests build reference blocks from it",
+    "measure.spin_projector": "Experiment.sequence builds the same matrices as one stack; "
+                              "tests build reference blocks from it",
 }
 
 

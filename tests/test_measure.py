@@ -29,7 +29,15 @@ from heisensim import (
 )
 from heisensim.eprb import EPRB
 from heisensim.ghzm import GHZM
-from heisensim.measure import LabelSum, evolve_label_sum, light_cone, measurement_block
+from heisensim.measure import (
+    SPIN_OUTCOMES,
+    LabelSum,
+    _default_shifts,
+    _measurement_blocks,
+    evolve_label_sum,
+    light_cone,
+    measurement_block,
+)
 from conftest import directions, random_direction, random_unitary
 from reference import is_hermitian, projector_from_state, reordered, spin_eigenstate
 
@@ -276,6 +284,15 @@ class TestMeasurementUnitary:
         with pytest.raises(ValueError, match="shift 0 on 'O' is not unitary") as raised:
             measurement_block("O", [Z_PROJECTORS], doubled)
         assert not isinstance(raised.value, NonUnitaryError)
+
+    def test_shared_core_checks_finiteness_and_unitarity(self):
+        # measurement_block's projectors are finite operators and its shifts
+        # unitary, so only a direct call reaches these two checks
+        stack = np.stack([p.matrix for p in Z_PROJECTORS])[None]
+        with pytest.raises(ValueError, match="projector family contains non-finite"):
+            _measurement_blocks([OS_LAYOUT], _default_shifts(2), [(("S",),)], [stack * np.nan])
+        with pytest.raises(NonUnitaryError, match="post-check"):
+            _measurement_blocks([OS_LAYOUT], 2 * _default_shifts(2), [(("S",),)], [stack])
 
     def test_disjoint_measurements_commute(self, rng):
         layout = SubsystemLayout((("O1", 3), ("O2", 3), ("S1", 2), ("S2", 2)))
@@ -591,6 +608,36 @@ def test_run_matches_the_full_sums_mean(exp):
                     assert abs(values[column] - full.mean(exp.initial_indices).real) < 1e-12
 
     check()
+
+
+@pytest.mark.parametrize("exp", [EPRB, GHZM], ids=["eprb", "ghzm"])
+def test_sequence_builds_each_spin_measurement_bit_for_bit(exp):
+    # the one-pass build against one measurement_block per pair
+    n = len(exp.measurements)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(directions, min_size=n, max_size=n), st.booleans())
+    def check(drawn, entangled):
+        steps = exp.sequence(drawn, entangled).steps
+        spin = [f"t2:measure-{k}" for k in range(1, n + 1)]
+        assert [tag for tag, _ in steps] == [*(["t1:entangle"] * entangled), *spin,
+                                             *(tag for tag, _ in exp.readout)]
+        built = dict(steps)
+        for tag, (observer, particle), d in zip(spin, exp.measurements, drawn):
+            block = built[tag]
+            ref = measurement_block(observer, [[spin_projector(d, o, particle)
+                                                for o in SPIN_OUTCOMES]])
+            assert block.layout == ref.layout
+            for a, b in ((block.matrix, ref.matrix), (block.shifts, ref.shifts),
+                         *zip((f for _, f in block.projectors), (f for _, f in ref.projectors))):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            labels = [g[0] for g in block.projectors]
+            assert labels == [g[0] for g in ref.projectors] == [(particle,)]
+
+    check()
+    for count in (n - 1, n + 1):
+        with pytest.raises(ValueError, match=f"{n} directions"):
+            exp.sequence([Direction(0.0, 0.0)] * count, True)
 
 
 class TestLabelSums:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,19 @@ class TestLayout:
     def test_unknown_label(self):
         with pytest.raises(LayoutError):
             single_factor("A", 2).position("B")
+
+    def test_equality_and_hash_see_factors_alone(self):
+        lay = SubsystemLayout((("O1", 3), ("S1", 2)))
+        same = SubsystemLayout([("O1", 3.0), ("S1", "2")])
+        assert [f.name for f in dataclasses.fields(lay)] == ["factors"]
+        assert lay == same and hash(lay) == hash(same) == hash((lay.factors,))
+        assert lay != SubsystemLayout((("S1", 2), ("O1", 3)))
+        # the derived attributes are plain, set once at construction, and
+        # neither equality nor the hash reads them
+        assert {"labels", "dims", "total_dim", "_positions"} <= vars(lay).keys()
+        object.__setattr__(same, "labels", ("X",))
+        object.__setattr__(same, "total_dim", 0)
+        assert lay == same and hash(lay) == hash(same)
 
 
 class TestStateVector:
