@@ -19,7 +19,7 @@ import numpy as np
 
 from .experiment import Experiment
 from .measure import SPIN_BETA, Direction, InteractionSequence
-from .tensor import DEFAULT_TOL, InvariantError, Operator, SubsystemLayout
+from .tensor import Operator, SubsystemLayout
 
 OBSERVER_1, OBSERVER_2 = "O1", "O2"
 PARTICLE_1, PARTICLE_2 = "S1", "S2"
@@ -53,10 +53,6 @@ class EprbReport:
     mean_b1b2: float
     p_uu: float
 
-    def __post_init__(self):
-        if not -DEFAULT_TOL <= self.p_uu <= 1.0 + DEFAULT_TOL:
-            raise InvariantError(f"p_uu = {self.p_uu} is not a probability")
-
 
 def singlet_entangler() -> Operator:
     """Unitary on the particle pair sending up-down to the singlet.
@@ -86,7 +82,6 @@ EPRB = Experiment(
     measurements=((OBSERVER_1, PARTICLE_1), (OBSERVER_2, PARTICLE_2)),
     entangler=singlet_entangler(),
     readout=(),
-    stage="t2",
     preset_key="beta_preset",
     presets=BETA_PRESETS,
     preset_line="beta preset = {preset} {eigenvalues}",
@@ -99,7 +94,6 @@ EPRB = Experiment(
     # belief operators beside the spin components they come to record
     ledger=(("B1", OBSERVER_1, SPIN_BETA), ("B2", OBSERVER_2, SPIN_BETA),
             ("A1", PARTICLE_1, (1.0, -1.0)), ("A2", PARTICLE_2, (1.0, -1.0))),
-    report=EprbReport,
 )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .labels import support
 from .measure import (
@@ -31,7 +31,15 @@ from .measure import (
     light_cone,
 )
 from .schrodinger import product_expectation, schrodinger_evolve
-from .tensor import InvariantError, Operator, StateVector, SubsystemLayout, kron, real_part
+from .tensor import (
+    DEFAULT_TOL,
+    InvariantError,
+    Operator,
+    StateVector,
+    SubsystemLayout,
+    kron,
+    real_part,
+)
 
 Eigenvalues = tuple[float, ...]
 
@@ -43,8 +51,9 @@ class Experiment:
     ``means`` lists ``(column, table label, observable names, eigenvalues)``
     in output order: the value is the initial-state expectation of the
     product of the named observables, evolved as one observable. Eigenvalues
-    of ``None`` mean the run's own. Table labels and ``preset_line`` may
-    hold ``{preset}`` (the preset name) and ``{eigenvalues}`` fields.
+    of ``None`` mean the run's own; with all of them in {0, 1} the product is
+    a projector, so the mean is checked as a probability. Table labels and
+    ``preset_line`` may hold ``{preset}`` (the preset name) and ``{eigenvalues}`` fields.
     """
 
     name: str
@@ -56,8 +65,6 @@ class Experiment:
     entangler: Operator
     #: ``(tag, unitary on some factors of the layout)`` steps after the measurements
     readout: tuple[tuple[str, Operator], ...]
-    #: time stage after the last step, as named in the support ledger
-    stage: str
     preset_key: str
     presets: Mapping[str, Eigenvalues]
     preset_line: str
@@ -65,8 +72,6 @@ class Experiment:
     #: ``(name, factor label, eigenvalues)`` of each time-t0 observable: the
     #: means name them, and the ledger follows the support of each
     ledger: tuple[tuple[str, str, Eigenvalues], ...]
-    #: called with the means by column; raises if they break an invariant
-    report: Callable[..., object] = dict
     #: per spin measurement, its block's layout and projector labels, and the
     #: default shifts they share: the same on every run, so built once
     _spin_blocks: tuple = field(init=False, repr=False)
@@ -148,7 +153,9 @@ class Experiment:
                    for key in dict.fromkeys(keys)}
         values = {m[0]: real_part(evolved[key].mean(self.initial_indices))
                   for m, key in zip(self.means, keys)}
-        self.report(**values)
+        for (column, *_), (_, ev) in zip(self.means, keys):
+            if set(ev) <= {0.0, 1.0} and not -DEFAULT_TOL <= values[column] <= 1 + DEFAULT_TOL:
+                raise InvariantError(f"{column} = {values[column]} is not a probability")
         if not verify:
             return values, None
         psi = schrodinger_evolve(self.initial_state(), seq)
@@ -159,7 +166,8 @@ class Experiment:
 
     def support_ledger(self, directions: Sequence[Direction], tol: float) -> list[list]:
         """Rows ``[observable, stage, support labels, residual per label...]``
-        at t0 and after the sequence without and with the entangler.
+        at t0 and after the sequence without and with the entangler, those
+        stages named by its last step's tag up to the ``:``.
 
         The entangler is the earliest step, so the walk of the entangled
         sequence, latest step first, passes through the non-entangled sum:
@@ -178,11 +186,12 @@ class Experiment:
         A support outside the observable's light cone is a kernel fault and
         raises :class:`InvariantError`."""
         steps = self.sequence(directions, True).steps
+        time = steps[-1][0].split(":")[0]
         # per stage, latest step first: the step alone, and the factors it acts
         # on that no earlier step of the stage does; t0 reads every factor
         stages = [("t0", [(InteractionSequence((), self.layout), self.layout.labels)])]
-        for stage, part in ((f"{self.stage}-nonentangled", steps[1:]),
-                            (f"{self.stage}-entangled", steps[:1])):
+        for stage, part in ((f"{time}-nonentangled", steps[1:]),
+                            (f"{time}-entangled", steps[:1])):
             walk, earlier = [], set()
             for step in part:
                 labels = [lbl for lbl in step[1].layout.labels if lbl not in earlier]

@@ -96,8 +96,8 @@ def _parity_block() -> Measurement:
 
 #: Under the even preset the mean is the probability that the referee finds
 #: an even number of spin-up results (table label P_eu); under the odd
-#: preset, its complement (P_ou). Other eigenvalues give other means, so
-#: the value is not checked as a probability.
+#: preset, its complement (P_ou); each is checked as a probability. Other
+#: eigenvalues give other means.
 GHZM = Experiment(
     name="ghzm",
     layout=_LAYOUT,
@@ -106,7 +106,6 @@ GHZM = Experiment(
     measurements=tuple(zip(OBSERVERS, PARTICLES)),
     entangler=ghz_entangler(),
     readout=(("t3:parity", _parity_block()),),
-    stage="t3",
     preset_key="gamma_preset",
     presets=GAMMA_PRESETS,
     preset_line="gamma preset = {preset}",

@@ -95,16 +95,6 @@ class Direction:
             if not math.isfinite(value):
                 raise ValueError(f"analyzer angle {name} must be finite, got {value}")
 
-    @property
-    def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
-
-    def dot(self, other: "Direction") -> float:
-        return float(np.dot(self.unit_vector, other.unit_vector))
-
 
 def spin_projector(n: Direction, outcome: str, label: str = "S") -> Operator:
     """Projector onto the spin eigenstate along ``n``.
@@ -169,7 +159,7 @@ class InteractionSequence:
             split = None
             if isinstance(u, Measurement):
                 controls = tuple(
-                    _merge(self.layout, len(u.shifts),
+                    _merge(self.layout,
                            [(tuple(self.layout.position(label) for label in labels), stack)])
                     for labels, stack in u.projectors)
                 split = (rows[:1], u.shifts, controls, frozenset(earlier))
@@ -272,9 +262,9 @@ def _measurement_blocks(layouts: Sequence[SubsystemLayout], u: np.ndarray,
     # P_i P_j is the Kronecker product of the F_i F_j; |P_i P_i - P_i| on the diagonal
     gaps = np.prod([np.linalg.norm(f[:, :, None] @ f[:, None], axis=(-2, -1)) for f in stacks],
                    axis=0)
-    _, p = _merge(layouts[0], k * n, [(tuple(map(layouts[0].position, group)),
-                                       f.reshape(-1, *f.shape[2:]))
-                                      for group, f in zip(labels[0], stacks)])
+    _, p = _merge(layouts[0], [(tuple(map(layouts[0].position, group)),
+                                f.reshape(-1, *f.shape[2:]))
+                               for group, f in zip(labels[0], stacks)])
     p = p.reshape(k, n, *p.shape[1:])
     diagonal = np.arange(n)
     gaps[:, diagonal, diagonal] = np.linalg.norm(p @ p - p, axis=(-2, -1))
@@ -312,11 +302,11 @@ def light_cone(labels: Iterable[str], seq: InteractionSequence) -> frozenset[str
     return frozenset(cone)
 
 
-def _merge(layout: SubsystemLayout, terms: int, parts, identities=()) -> tuple:
+def _merge(layout: SubsystemLayout, parts, identities=()) -> tuple:
     """One group from the per-term Kronecker product of ``(positions, stack)``
     parts and the identity on each position in ``identities``: its
-    positions, ascending, and its ``(terms, d, d)`` stack (a read-only
-    broadcast when no part has more than one term)."""
+    positions, ascending, and its ``(T, d, d)`` stack, ``T`` the parts' term
+    count (a part of one term applies to every term)."""
     parts = [*parts, *(((k,), np.eye(layout.dims[k])[None]) for k in identities)]
     positions, stack = parts[0]
     for more, a in parts[1:]:
@@ -328,8 +318,6 @@ def _merge(layout: SubsystemLayout, terms: int, parts, identities=()) -> tuple:
         dims, k = tuple(layout.dims[p] for p in positions), len(positions)
         axes = (0, *(1 + j for j in order), *(1 + k + j for j in order))
         stack = stack.reshape(-1, *dims, *dims).transpose(axes).reshape(stack.shape)
-    if len(stack) != terms:
-        stack = np.broadcast_to(stack, (terms, *stack.shape[1:]))
     return tuple(sorted(positions)), stack
 
 
@@ -368,7 +356,7 @@ def _entries_at(layout: SubsystemLayout, positions, a: np.ndarray, observer: int
     return np.einsum("ia,tab,ib->ti", v.conj(), a, v).ravel()
 
 
-def _commutes(layout: SubsystemLayout, terms: int, groups, positions, f: np.ndarray) -> bool:
+def _commutes(layout: SubsystemLayout, groups, positions, f: np.ndarray) -> bool:
     """Whether each entry of a projector group's ``(n, d, d)`` stack ``f`` on
     ``positions`` commutes bitwise with every term of the ``groups`` it
     meets, both merged onto their shared factors with the identity padded
@@ -377,10 +365,10 @@ def _commutes(layout: SubsystemLayout, terms: int, groups, positions, f: np.ndar
     if not meet:
         return True
     covered = set().union(*(g[0] for g in meet))
-    merged, a = _merge(layout, terms, meet, sorted(set(positions) - covered))
+    merged, a = _merge(layout, meet, sorted(set(positions) - covered))
     pad = sorted(set(merged) - set(positions))
     for entry in f:
-        _, e = _merge(layout, 1, [(positions, entry[None])], pad)
+        _, e = _merge(layout, [(positions, entry[None])], pad)
         if not np.array_equal(e @ a, a @ e):
             return False
     return True
@@ -407,14 +395,10 @@ class LabelSum:
         positions = tuple(layout.position(label) for label in op.layout.labels)
         if tuple(layout.dims[k] for k in positions) != op.layout.dims:
             raise LayoutError(f"{op.layout.factors} are not factors of {layout.factors}")
-        return cls(layout, (_merge(layout, 1, [(positions, op.matrix[None])]),))
+        return cls(layout, (_merge(layout, [(positions, op.matrix[None])]),))
 
     def __len__(self) -> int:
         return len(self.groups[0][1])
-
-    def __mul__(self, scalar: complex) -> "LabelSum":
-        (positions, a), *rest = self.groups
-        return LabelSum(self.layout, ((positions, a * scalar), *rest))
 
     def mean(self, indices: Sequence[int]) -> complex:
         """``<psi|A|psi>`` in the product basis state with one index per
@@ -429,30 +413,16 @@ class LabelSum:
 
     def block(self) -> Operator:
         """The sum as one operator on the factors of its groups, in layout
-        order. The sum is this block tensored with the identity on every
-        other factor.
-
-        The groups are dealt, largest first, to two sides of about equal
-        dimension; each side is merged per term, and the two are contracted
-        over the terms. No term's whole block is formed: each side of the
-        split GHZM referee (216 terms on 648 dims) holds at most 36 dims.
-        One group of one term, as every unsplit sum is, is its own block.
+        order: each term's groups merged, one term at a time, and the terms
+        added. The sum is this block tensored with the identity on every
+        other factor. One group of one term, as every unsplit sum is, is its
+        own block, and a sum of no terms is 0.
         """
-        if len(self.groups) == 1 and len(self) == 1:
-            (positions, total), = self.groups
-        else:
-            sides, dims = ([], []), [1, 1]
-            for group in sorted(self.groups, key=lambda g: -g[1].shape[-1]):
-                k = int(dims[1] < dims[0])
-                sides[k].append(group)
-                dims[k] *= group[1].shape[-1]
-            (p, a), (q, b) = (_merge(self.layout, len(self), side) if side
-                              else ((), np.ones((len(self), 1, 1))) for side in sides)
-            n = dims[0] * dims[1]
-            total = np.tensordot(a, b, (0, 0)).transpose(0, 2, 1, 3).reshape(1, n, n)
-            positions, total = _merge(self.layout, 1, [(p + q, total)])
+        positions, total = _merge(self.layout, [(p, a[:1]) for p, a in self.groups])
+        for t in range(1, len(self)):
+            total = total + _merge(self.layout, [(p, a[t:t + 1]) for p, a in self.groups])[1]
         return Operator(SubsystemLayout(tuple(self.layout.factors[k] for k in positions)),
-                        total[0])
+                        total[0] if len(total) else total.sum(axis=0))
 
     def dense(self) -> Operator:
         """The sum as one operator on the layout: its block embedded once."""
@@ -498,13 +468,12 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
             continue
         rest = tuple(g for g in groups if set(rows).isdisjoint(g[0]))
         covered = set().union(*(g[0] for g in touched))
-        terms = len(label_sum)
         if measurement and rows[0] not in covered and all(
-                _commutes(layout, terms, touched, p, f) for p, f in measurement[2]):
+                _commutes(layout, touched, p, f) for p, f in measurement[2]):
             continue
         if split and measurement and not any(covered.intersection(p) for p, _ in measurement[2]):
             target, shifts, controls, earlier = measurement
-            positions, a = _merge(layout, terms, touched, sorted(set(target) - covered))
+            positions, a = _merge(layout, touched, sorted(set(target) - covered))
             n = len(shifts)
             if at is not None and earlier.isdisjoint(positions):
                 c = _entries_at(layout, positions, a, target[0], shifts, at)
@@ -516,9 +485,9 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
             else:
                 groups = ((positions, _conjugate(layout, positions, a, target, shifts)),
                           *((p, np.repeat(x, n, axis=0)) for p, x in rest),
-                          *((p, np.tile(x, (terms, 1, 1))) for p, x in controls))
+                          *((p, np.tile(x, (len(label_sum), 1, 1))) for p, x in controls))
         else:
-            positions, a = _merge(layout, terms, touched, sorted(set(rows) - covered))
+            positions, a = _merge(layout, touched, sorted(set(rows) - covered))
             groups = ((positions, _conjugate(layout, positions, a, rows, block)), *rest)
         label_sum = LabelSum(layout, groups)
     return label_sum

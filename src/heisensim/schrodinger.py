@@ -14,9 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from .measure import InteractionSequence, heisenberg_evolve
-from .tensor import InvariantError, LayoutError, Operator, StateVector, SubsystemLayout
-
-_NORM_DRIFT_TOL = 1e-12
+from .tensor import (
+    STATE_NORM_TOL,
+    InvariantError,
+    LayoutError,
+    Operator,
+    StateVector,
+    SubsystemLayout,
+)
 
 
 def _apply(u: Operator, amps: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
@@ -37,7 +42,7 @@ def schrodinger_evolve(initial: StateVector, seq: InteractionSequence) -> StateV
     for tag, u in seq.steps:
         amps = _apply(u, amps, layout)
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_DRIFT_TOL:
+        if abs(norm - 1.0) > STATE_NORM_TOL:
             raise InvariantError(f"norm drifted to {norm!r} after step {tag!r}")
     return StateVector(layout, amps.reshape(-1))
 

@@ -22,7 +22,7 @@ import numpy as np
 #: parts; the predicates take another per call, --tol sets support's and --verify's.
 DEFAULT_TOL = 1e-10
 
-#: State vectors must be normalized to this accuracy at construction.
+#: State vectors, and the oracle's state after each step, have norm 1 to this accuracy.
 STATE_NORM_TOL = 1e-12
 
 #: Guard against accidentally requesting an unreasonably large dense space.
@@ -143,21 +143,6 @@ class Operator:
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         return self._unitarity_residual < tol
 
-    def _require_same_layout(self, other: "Operator") -> None:
-        if self.layout != other.layout:
-            raise LayoutError(
-                f"layout mismatch: {self.layout.labels} vs {other.layout.labels}"
-            )
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._require_same_layout(other)
-        return Operator(self.layout, self.matrix @ other.matrix)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.layout, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -232,7 +217,8 @@ def embed(op: Operator, layout: SubsystemLayout) -> Operator:
 
 def conjugate_by(op: Operator, u: Operator) -> Operator:
     """Heisenberg conjugation: return ``u† op u``."""
-    op._require_same_layout(u)
+    if op.layout != u.layout:
+        raise LayoutError(f"layout mismatch: {op.layout.labels} vs {u.layout.labels}")
     if not u.is_unitary():
         raise NonUnitaryError(
             f"conjugation matrix fails unitarity: |u†u - I| = {u._unitarity_residual:.3e}"

@@ -54,6 +54,19 @@ def reordered(seq: InteractionSequence, tag_order: Sequence[str]) -> Interaction
     return InteractionSequence(tuple((t, by_tag[t]) for t in tag_order), seq.layout)
 
 
+def cos_between(n1: Direction, n2: Direction) -> float:
+    """Cosine of the angle between two analyzer directions:
+    ``cos θ1 cos θ2 + sin θ1 sin θ2 cos(φ1 − φ2)``."""
+    return (math.cos(n1.theta) * math.cos(n2.theta)
+            + math.sin(n1.theta) * math.sin(n2.theta) * math.cos(n1.phi - n2.phi))
+
+
+def unit_vector(n: Direction) -> np.ndarray:
+    """The analyzer direction as a Cartesian unit vector."""
+    st = math.sin(n.theta)
+    return np.array([st * math.cos(n.phi), st * math.sin(n.phi), math.cos(n.theta)])
+
+
 def real_expectation(state: StateVector, op: Operator) -> float:
     """Expectation of a Hermitian observable; rejects stray imaginary parts."""
     return real_part(expectation(state, op))

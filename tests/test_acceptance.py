@@ -39,6 +39,7 @@ from heisensim.eprb import EPRB, measurement_sequence as eprb_sequence
 from heisensim.ghzm import GHZM, measurement_sequence as ghzm_sequence
 from heisensim.measure import evolve_label_sum
 from conftest import random_direction
+from reference import cos_between
 
 
 def equator(phi_deg: float) -> Direction:
@@ -70,7 +71,7 @@ def test_criterion_2_singlet_correlation_law(rng):
     for k in range(1000):
         n1, n2 = random_direction(rng), random_direction(rng)
         report = run_eprb(EprbConfig(n1, n2, beta=(0.0, 1.0, -1.0)))
-        dot = n1.dot(n2)
+        dot = cos_between(n1, n2)
         assert report.mean_b1b2 == pytest.approx(-dot, abs=1e-10)
         # p_uu is the same product mean re-run under beta = (0, 1, 0)
         assert report.p_uu == pytest.approx((1.0 - dot) / 4.0, abs=1e-10)
@@ -141,7 +142,7 @@ def test_criterion_7_picture_equivalence(rng):
         seq = eprb_sequence(cfg)
         b1, b2 = (embed(EPRB.observable((name,), cfg.beta), EPRB.layout)
                   for name in ("B1", "B2"))
-        assert cross_check(b1 @ b2, seq, psi_eprb) < 1e-10
+        assert cross_check(Operator(EPRB.layout, b1.matrix @ b2.matrix), seq, psi_eprb) < 1e-10
     psi_ghzm = GHZM.initial_state()
     for _ in range(100):
         cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
@@ -189,7 +190,7 @@ def test_criterion_9_structural_identities(rng):
     n1, n2 = random_direction(rng), random_direction(rng)
     u1 = measurement_unitary(full, "O1", [[spin_projector(n1, o, "S1") for o in ("up", "down")]])
     u2 = measurement_unitary(full, "O2", [[spin_projector(n2, o, "S2") for o in ("up", "down")]])
-    assert float(np.linalg.norm((u1 @ u2).matrix - (u2 @ u1).matrix)) < 1e-12
+    assert float(np.linalg.norm(u1.matrix @ u2.matrix - u2.matrix @ u1.matrix)) < 1e-12
 
     # projector completeness across the sphere
     for _ in range(1000):

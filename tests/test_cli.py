@@ -10,6 +10,8 @@ import pytest
 import heisensim
 from heisensim.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from heisensim.config import _SCHEMAS
+from heisensim.measure import LabelSum
+from heisensim.tensor import Operator
 
 
 def run_cli(argv, capsys):
@@ -23,6 +25,12 @@ def value_of(label: str, text: str) -> float:
         if line.strip().startswith(label):
             return float(line.split("=")[-1])
     raise AssertionError(f"{label!r} not found in output:\n{text}")
+
+
+def scaled(label_sum, factor):
+    """The label sum times ``factor``: its first group's stack scaled."""
+    (positions, a), *rest = label_sum.groups
+    return LabelSum(label_sum.layout, ((positions, a * factor), *rest))
 
 
 class TestBellQ:
@@ -466,14 +474,16 @@ class TestVerifyChecksPrintedMeans:
     @pytest.mark.parametrize("argv, residual", [
         # only p_uu (fixed probability eigenvalues) moves: 0.25 (1 + 1e-6)
         (["eprb", "--phi1", "0", "--phi2", "90", "--verify", "--format", "csv"], 2.5e-7),
-        (["ghzm", "--phi", "0", "0", "0", "--verify", "--format", "csv"], 1e-6),
+        # P_eu = 0.5 here; at (0, 0, 0) it is 1, and 1 + 1e-6 fails the
+        # probability check before the verify step runs
+        (["ghzm", "--phi", "0", "0", "90", "--verify", "--format", "csv"], 5e-7),
     ])
     def test_scaled_operator_evolution_fails(self, argv, residual, capsys, monkeypatch):
         import heisensim.experiment as experiment
 
         evolve = experiment.evolve_label_sum
         monkeypatch.setattr(experiment, "evolve_label_sum",
-                            lambda op, seq, **kw: evolve(op, seq, **kw) * (1 + 1e-6))
+                            lambda op, seq, **kw: scaled(evolve(op, seq, **kw), 1 + 1e-6))
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_VERIFY
         assert "verification failed" in err
@@ -486,8 +496,12 @@ class TestVerifyChecksPrintedMeans:
         from heisensim.experiment import Experiment
 
         observable = Experiment.observable
-        monkeypatch.setattr(Experiment, "observable", lambda self, names, eigenvalues: (
-            observable(self, names, eigenvalues) * (2 if len(names) == 2 else 1)))
+
+        def doubled(self, names, eigenvalues):
+            op = observable(self, names, eigenvalues)
+            return Operator(op.layout, op.matrix * (2 if len(names) == 2 else 1))
+
+        monkeypatch.setattr(Experiment, "observable", doubled)
         argv = ["eprb", "--phi1", "0", "--phi2", "120", "--verify", "--format", "csv"]
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_VERIFY
@@ -501,14 +515,18 @@ class TestInternalErrors:
 
     @pytest.mark.parametrize("argv, module, name, wrap, message", [
         (["ghzm", "--phi", "0", "0", "0"], "experiment", "evolve_label_sum",
-         lambda f: lambda op, seq, **kw: f(op, seq, **kw) * (1 + 1e-6j), "imaginary part"),
+         lambda f: lambda op, seq, **kw: scaled(f(op, seq, **kw), 1 + 1e-6j), "imaginary part"),
         # p_uu = 0.5 at antiparallel analyzers, so 1.5 once scaled
         (["eprb", "--phi1", "0", "--phi2", "180"], "experiment", "evolve_label_sum",
-         lambda f: lambda op, seq, **kw: f(op, seq, **kw) * 3, "not a probability"),
+         lambda f: lambda op, seq, **kw: scaled(f(op, seq, **kw), 3), "not a probability"),
+        # P_eu = 1 at (0, 0, 0), so 3 once scaled
+        (["ghzm", "--phi", "0", "0", "0"], "experiment", "evolve_label_sum",
+         lambda f: lambda op, seq, **kw: scaled(f(op, seq, **kw), 3), "not a probability"),
         (["eprb", "--phi1", "0", "--phi2", "90", "--verify"], "schrodinger", "_apply",
          lambda f: lambda u, amps, layout: f(u, amps, layout) * 1.001, "norm drifted"),
         (["ghzm", "--phi", "0", "0", "0"], "experiment", "_measurement_blocks",
-         lambda f: lambda *args: [block * 1.001 for block in f(*args)], "not unitary"),
+         lambda f: lambda *args: [Operator(block.layout, block.matrix * 1.001)
+                                  for block in f(*args)], "not unitary"),
         # the spin projectors of one direction, up twice or down dropped
         (["ghzm", "--phi", "0", "0", "0"], "experiment", "_spin_stack",
          lambda f: lambda directions: f(directions)[:, [0, 0]], "not orthogonal"),
@@ -521,9 +539,9 @@ class TestInternalErrors:
          lambda f: lambda labels, seq: frozenset(labels), "outside its light cone"),
         # a NaN mean would otherwise print, with a NaN residual, and pass --verify
         (["ghzm", "--phi", "0", "0", "0", "--verify"], "experiment", "evolve_label_sum",
-         lambda f: lambda op, seq, **kw: f(op, seq, **kw) * math.nan, "not finite"),
-    ], ids=["imaginary-part", "not-a-probability", "norm-drift", "non-unitary-step",
-            "non-orthogonal-spin-projectors", "incomplete-spin-projectors",
+         lambda f: lambda op, seq, **kw: scaled(f(op, seq, **kw), math.nan), "not finite"),
+    ], ids=["imaginary-part", "not-a-probability", "ghzm-not-a-probability", "norm-drift",
+            "non-unitary-step", "non-orthogonal-spin-projectors", "incomplete-spin-projectors",
             "support-outside-light-cone", "non-finite-mean"])
     def test_invariant_failure_exits_internal(self, argv, module, name, wrap, message,
                                               capsys, monkeypatch):

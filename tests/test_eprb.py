@@ -9,7 +9,6 @@ from heisensim import (
     DOWN,
     Direction,
     EprbConfig,
-    EprbReport,
     InteractionSequence,
     PROBABILITY_BETA,
     SPIN_BETA,
@@ -24,13 +23,13 @@ from heisensim.eprb import EPRB, measurement_sequence
 from heisensim.measure import evolve_label_sum
 from heisensim.tensor import Operator, SubsystemLayout, embed
 from conftest import random_direction
-from reference import real_expectation, reordered
+from reference import cos_between, real_expectation, reordered, unit_vector
 
 
 def entangled_correlation(n1: Direction, n2: Direction, beta) -> float:
     # closed form: ((b1+b2)^2 - (b1-b2)^2 n1.n2) / 4
     b1, b2 = beta[1], beta[2]
-    return ((b1 + b2) ** 2 - (b1 - b2) ** 2 * n1.dot(n2)) / 4.0
+    return ((b1 + b2) ** 2 - (b1 - b2) ** 2 * cos_between(n1, n2)) / 4.0
 
 
 def _from_vector(v) -> Direction:
@@ -70,12 +69,6 @@ class TestEprbConfig:
     def test_presets(self):
         assert BETA_PRESETS["spin"] == (0.0, 1.0, -1.0)
         assert BETA_PRESETS["probability"] == (0.0, 1.0, 0.0)
-
-
-class TestReport:
-    def test_p_uu_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            EprbReport(0.0, 0.0, 0.0, 1.5)
 
 
 class TestExperimentRun:
@@ -122,7 +115,7 @@ class TestEntangled:
         for _ in range(50):
             n1, n2 = random_direction(rng), random_direction(rng)
             report = run_eprb(EprbConfig(n1, n2, beta=SPIN_BETA))
-            assert report.mean_b1b2 == pytest.approx(-n1.dot(n2), abs=1e-12)
+            assert report.mean_b1b2 == pytest.approx(-cos_between(n1, n2), abs=1e-12)
 
     def test_general_beta_closed_form(self, rng):
         # full matrix pipeline against the closed form, eigenvalues drawn
@@ -139,7 +132,7 @@ class TestEntangled:
         for _ in range(50):
             n1, n2 = random_direction(rng), random_direction(rng)
             report = run_eprb(EprbConfig(n1, n2))
-            assert report.p_uu == pytest.approx((1.0 - n1.dot(n2)) / 4.0, abs=1e-12)
+            assert report.p_uu == pytest.approx((1.0 - cos_between(n1, n2)) / 4.0, abs=1e-12)
 
     def test_perfect_anticorrelation_at_equal_directions(self, rng):
         for _ in range(20):
@@ -156,8 +149,8 @@ class TestEntangled:
             rot = q * np.sign(np.diag(r))
             if np.linalg.det(rot) < 0:
                 rot[:, 0] = -rot[:, 0]
-            m1, m2 = (_from_vector(rot @ n.unit_vector) for n in (n1, n2))
-            assert abs(m1.dot(m2) - n1.dot(n2)) < 1e-12
+            m1, m2 = (_from_vector(rot @ unit_vector(n)) for n in (n1, n2))
+            assert abs(cos_between(m1, m2) - cos_between(n1, n2)) < 1e-12
             assert run_eprb(EprbConfig(m1, m2)).p_uu == pytest.approx(
                 reference, abs=1e-10
             )
@@ -212,9 +205,9 @@ class TestOrderInvariance:
         psi0 = EPRB.initial_state()
         b1, b2 = (EPRB.observable((name,), cfg.beta) for name in ("B1", "B2"))
         for s in (seq, swapped):
-            prod = heisenberg_evolve(b1, s) @ heisenberg_evolve(b2, s)
-            value = real_expectation(psi0, prod)
-            assert value == pytest.approx(-cfg.n1.dot(cfg.n2), abs=1e-12)
+            prod = heisenberg_evolve(b1, s).matrix @ heisenberg_evolve(b2, s).matrix
+            value = real_expectation(psi0, Operator(EPRB.layout, prod))
+            assert value == pytest.approx(-cos_between(cfg.n1, cfg.n2), abs=1e-12)
 
 
 class TestCompletionInvariance:
@@ -244,6 +237,7 @@ class TestCompletionInvariance:
         seq = InteractionSequence(steps, layout)
         psi0 = EPRB.initial_state()
         b1, b2 = (EPRB.observable((name,), cfg.beta) for name in ("B1", "B2"))
-        alt = real_expectation(psi0, heisenberg_evolve(b1, seq) @ heisenberg_evolve(b2, seq))
+        prod = heisenberg_evolve(b1, seq).matrix @ heisenberg_evolve(b2, seq).matrix
+        alt = real_expectation(psi0, Operator(layout, prod))
         standard = run_eprb(cfg).mean_b1b2
         assert alt == pytest.approx(standard, abs=1e-12)

@@ -156,9 +156,12 @@ def assert_ledger_matches_the_dense_reference(exp, directions):
     # each stage's sequence built whole and multiplied out, the operator
     # embedded and conjugated by it: the dense reference, independent of the
     # label-sum walk and of when the ledger reads each factor
+    entangled = exp.sequence(directions, True)
+    # the ledger names each stage by the last step's tag up to its ":"
+    time = entangled.tags[-1].split(":")[0]
     stages = {"t0": None,
-              f"{exp.stage}-nonentangled": exp.sequence(directions, False).total_unitary(),
-              f"{exp.stage}-entangled": exp.sequence(directions, True).total_unitary()}
+              f"{time}-nonentangled": exp.sequence(directions, False).total_unitary(),
+              f"{time}-entangled": entangled.total_unitary()}
     rows = exp.support_ledger(directions, 1e-10)
     assert [row[:2] for row in rows] == [[name, stage] for name, _, _ in exp.ledger
                                         for stage in stages]

@@ -39,7 +39,7 @@ from heisensim.measure import (
     measurement_block,
 )
 from conftest import directions, random_direction, random_unitary
-from reference import is_hermitian, projector_from_state, reordered, spin_eigenstate
+from reference import cos_between, is_hermitian, projector_from_state, reordered, spin_eigenstate
 
 OS_LAYOUT = SubsystemLayout((("O", 3), ("S", 2)))
 Z_PROJECTORS = [
@@ -77,14 +77,9 @@ class TestObserverSpec:
 
 
 class TestDirection:
-    def test_unit_vector(self, rng):
-        for _ in range(100):
-            n = random_direction(rng)
-            assert np.linalg.norm(n.unit_vector) == pytest.approx(1.0, abs=1e-12)
-
     def test_dot_of_equal_directions(self, rng):
         n = random_direction(rng)
-        assert n.dot(n) == pytest.approx(1.0, abs=1e-12)
+        assert cos_between(n, n) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_angles(self, bad):
@@ -201,7 +196,7 @@ class TestMeasurementUnitary:
         for i, p in enumerate(projectors):
             shift_full = embed(shift_operator("O", 3, i + 1), OS_LAYOUT)
             proj_full = embed(p, OS_LAYOUT)
-            via_products += (shift_full @ proj_full).matrix
+            via_products += shift_full.matrix @ proj_full.matrix
         assert_allclose(u.matrix, via_products, atol=0)
 
     def test_incomplete_family_rejected(self):
@@ -301,7 +296,7 @@ class TestMeasurementUnitary:
                                  [[spin_projector(n1, o, "S1") for o in (UP, DOWN)]])
         u2 = measurement_unitary(layout, "O2",
                                  [[spin_projector(n2, o, "S2") for o in (UP, DOWN)]])
-        commutator = (u1 @ u2).matrix - (u2 @ u1).matrix
+        commutator = u1.matrix @ u2.matrix - u2.matrix @ u1.matrix
         assert float(np.linalg.norm(commutator)) < 1e-12
 
 
@@ -542,8 +537,10 @@ def test_label_sums_match_dense_conjugation(case, seed):
     union = SubsystemLayout(tuple(f for f in layout.factors
                                   if f[0] in a.layout.labels + b.layout.labels))
     sum_a, sum_b = evolve_label_sum(a, seq), evolve_label_sum(b, seq)
-    sum_ab = evolve_label_sum(embed(a, union) @ embed(b, union), seq)
-    cases = ((sum_a, dense_a), (sum_b, dense_b), (sum_ab, dense_a @ dense_b))
+    sum_ab = evolve_label_sum(Operator(union, embed(a, union).matrix @ embed(b, union).matrix),
+                              seq)
+    cases = ((sum_a, dense_a), (sum_b, dense_b),
+             (sum_ab, Operator(layout, dense_a.matrix @ dense_b.matrix)))
     for label_sum, dense in cases:
         assert float(np.linalg.norm(label_sum.dense().matrix - dense.matrix)) < 1e-12
         indices = [int(rng.integers(d)) for d in layout.dims]
@@ -604,8 +601,15 @@ def test_run_matches_the_full_sums_mean(exp):
             for preset in exp.presets.values():
                 values, _ = exp.run(drawn, entangled, preset)
                 for column, _, names, eigenvalues in exp.means:
-                    full = evolve_label_sum(exp.observable(names, eigenvalues or preset), seq)
+                    op = exp.observable(names, eigenvalues or preset)
+                    full = evolve_label_sum(op, seq)
                     assert abs(values[column] - full.mean(exp.initial_indices).real) < 1e-12
+                    # every group stack holds one entry per term, split and read
+                    # at the initial state, split alone or unsplit: so no merge
+                    # ever has to broadcast a group to the term count
+                    for walked in (evolve_label_sum(op, seq, at=exp.initial_indices), full,
+                                   evolve_label_sum(op, seq, split=False)):
+                        assert {len(a) for _, a in walked.groups} == {len(walked)}
 
     check()
 
@@ -705,14 +709,10 @@ class TestLabelSums:
         ignorant = Operator(single_factor("O", 3), np.diag([1.0, 0.0, 0.0]))
         seq = InteractionSequence((("m", Z_BLOCK),), OS_LAYOUT)
         evolved = evolve_label_sum(ignorant, seq, at=(0, 0))
-        assert len(evolved) == len(evolved * 2.0) == 0
-        assert evolved.mean((0, 0)) == (evolved * 2.0).mean((0, 0)) == 0.0
+        assert len(evolved) == 0
+        assert evolved.mean((0, 0)) == 0.0
+        assert not evolved.dense().matrix.any()
         assert len(evolve_label_sum(ignorant, seq)) == 2
-
-    def test_scalar_multiple(self, rng):
-        b = ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator()
-        evolved = evolve_label_sum(b, InteractionSequence((("m", Z_BLOCK),), OS_LAYOUT))
-        assert_allclose((evolved * 2.5).dense().matrix, 2.5 * evolved.dense().matrix, atol=1e-15)
 
     def test_product_projectors_split_per_factor(self, rng):
         system = SubsystemLayout((("S", 2), ("T", 2)))

@@ -98,7 +98,7 @@ class TestCrossCheck:
             seq = eprb_sequence(cfg)
             b1, b2 = (embed(EPRB.observable((name,), cfg.beta), EPRB.layout)
                       for name in ("B1", "B2"))
-            assert cross_check(b1 @ b2, seq, psi0) < 1e-10
+            assert cross_check(Operator(EPRB.layout, b1.matrix @ b2.matrix), seq, psi0) < 1e-10
 
     def test_ghzm_pipeline(self, rng):
         psi0 = GHZM.initial_state()

@@ -192,6 +192,10 @@ class TestConjugateBy:
         with pytest.raises(NonUnitaryError):
             conjugate_by(a, op("A", [[1.0, 0.0], [0.0, 2.0]]))
 
+    def test_rejects_another_layout(self):
+        with pytest.raises(LayoutError, match="layout mismatch"):
+            conjugate_by(op("A", np.eye(2)), op("B", np.eye(2)))
+
     def test_preserves_eigenvalues(self, rng):
         # oracle: eigvalsh on both sides, independent of the conjugation
         z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -248,7 +252,7 @@ class TestProjector:
             single_factor("S", 4), rng.normal(size=4) + 1j * rng.normal(size=4)
         )
         p = projector_from_state(sv)
-        assert_allclose((p @ p).matrix, p.matrix, atol=1e-12)
+        assert_allclose(p.matrix @ p.matrix, p.matrix, atol=1e-12)
         assert np.trace(p.matrix) == pytest.approx(1.0, abs=1e-12)
         assert is_hermitian(p, 1e-12)
 
@@ -292,7 +296,7 @@ def test_embed_disjoint_support_commutes(dims, seed):
     lay = SubsystemLayout(tuple((lbl, d) for lbl, d in zip("ABC", dims)))
     a = embed(op("A", rng.normal(size=(dims[0], dims[0]))), lay)
     c = embed(op("C", rng.normal(size=(dims[2], dims[2]))), lay)
-    assert float(np.linalg.norm((a @ c).matrix - (c @ a).matrix)) == 0.0
+    assert float(np.linalg.norm(a.matrix @ c.matrix - c.matrix @ a.matrix)) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
