@@ -36,20 +36,15 @@ from .measure import (
 )
 from .eprb import (
     BETA_PRESETS,
-    EprbConfig,
-    EprbReport,
     PROBABILITY_BETA,
     SPIN_BETA,
-    run_eprb,
     singlet_entangler,
 )
 from .ghzm import (
     EVEN_GAMMA,
     GAMMA_PRESETS,
-    GhzmConfig,
     ODD_GAMMA,
     ghz_entangler,
-    run_ghzm,
 )
 from .labels import SupportSet, acts_trivially_on, support
 from .schrodinger import cross_check, schrodinger_evolve

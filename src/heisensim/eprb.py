@@ -6,19 +6,17 @@ ignorant, particle 1 spin-up along z and particle 2 spin-down. An optional
 entangler rotates the particle pair into the singlet state before each
 observer measures its particle along a chosen direction; correlation
 functions are then expectation values of evolved belief operators in the
-fixed initial state. :data:`EPRB` is the whole definition; the functions
-below are forms of it over :class:`EprbConfig`.
+fixed initial state. :data:`EPRB` is the whole definition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .experiment import Experiment
-from .measure import SPIN_BETA, Direction, InteractionSequence
+from .measure import SPIN_BETA
 from .tensor import Operator, SubsystemLayout
 
 OBSERVER_1, OBSERVER_2 = "O1", "O2"
@@ -27,31 +25,6 @@ PARTICLE_1, PARTICLE_2 = "S1", "S2"
 #: Belief eigenvalues turning <B1 B2> into the joint spin-up probability.
 PROBABILITY_BETA = (0.0, 1.0, 0.0)
 BETA_PRESETS = {"spin": SPIN_BETA, "probability": PROBABILITY_BETA}
-
-
-@dataclass(frozen=True)
-class EprbConfig:
-    n1: Direction
-    n2: Direction
-    entangled: bool = True
-    beta: tuple[float, float, float] = SPIN_BETA
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        if len(self.beta) != 3:
-            raise ValueError("beta must be a (b0, b1, b2) triple")
-        # b1 == b2 would make the two outcomes indistinguishable; b0 may
-        # coincide with an outcome (the probability preset reuses 0)
-        if self.beta[1] == self.beta[2]:
-            raise ValueError(f"outcome eigenvalues must differ, got {self.beta}")
-
-
-@dataclass(frozen=True)
-class EprbReport:
-    mean_b1: float
-    mean_b2: float
-    mean_b1b2: float
-    p_uu: float
 
 
 def singlet_entangler() -> Operator:
@@ -97,12 +70,6 @@ EPRB = Experiment(
 )
 
 
-def measurement_sequence(cfg: EprbConfig) -> InteractionSequence:
-    """Entangler (when enabled) followed by the two measurements."""
-    return EPRB.sequence((cfg.n1, cfg.n2), cfg.entangled)
-
-
-def run_eprb(cfg: EprbConfig) -> EprbReport:
-    """Evolve both belief operators and evaluate the report fields."""
-    values, _ = EPRB.run((cfg.n1, cfg.n2), cfg.entangled, cfg.beta)
-    return EprbReport(**values)
+# perfbench/layers.py resolves these names; ROADMAP item 1 drops them
+measurement_sequence = EPRB.sequence
+run_eprb = EPRB.run

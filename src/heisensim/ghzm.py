@@ -6,20 +6,18 @@ After the three spin measurements, the referee observer O0 interrogates
 O1..O3 through a parity measurement: its awareness shifts according to
 whether an odd or an even number of them saw spin-up. With the referee
 eigenvalues ``(0, 0, 1)`` the evolved referee observable evaluates the
-even-spin-up probability directly. :data:`GHZM` is the whole definition;
-the functions below are forms of it over :class:`GhzmConfig`.
+even-spin-up probability directly. :data:`GHZM` is the whole definition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .experiment import Experiment
-from .measure import SPIN_BETA, Direction, InteractionSequence, Measurement, measurement_block
+from .measure import SPIN_BETA, Measurement, measurement_block
 from .tensor import Operator, SubsystemLayout, single_factor
 
 REFEREE = "O0"
@@ -43,24 +41,6 @@ _LAYOUT = SubsystemLayout(
 #: still ignorant, else 1 for an odd and 2 for an even spin-up count.
 _PARITY_SHIFT = np.array([0 if 0 in o else 2 - o.count(1) % 2
                           for o in product(range(3), repeat=len(OBSERVERS))])
-
-
-@dataclass(frozen=True)
-class GhzmConfig:
-    n1: Direction
-    n2: Direction
-    n3: Direction
-    entangled: bool = True
-    gamma: tuple[float, float, float] = EVEN_GAMMA
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-        if len(self.gamma) != 3:
-            raise ValueError("gamma must be a (g0, g1, g2) triple")
-
-    @property
-    def directions(self) -> tuple[Direction, Direction, Direction]:
-        return (self.n1, self.n2, self.n3)
 
 
 def ghz_entangler() -> Operator:
@@ -117,12 +97,6 @@ GHZM = Experiment(
 )
 
 
-def measurement_sequence(cfg: GhzmConfig) -> InteractionSequence:
-    """Entangler (when enabled), three spin measurements, parity readout."""
-    return GHZM.sequence(cfg.directions, cfg.entangled)
-
-
-def run_ghzm(cfg: GhzmConfig) -> float:
-    """Expectation of the evolved referee observable in the initial state."""
-    values, _ = GHZM.run(cfg.directions, cfg.entangled, cfg.gamma)
-    return values["probability"]
+# perfbench/layers.py resolves these names; ROADMAP item 1 drops them
+measurement_sequence = GHZM.sequence
+run_ghzm = GHZM.run

@@ -424,10 +424,6 @@ class LabelSum:
         return Operator(SubsystemLayout(tuple(self.layout.factors[k] for k in positions)),
                         total[0] if len(total) else total.sum(axis=0))
 
-    def dense(self) -> Operator:
-        """The sum as one operator on the layout: its block embedded once."""
-        return embed(self.block(), self.layout)
-
 
 def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
                      split: bool = True, at: Sequence[int] | None = None) -> LabelSum:
@@ -499,4 +495,4 @@ def heisenberg_evolve(op: Operator, seq: InteractionSequence) -> Operator:
     dense only within the light cone of ``op``, embedded once."""
     if not seq.steps and seq.layout == op.layout:
         return op
-    return evolve_label_sum(op, seq, split=False).dense()
+    return embed(evolve_label_sum(op, seq, split=False).block(), seq.layout)

@@ -82,14 +82,6 @@ class SubsystemLayout:
     def dim_of(self, label: str) -> int:
         return self.dims[self.position(label)]
 
-    def drop(self, label: str) -> "SubsystemLayout":
-        """Layout with one factor removed, order of the rest preserved."""
-        k = self.position(label)
-        rest = self.factors[:k] + self.factors[k + 1 :]
-        if not rest:
-            raise LayoutError("cannot drop the only factor of a layout")
-        return SubsystemLayout(rest)
-
     def __len__(self) -> int:
         return len(self.factors)
 
@@ -252,6 +244,6 @@ def partial_trace(op: Operator, label: str) -> Operator:
         raise LayoutError("partial trace needs at least two factors")
     tensor = op.matrix.reshape(layout.dims + layout.dims)
     reduced = np.trace(tensor, axis1=k, axis2=m + k)
-    new_layout = layout.drop(label)
+    new_layout = SubsystemLayout(layout.factors[:k] + layout.factors[k + 1:])
     d = new_layout.total_dim
     return Operator(new_layout, reduced.reshape(d, d))

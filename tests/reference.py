@@ -13,12 +13,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from heisensim.measure import DOWN, UP, Direction, InteractionSequence
+from heisensim.measure import DOWN, UP, Direction, InteractionSequence, LabelSum
 from heisensim.tensor import (
     LayoutError,
     Operator,
     StateVector,
     SubsystemLayout,
+    embed,
     expectation,
     real_part,
     single_factor,
@@ -31,6 +32,11 @@ SCHMIDT_THRESHOLD = 1e-8
 
 def identity(layout: SubsystemLayout) -> Operator:
     return Operator(layout, np.eye(layout.total_dim, dtype=complex))
+
+
+def dense(label_sum: LabelSum) -> Operator:
+    """The sum as one operator on its layout: its block embedded once."""
+    return embed(label_sum.block(), label_sum.layout)
 
 
 def is_hermitian(op: Operator, tol: float) -> bool:

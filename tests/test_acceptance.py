@@ -12,34 +12,30 @@ import numpy as np
 import pytest
 
 from heisensim import (
+    EVEN_GAMMA,
     Direction,
-    EprbConfig,
-    GhzmConfig,
     InteractionSequence,
     ObserverSpec,
     Operator,
     SPIN_BETA,
     SubsystemLayout,
-    acts_trivially_on,
     cross_check,
     embed,
     eprb_q_max,
     ghz_constrained_sets,
     heisenberg_evolve,
     measurement_unitary,
-    run_eprb,
-    run_ghzm,
     shift_operator,
     single_factor,
     spin_projector,
     support,
 )
 from heisensim.cli import EXIT_OK, main
-from heisensim.eprb import EPRB, measurement_sequence as eprb_sequence
-from heisensim.ghzm import GHZM, measurement_sequence as ghzm_sequence
+from heisensim.eprb import EPRB
+from heisensim.ghzm import GHZM
 from heisensim.measure import evolve_label_sum
 from conftest import random_direction
-from reference import cos_between
+from reference import cos_between, dense
 
 
 def equator(phi_deg: float) -> Direction:
@@ -70,14 +66,14 @@ def test_criterion_2_singlet_correlation_law(rng):
     start = time.perf_counter()
     for k in range(1000):
         n1, n2 = random_direction(rng), random_direction(rng)
-        report = run_eprb(EprbConfig(n1, n2, beta=(0.0, 1.0, -1.0)))
+        report = EPRB.run((n1, n2), True, (0.0, 1.0, -1.0))[0]
         dot = cos_between(n1, n2)
-        assert report.mean_b1b2 == pytest.approx(-dot, abs=1e-10)
+        assert report["mean_b1b2"] == pytest.approx(-dot, abs=1e-10)
         # p_uu is the same product mean re-run under beta = (0, 1, 0)
-        assert report.p_uu == pytest.approx((1.0 - dot) / 4.0, abs=1e-10)
+        assert report["p_uu"] == pytest.approx((1.0 - dot) / 4.0, abs=1e-10)
         if k < 100:
-            explicit = run_eprb(EprbConfig(n1, n2, beta=(0.0, 1.0, 0.0)))
-            assert explicit.mean_b1b2 == pytest.approx((1.0 - dot) / 4.0, abs=1e-10)
+            explicit = EPRB.run((n1, n2), True, (0.0, 1.0, 0.0))[0]
+            assert explicit["mean_b1b2"] == pytest.approx((1.0 - dot) / 4.0, abs=1e-10)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"1000 singlet checks took {elapsed:.2f} s"
     print(f"\nACCEPTANCE 2: singlet correlation law, 1000 direction pairs ({elapsed:.1f} s): PASS")
@@ -86,34 +82,35 @@ def test_criterion_2_singlet_correlation_law(rng):
 def test_criterion_3_perfect_anticorrelation(rng):
     for _ in range(100):
         n = random_direction(rng)
-        assert run_eprb(EprbConfig(n, n)).p_uu < 1e-12
+        assert EPRB.run((n, n), True, SPIN_BETA)[0]["p_uu"] < 1e-12
     print("\nACCEPTANCE 3: P_uu(n, n) < 1e-12 for 100 random directions: PASS")
 
 
 def test_criterion_4_nonentangled_factorization(rng):
     for _ in range(1000):
         n1, n2 = random_direction(rng), random_direction(rng)
-        r = run_eprb(EprbConfig(n1, n2, entangled=False))
-        assert r.mean_b1b2 == pytest.approx(r.mean_b1 * r.mean_b2, abs=1e-10)
+        r = EPRB.run((n1, n2), False, SPIN_BETA)[0]
+        assert r["mean_b1b2"] == pytest.approx(r["mean_b1"] * r["mean_b2"], abs=1e-10)
         b1, b2 = SPIN_BETA[1], SPIN_BETA[2]
         m1 = b1 * math.cos(n1.theta / 2) ** 2 + b2 * math.sin(n1.theta / 2) ** 2
         m2 = b1 * math.sin(n2.theta / 2) ** 2 + b2 * math.cos(n2.theta / 2) ** 2
-        assert r.mean_b1b2 == pytest.approx(m1 * m2, abs=1e-10)
+        assert r["mean_b1b2"] == pytest.approx(m1 * m2, abs=1e-10)
     print("\nACCEPTANCE 4: nonentangled factorization and closed form, 1000 pairs: PASS")
 
 
 def test_criterion_5_ghzm(rng):
     start = time.perf_counter()
     for phis in ((0, 90, 90), (90, 0, 90), (90, 90, 0)):
-        assert abs(run_ghzm(GhzmConfig(*[equator(p) for p in phis]))) < 1e-10
-    assert run_ghzm(GhzmConfig(*[equator(0)] * 3)) == pytest.approx(1.0, abs=1e-10)
+        values, _ = GHZM.run([equator(p) for p in phis], True, EVEN_GAMMA)
+        assert abs(values["probability"]) < 1e-10
+    values, _ = GHZM.run([equator(0)] * 3, True, EVEN_GAMMA)
+    assert values["probability"] == pytest.approx(1.0, abs=1e-10)
     for _ in range(100):
         phis = rng.uniform(0.0, 2.0 * math.pi, size=3)
-        value = run_ghzm(GhzmConfig(*[Direction(math.pi / 2, p) for p in phis]))
-        assert value == pytest.approx((1.0 + math.cos(sum(phis))) / 2.0, abs=1e-10)
-    plain = run_ghzm(
-        GhzmConfig(*[equator(p) for p in rng.uniform(0, 360, size=3)], entangled=False)
-    )
+        values, _ = GHZM.run([Direction(math.pi / 2, p) for p in phis], True, EVEN_GAMMA)
+        assert values["probability"] == pytest.approx((1.0 + math.cos(sum(phis))) / 2.0, abs=1e-10)
+    plain = GHZM.run([equator(p) for p in rng.uniform(0, 360, size=3)], False,
+                     EVEN_GAMMA)[0]["probability"]
     assert plain == pytest.approx(0.5, abs=1e-10)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"GHZM criterion took {elapsed:.1f} s"
@@ -127,7 +124,7 @@ def test_criterion_6_instruction_set_gap(capsys):
     assert survivors and all(parity == "odd" for _, parity in survivors)
     assert main(["bell-q", "--format", "csv"]) == EXIT_OK
     quantum_q = float(capsys.readouterr().out.splitlines()[-1].split(",")[-1])
-    quantum_p = run_ghzm(GhzmConfig(*[equator(0)] * 3))
+    quantum_p = GHZM.run([equator(0)] * 3, True, EVEN_GAMMA)[0]["probability"]
     assert quantum_q > q_max + 0.1
     assert quantum_p == pytest.approx(1.0, abs=1e-10)  # classical value is 0
     print("\nACCEPTANCE 6: instruction-set bounds Q <= 1 and P_eu(0,0,0) = 0, both beaten: PASS")
@@ -136,18 +133,14 @@ def test_criterion_6_instruction_set_gap(capsys):
 def test_criterion_7_picture_equivalence(rng):
     psi_eprb = EPRB.initial_state()
     for k in range(500):
-        cfg = EprbConfig(
-            random_direction(rng), random_direction(rng), entangled=bool(k % 2)
-        )
-        seq = eprb_sequence(cfg)
-        b1, b2 = (embed(EPRB.observable((name,), cfg.beta), EPRB.layout)
+        seq = EPRB.sequence((random_direction(rng), random_direction(rng)), bool(k % 2))
+        b1, b2 = (embed(EPRB.observable((name,), SPIN_BETA), EPRB.layout)
                   for name in ("B1", "B2"))
         assert cross_check(Operator(EPRB.layout, b1.matrix @ b2.matrix), seq, psi_eprb) < 1e-10
     psi_ghzm = GHZM.initial_state()
     for _ in range(100):
-        cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
-        seq = ghzm_sequence(cfg)
-        assert cross_check(GHZM.observable(("G",), cfg.gamma), seq, psi_ghzm) < 1e-10
+        seq = GHZM.sequence([random_direction(rng) for _ in range(3)], True)
+        assert cross_check(GHZM.observable(("G",), EVEN_GAMMA), seq, psi_ghzm) < 1e-10
     print("\nACCEPTANCE 7: picture equivalence on 500 EPRB + 100 GHZM configs: PASS")
 
 
@@ -156,9 +149,9 @@ def test_criterion_8_label_ledger(rng):
     b1 = embed(EPRB.observable(("B1",), SPIN_BETA), EPRB.layout)
     stages = [
         (b1, {"O1"}),
-        (heisenberg_evolve(b1, eprb_sequence(EprbConfig(n1, n2, entangled=False))),
+        (heisenberg_evolve(b1, EPRB.sequence((n1, n2), False)),
          {"O1", "S1"}),
-        (heisenberg_evolve(b1, eprb_sequence(EprbConfig(n1, n2, entangled=True))),
+        (heisenberg_evolve(b1, EPRB.sequence((n1, n2), True)),
          {"O1", "S1", "S2"}),
     ]
     for op, expected in stages:
@@ -210,9 +203,9 @@ def test_criterion_10_locality(rng):
         n1 = random_direction(rng)
         for op in (b1, a1):
             seqs = [EPRB.sequence((n1, random_direction(rng)), entangled) for _ in range(10)]
-            dense = [heisenberg_evolve(op, s).matrix for s in seqs]
-            copies = [evolve_label_sum(op, s).dense().matrix for s in seqs]
-            assert all(np.array_equal(d, dense[0]) for d in dense[1:])
+            whole = [heisenberg_evolve(op, s).matrix for s in seqs]
+            copies = [dense(evolve_label_sum(op, s)).matrix for s in seqs]
+            assert all(np.array_equal(w, whole[0]) for w in whole[1:])
             assert all(np.array_equal(c, copies[0]) for c in copies[1:])
 
     # GHZM before its readout: each Bk stays put as every other nj varies

@@ -8,18 +8,17 @@ from heisensim import (
     BETA_PRESETS,
     DOWN,
     Direction,
-    EprbConfig,
     InteractionSequence,
     PROBABILITY_BETA,
     SPIN_BETA,
     UP,
     heisenberg_evolve,
-    run_eprb,
     singlet_entangler,
     spin_projector,
 )
 from heisensim.cli import EXIT_OK, main
-from heisensim.eprb import EPRB, measurement_sequence
+from heisensim.eprb import EPRB
+from heisensim.ghzm import GHZM
 from heisensim.measure import evolve_label_sum
 from heisensim.tensor import Operator, SubsystemLayout, embed
 from conftest import random_direction
@@ -58,13 +57,20 @@ class TestSingletEntangler:
         assert singlet_entangler().is_unitary(1e-15)
 
 
-class TestEprbConfig:
-    def test_rejects_equal_outcome_values(self):
+class TestEigenvalues:
+    # equal outcome values make the two outcomes indistinguishable, and an
+    # observer takes exactly one eigenvalue per awareness state
+    @pytest.mark.parametrize("eigenvalues", [(0.0, 1.0, 1.0), (0.0, 1.0), (0.0, 1.0, -1.0, 2.0)])
+    @pytest.mark.parametrize("exp", [EPRB, GHZM], ids=lambda e: e.name)
+    def test_run_rejects_malformed_eigenvalues(self, exp, eigenvalues):
+        directions = [Direction(0, 0)] * len(exp.measurements)
         with pytest.raises(ValueError):
-            EprbConfig(Direction(0, 0), Direction(0, 0), beta=(0.0, 1.0, 1.0))
+            exp.run(directions, True, eigenvalues)
 
-    def test_probability_preset_accepted(self):
-        EprbConfig(Direction(0, 0), Direction(0, 0), beta=PROBABILITY_BETA)
+    def test_probability_preset_runs(self):
+        # b0 may coincide with an outcome value: the probability preset reuses 0
+        values, _ = EPRB.run((Direction(0, 0), Direction(0, 0)), True, PROBABILITY_BETA)
+        assert values["p_uu"] == pytest.approx(0.0, abs=1e-12)
 
     def test_presets(self):
         assert BETA_PRESETS["spin"] == (0.0, 1.0, -1.0)
@@ -114,8 +120,8 @@ class TestEntangled:
     def test_spin_preset_gives_minus_dot_product(self, rng):
         for _ in range(50):
             n1, n2 = random_direction(rng), random_direction(rng)
-            report = run_eprb(EprbConfig(n1, n2, beta=SPIN_BETA))
-            assert report.mean_b1b2 == pytest.approx(-cos_between(n1, n2), abs=1e-12)
+            report = EPRB.run((n1, n2), True, SPIN_BETA)[0]
+            assert report["mean_b1b2"] == pytest.approx(-cos_between(n1, n2), abs=1e-12)
 
     def test_general_beta_closed_form(self, rng):
         # full matrix pipeline against the closed form, eigenvalues drawn
@@ -123,27 +129,27 @@ class TestEntangled:
         for _ in range(1000):
             n1, n2 = random_direction(rng), random_direction(rng)
             beta = (rng.normal(), *np.sort(rng.normal(size=2))[::-1])
-            report = run_eprb(EprbConfig(n1, n2, beta=beta))
-            assert report.mean_b1b2 == pytest.approx(
+            report = EPRB.run((n1, n2), True, beta)[0]
+            assert report["mean_b1b2"] == pytest.approx(
                 entangled_correlation(n1, n2, beta), abs=1e-10
             )
 
     def test_p_uu_law(self, rng):
         for _ in range(50):
             n1, n2 = random_direction(rng), random_direction(rng)
-            report = run_eprb(EprbConfig(n1, n2))
-            assert report.p_uu == pytest.approx((1.0 - cos_between(n1, n2)) / 4.0, abs=1e-12)
+            report = EPRB.run((n1, n2), True, SPIN_BETA)[0]
+            assert report["p_uu"] == pytest.approx((1.0 - cos_between(n1, n2)) / 4.0, abs=1e-12)
 
     def test_perfect_anticorrelation_at_equal_directions(self, rng):
         for _ in range(20):
             n = random_direction(rng)
-            assert run_eprb(EprbConfig(n, n)).p_uu < 1e-12
+            assert EPRB.run((n, n), True, SPIN_BETA)[0]["p_uu"] < 1e-12
 
     def test_rotational_invariance(self, rng):
         # p_uu depends only on the opening angle between the analyzers:
         # rigidly rotating both directions in 3d changes nothing
         n1, n2 = random_direction(rng), random_direction(rng)
-        reference = run_eprb(EprbConfig(n1, n2)).p_uu
+        reference = EPRB.run((n1, n2), True, SPIN_BETA)[0]["p_uu"]
         for _ in range(4):
             q, r = np.linalg.qr(rng.normal(size=(3, 3)))
             rot = q * np.sign(np.diag(r))
@@ -151,7 +157,7 @@ class TestEntangled:
                 rot[:, 0] = -rot[:, 0]
             m1, m2 = (_from_vector(rot @ unit_vector(n)) for n in (n1, n2))
             assert abs(cos_between(m1, m2) - cos_between(n1, n2)) < 1e-12
-            assert run_eprb(EprbConfig(m1, m2)).p_uu == pytest.approx(
+            assert EPRB.run((m1, m2), True, SPIN_BETA)[0]["p_uu"] == pytest.approx(
                 reference, abs=1e-10
             )
 
@@ -160,23 +166,23 @@ class TestNonentangled:
     def test_factorization(self, rng):
         for _ in range(50):
             n1, n2 = random_direction(rng), random_direction(rng)
-            r = run_eprb(EprbConfig(n1, n2, entangled=False))
-            assert r.mean_b1b2 == pytest.approx(r.mean_b1 * r.mean_b2, abs=1e-10)
+            r = EPRB.run((n1, n2), False, SPIN_BETA)[0]
+            assert r["mean_b1b2"] == pytest.approx(r["mean_b1"] * r["mean_b2"], abs=1e-10)
 
     def test_closed_form(self, rng):
         for _ in range(50):
             n1, n2 = random_direction(rng), random_direction(rng)
-            r = run_eprb(EprbConfig(n1, n2, entangled=False))
+            r = EPRB.run((n1, n2), False, SPIN_BETA)[0]
             m1, m2 = nonentangled_means(n1.theta, n2.theta, SPIN_BETA)
-            assert r.mean_b1 == pytest.approx(m1, abs=1e-12)
-            assert r.mean_b2 == pytest.approx(m2, abs=1e-12)
-            assert r.mean_b1b2 == pytest.approx(m1 * m2, abs=1e-12)
+            assert r["mean_b1"] == pytest.approx(m1, abs=1e-12)
+            assert r["mean_b2"] == pytest.approx(m2, abs=1e-12)
+            assert r["mean_b1b2"] == pytest.approx(m1 * m2, abs=1e-12)
 
     def test_z_analyzers_read_initial_spins(self):
-        r = run_eprb(EprbConfig(Direction(0, 0), Direction(0, 0), entangled=False))
-        assert r.mean_b1 == pytest.approx(SPIN_BETA[1], abs=1e-14)
-        assert r.mean_b2 == pytest.approx(SPIN_BETA[2], abs=1e-14)
-        assert r.mean_b1b2 == pytest.approx(r.mean_b1 * r.mean_b2, abs=1e-14)
+        r = EPRB.run((Direction(0, 0), Direction(0, 0)), False, SPIN_BETA)[0]
+        assert r["mean_b1"] == pytest.approx(SPIN_BETA[1], abs=1e-14)
+        assert r["mean_b2"] == pytest.approx(SPIN_BETA[2], abs=1e-14)
+        assert r["mean_b1b2"] == pytest.approx(r["mean_b1"] * r["mean_b2"], abs=1e-14)
 
 
 def bell_q_row(capsys, *phis) -> dict[str, float]:
@@ -199,15 +205,15 @@ class TestBellQ:
 
 class TestOrderInvariance:
     def test_swapping_measurements_changes_nothing(self, rng):
-        cfg = EprbConfig(random_direction(rng), random_direction(rng))
-        seq = measurement_sequence(cfg)
+        n1, n2 = random_direction(rng), random_direction(rng)
+        seq = EPRB.sequence((n1, n2), True)
         swapped = reordered(seq, ("t1:entangle", "t2:measure-2", "t2:measure-1"))
         psi0 = EPRB.initial_state()
-        b1, b2 = (EPRB.observable((name,), cfg.beta) for name in ("B1", "B2"))
+        b1, b2 = (EPRB.observable((name,), SPIN_BETA) for name in ("B1", "B2"))
         for s in (seq, swapped):
             prod = heisenberg_evolve(b1, s).matrix @ heisenberg_evolve(b2, s).matrix
             value = real_expectation(psi0, Operator(EPRB.layout, prod))
-            assert value == pytest.approx(-cos_between(cfg.n1, cfg.n2), abs=1e-12)
+            assert value == pytest.approx(-cos_between(n1, n2), abs=1e-12)
 
 
 class TestCompletionInvariance:
@@ -217,7 +223,6 @@ class TestCompletionInvariance:
         # transposition instead of the cyclic completion and check every
         # report field stays put
         n1, n2 = random_direction(rng), random_direction(rng)
-        cfg = EprbConfig(n1, n2)
         layout = EPRB.layout
 
         def alt_measurement(observer, particle, n):
@@ -236,8 +241,8 @@ class TestCompletionInvariance:
         )
         seq = InteractionSequence(steps, layout)
         psi0 = EPRB.initial_state()
-        b1, b2 = (EPRB.observable((name,), cfg.beta) for name in ("B1", "B2"))
+        b1, b2 = (EPRB.observable((name,), SPIN_BETA) for name in ("B1", "B2"))
         prod = heisenberg_evolve(b1, seq).matrix @ heisenberg_evolve(b2, seq).matrix
         alt = real_expectation(psi0, Operator(layout, prod))
-        standard = run_eprb(cfg).mean_b1b2
+        standard = EPRB.run((n1, n2), True, SPIN_BETA)[0]["mean_b1b2"]
         assert alt == pytest.approx(standard, abs=1e-12)

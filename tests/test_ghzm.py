@@ -8,14 +8,12 @@ from numpy.testing import assert_allclose
 from heisensim import (
     Direction,
     EVEN_GAMMA,
-    GhzmConfig,
     InteractionSequence,
     ODD_GAMMA,
     ghz_entangler,
     heisenberg_evolve,
-    run_ghzm,
 )
-from heisensim.ghzm import GHZM, measurement_sequence
+from heisensim.ghzm import GHZM
 from heisensim.measure import SPIN_OUTCOMES, UP, evolve_label_sum
 from heisensim.tensor import Operator, StateVector, embed
 from conftest import random_direction
@@ -157,51 +155,49 @@ class TestLabelCopies:
 class TestRunGhzm:
     def test_headline_zeros(self):
         for phis in ((0, 90, 90), (90, 0, 90), (90, 90, 0)):
-            value = run_ghzm(GhzmConfig(*[equator(p) for p in phis]))
+            value = GHZM.run([equator(p) for p in phis], True, EVEN_GAMMA)[0]["probability"]
             assert abs(value) < 1e-10
 
     def test_headline_unity(self):
-        value = run_ghzm(GhzmConfig(equator(0), equator(0), equator(0)))
+        value = GHZM.run([equator(0), equator(0), equator(0)], True, EVEN_GAMMA)[0]["probability"]
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_nonentangled_equator_is_half(self, rng):
         phis = rng.uniform(0, 360, size=3)
-        cfg = GhzmConfig(*[equator(p) for p in phis], entangled=False)
-        assert run_ghzm(cfg) == pytest.approx(0.5, abs=1e-12)
+        values, _ = GHZM.run([equator(p) for p in phis], False, EVEN_GAMMA)
+        assert values["probability"] == pytest.approx(0.5, abs=1e-12)
 
     def test_entangled_closed_form(self, rng):
         for _ in range(20):
             dirs = [random_direction(rng) for _ in range(3)]
-            cfg = GhzmConfig(*dirs)
-            assert run_ghzm(cfg) == pytest.approx(entangled_p_eu(dirs), abs=1e-10)
+            values, _ = GHZM.run(dirs, True, EVEN_GAMMA)
+            assert values["probability"] == pytest.approx(entangled_p_eu(dirs), abs=1e-10)
 
     def test_nonentangled_closed_form_and_azimuth_freedom(self, rng):
         thetas = rng.uniform(0, math.pi, size=3)
         values = []
         for _ in range(3):
             dirs = [Direction(t, rng.uniform(0, 2 * math.pi)) for t in thetas]
-            cfg = GhzmConfig(*dirs, entangled=False)
-            value = run_ghzm(cfg)
+            value = GHZM.run(dirs, False, EVEN_GAMMA)[0]["probability"]
             assert value == pytest.approx(nonentangled_p_eu(dirs), abs=1e-10)
             values.append(value)
         assert max(values) - min(values) < 1e-12
 
     def test_even_and_odd_presets_are_complementary(self, rng):
         dirs = [random_direction(rng) for _ in range(3)]
-        even = run_ghzm(GhzmConfig(*dirs, gamma=EVEN_GAMMA))
-        odd = run_ghzm(GhzmConfig(*dirs, gamma=ODD_GAMMA))
+        even = GHZM.run(dirs, True, EVEN_GAMMA)[0]["probability"]
+        odd = GHZM.run(dirs, True, ODD_GAMMA)[0]["probability"]
         assert even + odd == pytest.approx(1.0, abs=1e-10)
 
     def test_probability_bounds(self, rng):
         for _ in range(5):
             dirs = [random_direction(rng) for _ in range(3)]
-            value = run_ghzm(GhzmConfig(*dirs))
+            value = GHZM.run(dirs, True, EVEN_GAMMA)[0]["probability"]
             assert -1e-12 <= value <= 1.0 + 1e-12
 
     def test_measurement_order_invariance(self, rng):
-        cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
-        seq = measurement_sequence(cfg)
-        g = GHZM.observable(("G",), cfg.gamma)
+        seq = GHZM.sequence([random_direction(rng) for _ in range(3)], True)
+        g = GHZM.observable(("G",), EVEN_GAMMA)
         psi0 = GHZM.initial_state()
         reference = real_expectation(psi0, heisenberg_evolve(g, seq))
         measure_tags = ("t2:measure-1", "t2:measure-2", "t2:measure-3")
@@ -215,8 +211,8 @@ class TestEntanglerCompletionInvariance:
     def test_phases_on_unreached_columns_change_nothing(self, rng):
         # the pipeline only exercises the all-up column; dress every other
         # column with random phases (still unitary) and compare
-        cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
-        reference = run_ghzm(cfg)
+        dirs = [random_direction(rng) for _ in range(3)]
+        reference = GHZM.run(dirs, True, EVEN_GAMMA)[0]["probability"]
 
         alt = ghz_entangler().matrix.copy()
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=8))
@@ -224,13 +220,13 @@ class TestEntanglerCompletionInvariance:
         alt = alt @ np.diag(phases)
         alt_full = embed(Operator(ghz_entangler().layout, alt), GHZM.layout)
 
-        seq = measurement_sequence(cfg)
+        seq = GHZM.sequence(dirs, True)
         steps = tuple(
             (tag, alt_full if tag == "t1:entangle" else u) for tag, u in seq.steps
         )
         value = real_expectation(
             GHZM.initial_state(),
-            heisenberg_evolve(GHZM.observable(("G",), cfg.gamma),
+            heisenberg_evolve(GHZM.observable(("G",), EVEN_GAMMA),
                               InteractionSequence(steps, GHZM.layout)),
         )
         assert value == pytest.approx(reference, abs=1e-12)

@@ -1,7 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-or a module outside the standard library, ``numpy`` and the package; no
-module-level name it or ``tests/reference.py`` defines goes unread in
-``src``, ``tests`` and ``perfbench``; no public function or class it defines
+"""Source hygiene: no module of the package or of the tests imports a name
+it never uses. No module of the package imports a module outside the
+standard library, ``numpy`` and the package; no module-level name it or
+``tests/reference.py`` defines goes unread in ``src``, ``tests`` and
+``perfbench``; no public function or class it defines
 goes unread by the rest of the program, and no public method or property
 unread as an attribute in ``src``, unless it is listed with a reason; no
 parameter default it declares is one that no call there overrides; and
@@ -20,6 +21,7 @@ import pytest
 ROOT = Path(__file__).parent.parent
 PACKAGE = sorted((ROOT / "src" / "heisensim").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.AST) -> set[str]:
@@ -44,7 +46,7 @@ def used_names(tree: ast.AST) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", [*SOURCES, *TESTS], ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = imported_names(tree) - used_names(tree)
@@ -120,10 +122,7 @@ PUBLIC_UNREAD = {
     "cli._Parser.error": "argparse calls it on a usage error",
     "cli.build_parser": "tests compare the shared parser with a fresh one",
     "config.parse_config": "tests parse config text without a file",
-    "eprb.EprbConfig": "tests run EPRB through it; its removal is ROADMAP item 2",
-    "eprb.EprbReport": "returned by `run_eprb`; ROADMAP item 2 removes it",
     "eprb.singlet_entangler": "builds EPRB.entangler; tests check its action",
-    "ghzm.GhzmConfig": "tests run GHZM through it; its removal is ROADMAP item 2",
     "ghzm.ghz_entangler": "builds GHZM.entangler; tests check its action",
     "labels.SupportSet": "returned by support",
     "measure.InteractionSequence.total_unitary": "perfbench traces it; ROADMAP item 2 moves it",

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from heisensim import (
     DEFAULT_TOL,
     Direction,
-    EprbConfig,
     LayoutError,
     ObserverSpec,
     Operator,
@@ -24,11 +23,11 @@ from heisensim import (
     single_factor,
     support,
 )
-from heisensim.eprb import EPRB, measurement_sequence
-from heisensim.ghzm import GHZM, GhzmConfig, measurement_sequence as ghzm_sequence
+from heisensim.eprb import EPRB
+from heisensim.ghzm import GHZM
 from heisensim.measure import LabelSum, evolve_label_sum
 from conftest import directions, random_direction
-from reference import identity
+from reference import dense, identity
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 LAYOUT = EPRB.layout
@@ -36,8 +35,8 @@ LAYOUT = EPRB.layout
 
 def chain_sequences(rng):
     n1, n2 = random_direction(rng), random_direction(rng)
-    plain = measurement_sequence(EprbConfig(n1, n2, entangled=False))
-    entangled = measurement_sequence(EprbConfig(n1, n2, entangled=True))
+    plain = EPRB.sequence((n1, n2), False)
+    entangled = EPRB.sequence((n1, n2), True)
     return plain, entangled
 
 
@@ -108,7 +107,7 @@ class TestSupportOfALabelSum:
         seq = EPRB.sequence((random_direction(rng), random_direction(rng)), entangled)
         evolved = evolve_label_sum(EPRB.observable(("B1", "B2"), SPIN_BETA), seq)
         assert (len(evolved), len(evolved.groups)) == (4, 2 if entangled else 3)
-        sup, ref = support(evolved), support(evolved.dense())
+        sup, ref = support(evolved), support(dense(evolved))
         assert sup.labels == ref.labels == frozenset(LAYOUT.labels)
         for label, r in ref.residuals.items():
             assert sup.residuals[label] == pytest.approx(r, rel=1e-12)
@@ -128,7 +127,7 @@ class TestSupportOfALabelSum:
         sup = support(b1)
         assert sup.labels == {"O1"}
         assert [sup.residuals[label] for label in ("O2", "S1", "S2")] == [0.0] * 3
-        assert sup.residuals["O1"] == pytest.approx(support(b1.dense()).residuals["O1"],
+        assert sup.residuals["O1"] == pytest.approx(support(dense(b1)).residuals["O1"],
                                                     rel=1e-14)
 
     def test_labels_outside_the_block_read_zero_and_form_no_block(self, monkeypatch):
@@ -169,8 +168,8 @@ def assert_ledger_matches_the_dense_reference(exp, directions):
            for name, label, eigenvalues in exp.ledger}
     for name, stage, labels, *residuals in rows:
         total = stages[stage]
-        dense = ops[name] if total is None else conjugate_by(ops[name], total)
-        ref = support(dense, 1e-10)
+        evolved = ops[name] if total is None else conjugate_by(ops[name], total)
+        ref = support(evolved, 1e-10)
         assert labels == ",".join(lbl for lbl in exp.layout.labels if lbl in ref.labels)
         for r, label in zip(residuals, exp.layout.labels):
             expected = ref.residuals[label]
@@ -253,15 +252,13 @@ class TestSupportChain:
     def test_spin_observable_local_under_z_measurement(self):
         # measuring along z leaves the z-spin observable supported on its
         # own particle only
-        seq = measurement_sequence(
-            EprbConfig(Direction(0.0, 0.0), Direction(0.0, 0.0), entangled=False)
-        )
+        seq = EPRB.sequence((Direction(0.0, 0.0), Direction(0.0, 0.0)), False)
         a1 = embed(Operator(single_factor("S1", 2), SZ), LAYOUT)
         assert support(heisenberg_evolve(a1, seq)).labels == {"S1"}
 
     def test_ghzm_referee_observable_spreads_everywhere(self, rng):
         dirs = [random_direction(rng) for _ in range(3)]
-        seq = ghzm_sequence(GhzmConfig(*dirs))
+        seq = GHZM.sequence(dirs, True)
         evolved = heisenberg_evolve(GHZM.observable(("G",), (0.0, 0.0, 1.0)), seq)
         assert support(evolved).labels == frozenset(GHZM.layout.labels)
 
@@ -278,9 +275,8 @@ class TestPeeling:
             reduced = op
             for label in order:
                 d = reduced.layout.dim_of(label)
-                reduced = Operator(
-                    reduced.layout.drop(label), partial_trace(reduced, label).matrix / d
-                )
+                rest = tuple(f for f in reduced.layout.factors if f[0] != label)
+                reduced = Operator(SubsystemLayout(rest), partial_trace(reduced, label).matrix / d)
             rebuilt = embed(reduced, layout)
             assert float(np.linalg.norm(rebuilt.matrix - op.matrix)) < 1e-10
 

@@ -20,7 +20,6 @@ from heisensim import (
     conjugate_by,
     embed,
     heisenberg_evolve,
-    kron,
     measurement_unitary,
     shift_operator,
     spin_projector,
@@ -39,7 +38,8 @@ from heisensim.measure import (
     measurement_block,
 )
 from conftest import directions, random_direction, random_unitary
-from reference import cos_between, is_hermitian, projector_from_state, reordered, spin_eigenstate
+from reference import (cos_between, dense, is_hermitian, projector_from_state, reordered,
+                       spin_eigenstate)
 
 OS_LAYOUT = SubsystemLayout((("O", 3), ("S", 2)))
 Z_PROJECTORS = [
@@ -449,8 +449,8 @@ def test_local_evolution_matches_dense_conjugation(case, hermitian, seed):
         m = m + m.conj().T
     op = Operator(layout, m / np.linalg.norm(m))
     evolved = heisenberg_evolve(op, seq)
-    dense = conjugate_by(op, seq.total_unitary())
-    assert float(np.linalg.norm(evolved.matrix - dense.matrix)) < 1e-12
+    expected = conjugate_by(op, seq.total_unitary())
+    assert float(np.linalg.norm(evolved.matrix - expected.matrix)) < 1e-12
     if hermitian:
         assert is_hermitian(evolved, 1e-12)
 
@@ -541,13 +541,13 @@ def test_label_sums_match_dense_conjugation(case, seed):
                               seq)
     cases = ((sum_a, dense_a), (sum_b, dense_b),
              (sum_ab, Operator(layout, dense_a.matrix @ dense_b.matrix)))
-    for label_sum, dense in cases:
-        assert float(np.linalg.norm(label_sum.dense().matrix - dense.matrix)) < 1e-12
+    for label_sum, expected in cases:
+        assert float(np.linalg.norm(dense(label_sum).matrix - expected.matrix)) < 1e-12
         indices = [int(rng.integers(d)) for d in layout.dims]
         flat = np.ravel_multi_index(indices, layout.dims)
-        assert abs(label_sum.mean(indices) - dense.matrix[flat, flat]) < 1e-12
+        assert abs(label_sum.mean(indices) - expected.matrix[flat, flat]) < 1e-12
         # the support read off the sum's block matches the dense operator's
-        sup, ref = support(label_sum), support(dense)
+        sup, ref = support(label_sum), support(expected)
         assert sup.labels == ref.labels
         for label, r in ref.residuals.items():
             assert abs(sup.residuals[label] - r) <= 1e-12 * max(1.0, r)
@@ -585,8 +585,8 @@ def test_sums_read_at_a_basis_state_match_its_dense_entry(case, seed):
     union = SubsystemLayout(tuple(f for f in layout.factors
                                   if f[0] in a.layout.labels + b.layout.labels))
     for op in (a, b, Operator(union, embed(a, union).matrix @ embed(b, union).matrix)):
-        dense = conjugate_by(embed(op, layout), total).matrix[flat, flat]
-        assert abs(evolve_label_sum(op, seq, at=at).mean(at) - dense) < 1e-12
+        expected = conjugate_by(embed(op, layout), total).matrix[flat, flat]
+        assert abs(evolve_label_sum(op, seq, at=at).mean(at) - expected) < 1e-12
 
 
 @pytest.mark.parametrize("exp", [EPRB, GHZM], ids=["eprb", "ghzm"])
@@ -662,8 +662,8 @@ class TestLabelSums:
         evolved = evolve_label_sum(a, seq)
         assert len(evolved) == 1
         assert [p for p, _ in evolved.groups] == [(0, 1)]
-        dense = conjugate_by(embed(a, OS_LAYOUT), seq.total_unitary())
-        assert float(np.linalg.norm(evolved.dense().matrix - dense.matrix)) < 1e-12
+        expected = conjugate_by(embed(a, OS_LAYOUT), seq.total_unitary())
+        assert float(np.linalg.norm(dense(evolved).matrix - expected.matrix)) < 1e-12
 
     def test_step_outside_the_groups_is_skipped(self):
         # rule (a): the same arrays come out untouched
@@ -700,8 +700,8 @@ class TestLabelSums:
         seq = InteractionSequence((("m", block),), OS_LAYOUT)
         evolved = evolve_label_sum(a, seq)
         assert [p for p, _ in evolved.groups] == [(0, 1)]
-        dense = conjugate_by(embed(a, OS_LAYOUT), seq.total_unitary())
-        assert float(np.linalg.norm(evolved.dense().matrix - dense.matrix)) < 1e-12
+        expected = conjugate_by(embed(a, OS_LAYOUT), seq.total_unitary())
+        assert float(np.linalg.norm(dense(evolved).matrix - expected.matrix)) < 1e-12
 
     def test_ignorant_projector_read_after_its_measurement_has_no_copies(self):
         # every outcome shifts O out of its ignorant state, so each copy
@@ -711,7 +711,7 @@ class TestLabelSums:
         evolved = evolve_label_sum(ignorant, seq, at=(0, 0))
         assert len(evolved) == 0
         assert evolved.mean((0, 0)) == 0.0
-        assert not evolved.dense().matrix.any()
+        assert not dense(evolved).matrix.any()
         assert len(evolve_label_sum(ignorant, seq)) == 2
 
     def test_product_projectors_split_per_factor(self, rng):

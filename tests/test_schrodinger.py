@@ -5,13 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from heisensim import (
-    Direction,
-    EprbConfig,
-    GhzmConfig,
+    EVEN_GAMMA,
     InteractionSequence,
     LayoutError,
     ObserverSpec,
     Operator,
+    SPIN_BETA,
     StateVector,
     SubsystemLayout,
     cross_check,
@@ -21,8 +20,8 @@ from heisensim import (
     single_factor,
     singlet_entangler,
 )
-from heisensim.eprb import EPRB, measurement_sequence as eprb_sequence
-from heisensim.ghzm import GHZM, measurement_sequence as ghzm_sequence
+from heisensim.eprb import EPRB
+from heisensim.ghzm import GHZM
 from conftest import random_direction
 from reference import schmidt_rank
 
@@ -94,18 +93,16 @@ class TestCrossCheck:
     def test_eprb_pipeline(self, rng):
         psi0 = EPRB.initial_state()
         for _ in range(25):
-            cfg = EprbConfig(random_direction(rng), random_direction(rng))
-            seq = eprb_sequence(cfg)
-            b1, b2 = (embed(EPRB.observable((name,), cfg.beta), EPRB.layout)
+            seq = EPRB.sequence((random_direction(rng), random_direction(rng)), True)
+            b1, b2 = (embed(EPRB.observable((name,), SPIN_BETA), EPRB.layout)
                       for name in ("B1", "B2"))
             assert cross_check(Operator(EPRB.layout, b1.matrix @ b2.matrix), seq, psi0) < 1e-10
 
     def test_ghzm_pipeline(self, rng):
         psi0 = GHZM.initial_state()
         for _ in range(3):
-            cfg = GhzmConfig(*[random_direction(rng) for _ in range(3)])
-            seq = ghzm_sequence(cfg)
-            assert cross_check(GHZM.observable(("G",), cfg.gamma), seq, psi0) < 1e-10
+            seq = GHZM.sequence([random_direction(rng) for _ in range(3)], True)
+            assert cross_check(GHZM.observable(("G",), EVEN_GAMMA), seq, psi0) < 1e-10
 
 
 class TestPictureAsymmetry:

@@ -38,7 +38,6 @@ class TestLayout:
         assert lay.labels == ("O1", "S1")
         assert lay.position("S1") == 1
         assert lay.dim_of("O1") == 3
-        assert lay.drop("O1").labels == ("S1",)
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(LayoutError):
