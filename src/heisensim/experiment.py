@@ -34,6 +34,7 @@ from .schrodinger import product_expectation, schrodinger_evolve
 from .tensor import (
     DEFAULT_TOL,
     InvariantError,
+    LayoutError,
     Operator,
     StateVector,
     SubsystemLayout,
@@ -106,6 +107,10 @@ class Experiment:
         distinct, or :func:`kron` raises. Cached per experiment (hashed by
         identity), names and eigenvalues, since every caller shares it."""
         factors = {name: label for name, label, _ in self.ledger}
+        for name in names:
+            if len(eigenvalues) != (dim := self.layout.dim_of(factors[name])):
+                raise LayoutError(f"observable {name} on factor {factors[name]} takes {dim} "
+                                  f"eigenvalues, one per state, got {len(eigenvalues)}")
         return reduce(kron, (ObserverSpec(factors[name], eigenvalues).belief_operator()
                              for name in names))
 

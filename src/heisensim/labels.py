@@ -55,23 +55,26 @@ class SupportSet:
 def acts_trivially_on(op: Operator, label: str) -> float:
     """How far ``op`` is from identity-like on one factor: 0 when it is.
 
-    Views rows and columns as ``(outer factors, factor, inner factors)``,
-    subtracts the factor's normalized trace from its diagonal and takes the
-    Frobenius norm of what is left.
+    Views rows and columns as ``(outer factors, factor, inner factors)`` and
+    copies the matrix once with the factor's row and column axes first, so
+    each of its ``d × d`` blocks is contiguous; then subtracts the factor's
+    normalized trace from its diagonal blocks and takes the Frobenius norm of
+    what is left.
     """
     layout = op.layout
     k, d = layout.position(label), layout.dim_of(label)
     inner = int(np.prod(layout.dims[k + 1 :], dtype=int))
-    tensor = op.matrix.reshape(2 * (op.dim // (d * inner), d, inner))
+    outer = op.dim // (d * inner)
+    # a copy, not ascontiguousarray: on a one-factor layout that is a read-only view
+    blocks = op.matrix.reshape(outer, d, inner, outer, d, inner).transpose(1, 4, 0, 2, 3, 5).copy()
     # the normalized trace as the first diagonal block plus the mean offset of
     # the others: a factor where ``op`` is exactly the identity leaves 0, where
     # trace / d would leave the rounding of dividing a sum by d
-    first = tensor[:, 0, :, :, 0, :]
-    reduced = first + sum(tensor[:, i, :, :, i, :] - first for i in range(1, d)) / d
-    rest = tensor.copy()
+    first = blocks[0, 0]
+    reduced = first + sum(blocks[i, i] - first for i in range(1, d)) / d
     for i in range(d):
-        rest[:, i, :, :, i, :] -= reduced
-    return float(np.linalg.norm(rest))
+        blocks[i, i] -= reduced
+    return float(np.linalg.norm(blocks))
 
 
 def support(op: Operator | LabelSum, tol: float = DEFAULT_TOL,

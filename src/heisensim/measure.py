@@ -150,21 +150,21 @@ class InteractionSequence:
     @cached_property
     def _plan(self) -> list[tuple]:
         # per step, latest first: its layout positions, its block as a stack
-        # of one, and for a measurement the split of rule (b): the observer's
+        # of one, and for a measurement the terms of rule (b): the observer's
         # positions and shifts, the projectors' groups on the layout, and the
         # positions that any earlier step acts on
         plan, earlier = [], set()
         for _, u in self.steps:
             rows = tuple(self.layout.position(label) for label in u.layout.labels)
-            split = None
+            terms = None
             if isinstance(u, Measurement):
                 controls = tuple(
                     _merge(self.layout,
                            [(tuple(self.layout.position(label) for label in labels), stack)])
                     for labels, stack in u.projectors)
-                split = (rows[:1], u.shifts, controls, frozenset(earlier))
+                terms = (rows[:1], u.shifts, controls, frozenset(earlier))
             earlier.update(rows)
-            plan.append((rows, u.matrix[None], split))
+            plan.append((rows, u.matrix[None], terms))
         return plan[::-1]
 
     def total_unitary(self) -> Operator:
@@ -374,6 +374,26 @@ def _commutes(layout: SubsystemLayout, groups, positions, f: np.ndarray) -> bool
     return True
 
 
+def _outcome_sum(layout: SubsystemLayout, positions, b: np.ndarray, control) -> tuple:
+    """One group from ``sum_i b[t * n + i] (x) P_i`` per term ``t``, for a
+    group's ``(T * n, d, d)`` stack ``b`` on ``positions`` and the ``(n, e, e)``
+    stack of the ``P_i`` on the control's positions: one matrix product over
+    the outcomes, then one transposed copy into layout order."""
+    where, p = control
+    merged = positions + where
+    n, m, k = len(p), len(positions), len(merged)
+    dims = tuple(layout.dims[q] for q in merged)
+    d = b.shape[-1] * p.shape[-1]
+    s = b.reshape(-1, n, b.shape[-1] ** 2).transpose(0, 2, 1) @ p.reshape(n, -1)
+    # axes of s: the term, the group's rows then columns, the control's rows then columns
+    rows = (*range(1, m + 1), *range(2 * m + 1, m + k + 1))
+    cols = (*range(m + 1, 2 * m + 1), *range(m + k + 1, 2 * k + 1))
+    order = sorted(range(k), key=merged.__getitem__)
+    axes = (0, *(rows[j] for j in order), *(cols[j] for j in order))
+    shape = (-1, *dims[:m], *dims[:m], *dims[m:], *dims[m:])
+    return tuple(sorted(merged)), s.reshape(shape).transpose(axes).reshape(-1, d, d)
+
+
 @dataclass(frozen=True, eq=False)
 class LabelSum:
     """An operator on ``layout`` as a sum of product terms ``sum_t (x)_g a[g][t]``.
@@ -434,12 +454,15 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
     Latest step first: (a) a step that meets no group is skipped, and so is
     a measurement whose observer is in no group when each of its projector
     groups commutes exactly, entry by entry, with every term of the groups
-    it meets, since then ``sum_i u_i† u_i (x) a P_i`` is ``a``; (b) under
-    ``split``, a measurement whose system factors are in no group puts
-    ``u_i† a u_i`` on the observer's group and ``P_i`` on the system, one
-    term per term and outcome; (c) any other step merges the groups it
-    touches, with the identity on its factors in none, and conjugates them
-    by its block, every term at once.
+    it meets, since then ``sum_i u_i† u_i (x) a P_i`` is ``a``; (b) a
+    measurement whose system factors are in no group conjugates the
+    observer's group by each shift alone, as ``U† (a (x) I) U`` is
+    ``sum_i u_i† a u_i (x) P_i`` for orthogonal ``P_i``: under ``split`` it
+    puts ``u_i† a u_i`` on the observer's group and ``P_i`` on the system,
+    one term per term and outcome, and without it sums them over the
+    outcomes into one group, one term per term; (c) any other step merges
+    the groups it touches, with the identity on its factors in none, and
+    conjugates them by its block, every term at once.
 
     Given ``at``, the product basis state with one index per factor, rule
     (b) reads a measured observer there once no earlier step acts on any
@@ -467,11 +490,15 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
         if measurement and rows[0] not in covered and all(
                 _commutes(layout, touched, p, f) for p, f in measurement[2]):
             continue
-        if split and measurement and not any(covered.intersection(p) for p, _ in measurement[2]):
+        if measurement and not any(covered.intersection(p) for p, _ in measurement[2]):
             target, shifts, controls, earlier = measurement
-            positions, a = _merge(layout, touched, sorted(set(target) - covered))
+            # the observer is in a group: the step meets one, and its system does not
+            positions, a = _merge(layout, touched)
             n = len(shifts)
-            if at is not None and earlier.isdisjoint(positions):
+            if not split:
+                b = _conjugate(layout, positions, a, target, shifts)
+                groups = (_outcome_sum(layout, positions, b, _merge(layout, controls)), *rest)
+            elif at is not None and earlier.isdisjoint(positions):
                 c = _entries_at(layout, positions, a, target[0], shifts, at)
                 keep = np.flatnonzero(c)
                 (p, x), *more = controls

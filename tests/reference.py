@@ -39,6 +39,23 @@ def dense(label_sum: LabelSum) -> Operator:
     return embed(label_sum.block(), label_sum.layout)
 
 
+def strided_residual(op: Operator, label: str) -> float:
+    """:func:`heisensim.labels.acts_trivially_on` read in place: the same
+    reduced block, the first diagonal block plus the mean offset of the
+    others, subtracted from strided views of the ``(outer, d, inner)``
+    tensor rather than from one copy with the factor's axes first."""
+    layout = op.layout
+    k, d = layout.position(label), layout.dim_of(label)
+    inner = int(np.prod(layout.dims[k + 1 :], dtype=int))
+    tensor = op.matrix.reshape(2 * (op.dim // (d * inner), d, inner))
+    first = tensor[:, 0, :, :, 0, :]
+    reduced = first + sum(tensor[:, i, :, :, i, :] - first for i in range(1, d)) / d
+    rest = tensor.copy()
+    for i in range(d):
+        rest[:, i, :, :, i, :] -= reduced
+    return float(np.linalg.norm(rest))
+
+
 def is_hermitian(op: Operator, tol: float) -> bool:
     return float(np.linalg.norm(op.matrix - op.matrix.conj().T)) < tol
 

@@ -64,7 +64,13 @@ class TestEigenvalues:
     @pytest.mark.parametrize("exp", [EPRB, GHZM], ids=lambda e: e.name)
     def test_run_rejects_malformed_eigenvalues(self, exp, eigenvalues):
         directions = [Direction(0, 0)] * len(exp.measurements)
-        with pytest.raises(ValueError):
+        # a count other than the factor's dimension names the first observable
+        # read, its factor and both counts
+        name = exp.means[0][2][0]
+        label = dict((n, lbl) for n, lbl, _ in exp.ledger)[name]
+        message = (f"observable {name} on factor {label} takes 3 eigenvalues, one per state, "
+                   f"got {len(eigenvalues)}" if len(eigenvalues) != 3 else "pairwise distinct")
+        with pytest.raises(ValueError, match=message):
             exp.run(directions, True, eigenvalues)
 
     def test_probability_preset_runs(self):

@@ -27,7 +27,7 @@ from heisensim.eprb import EPRB
 from heisensim.ghzm import GHZM
 from heisensim.measure import LabelSum, evolve_label_sum
 from conftest import directions, random_direction
-from reference import dense, identity
+from reference import dense, identity, strided_residual
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 LAYOUT = EPRB.layout
@@ -50,12 +50,22 @@ class TestActsTriviallyOn:
         assert not acts_trivially_on(op, "S1") < DEFAULT_TOL
 
     def test_exact_identity_factor_leaves_no_residual(self, rng):
-        # a random operator on S1, embedded: the three-dim observer factors
-        # are exactly the identity, and their residual is exactly 0
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        op = embed(Operator(single_factor("S1", 2), m), LAYOUT)
-        for label in ("O1", "O2", "S2"):
-            assert acts_trivially_on(op, label) == 0.0
+        # a random operator on every other factor, embedded: the factor is
+        # exactly the identity, at any position, and its residual exactly 0
+        for layout in (LAYOUT, GHZM.layout):
+            for label in layout.labels:
+                rest = SubsystemLayout(tuple(f for f in layout.factors if f[0] != label))
+                op = embed(Operator(rest, random_matrix(rng, rest.total_dim)), layout)
+                assert acts_trivially_on(op, label) == 0.0
+
+    def test_matches_the_strided_read_at_every_position(self, rng):
+        # random operators on the GHZM layout: outer and inner factors, d = 2 and 3
+        layout = GHZM.layout
+        for _ in range(2):
+            op = Operator(layout, random_matrix(rng, layout.total_dim))
+            for label in layout.labels:
+                expected = strided_residual(op, label)
+                assert abs(acts_trivially_on(op, label) - expected) <= 1e-12 * expected
 
     def test_unknown_label(self):
         op = identity(LAYOUT)
@@ -226,6 +236,25 @@ class TestSupportLedger:
                 monkeypatch.setattr(module, "embed", embedded)
         exp.support_ledger([random_direction(rng) for _ in exp.measurements], 1e-10)
         assert (sum(block_dims.values()), block_dims, embeds) == (checks, dims, [])
+
+    @pytest.mark.parametrize("exp, dims", [
+        (EPRB, {3: 2, 6: 2, 12: 4}),
+        # each measurement conjugates the observer's group by its shifts
+        # alone: one 648-dim conjugation, by the entangler, not two
+        (GHZM, {3: 4, 24: 3, 81: 1, 162: 1, 324: 1, 648: 1}),
+    ], ids=["eprb", "ghzm"])
+    def test_conjugations_by_group_dimension(self, exp, dims, rng, monkeypatch):
+        import heisensim.measure as measure
+
+        conjugate, group_dims = measure._conjugate, Counter()
+
+        def counted(layout, positions, a, rows, u):
+            group_dims[a.shape[-1]] += 1
+            return conjugate(layout, positions, a, rows, u)
+
+        monkeypatch.setattr(measure, "_conjugate", counted)
+        exp.support_ledger([random_direction(rng) for _ in exp.measurements], 1e-10)
+        assert group_dims == dims
 
 
 class TestSupportChain:

@@ -31,6 +31,7 @@ from heisensim.ghzm import GHZM
 from heisensim.measure import (
     SPIN_OUTCOMES,
     LabelSum,
+    Measurement,
     _default_shifts,
     _measurement_blocks,
     evolve_label_sum,
@@ -642,6 +643,44 @@ def test_sequence_builds_each_spin_measurement_bit_for_bit(exp):
     for count in (n - 1, n + 1):
         with pytest.raises(ValueError, match=f"{n} directions"):
             exp.sequence([Direction(0.0, 0.0)] * count, True)
+
+
+@pytest.mark.parametrize("exp, examples", [(EPRB, 50), (GHZM, 25)], ids=["eprb", "ghzm"])
+def test_unsplit_measurement_sums_what_its_block_conjugates(exp, examples):
+    # rule (b) unsplit against rule (c): walking one step at a time, each
+    # measurement whose observer is in the sum is replaced by a plain
+    # operator of the same matrix, which only rule (c) takes; a measurement
+    # whose observer is in no sum may be skipped by rule (a), so it stays
+    n = len(exp.measurements)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.lists(directions, min_size=n, max_size=n))
+    def check(drawn):
+        layout = exp.layout
+        for _, label, eigenvalues in exp.ledger:
+            summed = conjugated = LabelSum.local(
+                ObserverSpec(label, eigenvalues).belief_operator(), layout)
+            for tag, u in reversed(exp.sequence(drawn, True).steps):
+                covered = {k for p, _ in summed.groups for k in p}
+                plain = (isinstance(u, Measurement)
+                         and layout.position(u.layout.labels[0]) in covered)
+                summed = evolve_label_sum(summed, InteractionSequence(((tag, u),), layout),
+                                          split=False)
+                conjugated = evolve_label_sum(
+                    conjugated, InteractionSequence(
+                        ((tag, Operator(u.layout, u.matrix) if plain else u),), layout),
+                    split=False)
+            x, y = summed.block(), conjugated.block()
+            assert x.layout == y.layout
+            assert np.max(np.abs(x.matrix - y.matrix)) <= 1e-14
+            ours, theirs = support(summed, 1e-10), support(conjugated, 1e-10)
+            assert ours.labels == theirs.labels
+            for factor, r in ours.residuals.items():
+                expected = theirs.residuals[factor]
+                assert (r == 0.0) == (expected == 0.0), (label, factor)
+                assert abs(r - expected) <= 1e-12 * max(1.0, expected), (label, factor)
+
+    check()
 
 
 class TestLabelSums:
