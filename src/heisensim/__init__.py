@@ -28,7 +28,6 @@ from .measure import (
     UP,
     Direction,
     InteractionSequence,
-    ObserverSpec,
     heisenberg_evolve,
     measurement_unitary,
     shift_operator,

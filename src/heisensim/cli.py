@@ -35,7 +35,6 @@ from .experiment import Experiment
 from .ghzm import GHZM
 from .lhv import _BELL_PAIRS, EPRB_SET_Q, classical_ghz_p_eu_zero, eprb_q_max, ghz_constrained_sets
 from .measure import Direction
-from .tensor import InvariantError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -376,9 +375,6 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         manifest = _manifest_from_args(args)
         return run(manifest)
-    except InvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

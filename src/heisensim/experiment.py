@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .labels import support
 from .measure import (
     SPIN_OUTCOMES,
     Direction,
     InteractionSequence,
-    ObserverSpec,
-    _default_shifts,
     _measurement_blocks,
+    _shifts,
     _spin_stack,
     evolve_label_sum,
     light_cone,
@@ -38,8 +39,10 @@ from .tensor import (
     Operator,
     StateVector,
     SubsystemLayout,
+    _basis_index,
     kron,
     real_part,
+    single_factor,
 )
 
 Eigenvalues = tuple[float, ...]
@@ -71,19 +74,23 @@ class Experiment:
     preset_line: str
     means: tuple[tuple[str, str, tuple[str, ...], Eigenvalues | None], ...]
     #: ``(name, factor label, eigenvalues)`` of each time-t0 observable: the
-    #: means name them, and the ledger follows the support of each
+    #: means name them, and the ledger follows the support of each. In the
+    #: eigenvalues ``(b0, ..., bN)``, ``b1..bN`` label awareness of outcomes 1..N
+    #: and are pairwise distinct; ``b0`` labels ignorance and may repeat one, as
+    #: the probability preset ``(0, 1, 0)`` does to make a projector.
     ledger: tuple[tuple[str, str, Eigenvalues], ...]
     #: per spin measurement, its block's layout and projector labels, and the
     #: default shifts they share: the same on every run, so built once
     _spin_blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        _basis_index(self.layout, self.initial_indices)
         n = len(SPIN_OUTCOMES)
         object.__setattr__(self, "_spin_blocks", (
             tuple(SubsystemLayout(((observer, n + 1), (particle, 2)))
                   for observer, particle in self.measurements),
             tuple(((particle,),) for _, particle in self.measurements),
-            _default_shifts(n)))
+            _shifts(n + 1)[1:]))
 
     @property
     def angle_keys(self) -> tuple[str, ...]:
@@ -111,8 +118,10 @@ class Experiment:
             if len(eigenvalues) != (dim := self.layout.dim_of(factors[name])):
                 raise LayoutError(f"observable {name} on factor {factors[name]} takes {dim} "
                                   f"eigenvalues, one per state, got {len(eigenvalues)}")
-        return reduce(kron, (ObserverSpec(factors[name], eigenvalues).belief_operator()
-                             for name in names))
+        if len(set(outcomes := eigenvalues[1:])) != len(outcomes):
+            raise ValueError(f"outcome eigenvalues {outcomes} must be pairwise distinct")
+        return reduce(kron, (Operator(single_factor(factors[name], len(eigenvalues)),
+                                      np.diag(eigenvalues)) for name in names))
 
     def sequence(self, directions: Sequence[Direction], entangled: bool) -> InteractionSequence:
         """Entangler (when enabled), one spin measurement per pair, readout.

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .experiment import Experiment
-from .measure import SPIN_BETA, Measurement, measurement_block
+from .measure import SPIN_BETA, Measurement, _shifts, measurement_block
 from .tensor import Operator, SubsystemLayout, single_factor
 
 REFEREE = "O0"
@@ -69,8 +69,7 @@ def _parity_block() -> Measurement:
     states = list(product(range(3), repeat=len(OBSERVERS)))
     projectors = [[Operator(single_factor(label, 3), np.diag(np.eye(3)[o[k]])) for o in states]
                   for k, label in enumerate(OBSERVERS)]
-    shifts = [Operator(single_factor(REFEREE, 3), np.roll(np.eye(3), s, axis=0))
-              for s in _PARITY_SHIFT]
+    shifts = [Operator(single_factor(REFEREE, 3), u) for u in _shifts(3)[_PARITY_SHIFT]]
     return measurement_block(REFEREE, projectors, shifts)
 
 

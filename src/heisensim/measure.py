@@ -36,37 +36,6 @@ SPIN_OUTCOMES = (UP, DOWN)
 SPIN_BETA = (0.0, 1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class ObserverSpec:
-    """An observer factor: its label and belief eigenvalues ``(b0, ..., bN)``.
-
-    ``b0`` labels the ignorant state; ``b1..bN`` label awareness of outcome
-    1..N and must be pairwise distinct so outcomes are distinguishable.
-    ``b0`` may coincide with an outcome value: the probability preset
-    ``(0, 1, 0)`` deliberately reuses 0 so the belief operator becomes the
-    projector onto the outcome-1 awareness state.
-    """
-
-    label: str
-    eigenvalues: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", tuple(float(v) for v in self.eigenvalues))
-        if len(self.eigenvalues) < 2:
-            raise ValueError("an observer needs the ignorant state plus at least one outcome")
-        outcomes = self.eigenvalues[1:]
-        if len(set(outcomes)) != len(outcomes):
-            raise ValueError(f"outcome eigenvalues {outcomes} must be pairwise distinct")
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    def belief_operator(self) -> Operator:
-        """Diagonal observable whose eigenvalues are the belief labels."""
-        return Operator(single_factor(self.label, self.dim), np.diag(self.eigenvalues))
-
-
 def shift_operator(label: str, dim: int, outcome: int) -> Operator:
     """Cyclic shift by ``outcome`` on the ``dim`` observer basis states, mod ``dim``.
 
@@ -77,10 +46,15 @@ def shift_operator(label: str, dim: int, outcome: int) -> Operator:
     """
     if not 1 <= outcome < dim:
         raise ValueError(f"outcome index {outcome} out of range 1..{dim - 1}")
-    m = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        m[(i + outcome) % dim, i] = 1.0
-    return Operator(single_factor(label, dim), m)
+    return Operator(single_factor(label, dim), _shifts(dim)[outcome])
+
+
+def _shifts(dim: int) -> np.ndarray:
+    """The read-only ``(dim, dim, dim)`` stack of cyclic shifts: entry ``s`` is
+    ``X^s``, whose row ``r`` is row ``r - s`` of the identity."""
+    u = np.eye(dim, dtype=complex)[(np.arange(dim) - np.arange(dim)[:, None]) % dim]
+    u.setflags(write=False)
+    return u
 
 
 @dataclass(frozen=True)
@@ -218,7 +192,7 @@ def measurement_block(observer: str, projectors: Sequence[Sequence[Operator]],
     if observer in labels:
         raise LayoutError(f"observer and system share the label {observer!r}")
     if shifts is None:
-        u = _default_shifts(n)
+        u = _shifts(n + 1)[1:]
         observer_layout = single_factor(observer, n + 1)
     else:
         if bad := [i for i, v in enumerate(shifts) if not v.is_unitary()]:
@@ -232,16 +206,6 @@ def measurement_block(observer: str, projectors: Sequence[Sequence[Operator]],
     stacks = [np.stack([q.matrix for q in group])[None] for group in groups]
     block, = _measurement_blocks([layout], u, [tuple(g.labels for g in layouts)], stacks)
     return block
-
-
-def _default_shifts(n: int) -> np.ndarray:
-    """The read-only ``(n, n + 1, n + 1)`` stack of default shifts: ``u_i`` is
-    ``shift_operator(observer, n + 1, i + 1)``, whose row ``r`` is row
-    ``r - i - 1`` of the identity."""
-    rows = (np.arange(n + 1) - np.arange(1, n + 1)[:, None]) % (n + 1)
-    u = np.eye(n + 1, dtype=complex)[rows]
-    u.setflags(write=False)
-    return u
 
 
 def _measurement_blocks(layouts: Sequence[SubsystemLayout], u: np.ndarray,

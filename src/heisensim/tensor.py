@@ -157,23 +157,25 @@ class StateVector:
     @classmethod
     def basis(cls, layout: SubsystemLayout, indices: Sequence[int]) -> "StateVector":
         """Product basis state from one index per factor, in layout order."""
-        if len(indices) != len(layout):
-            raise LayoutError(f"need {len(layout)} indices, got {len(indices)}")
-        flat = 0
-        for idx, dim in zip(indices, layout.dims):
-            if not 0 <= idx < dim:
-                raise ValueError(f"basis index {idx} out of range for dim {dim}")
-            flat = flat * dim + idx
         amps = np.zeros(layout.total_dim, dtype=complex)
-        amps[flat] = 1.0
+        amps[_basis_index(layout, indices)] = 1.0
         return cls(layout, amps)
+
+
+def _basis_index(layout: SubsystemLayout, indices: Sequence[int]) -> int:
+    """Row-major index of the product basis state with these per-factor indices."""
+    if len(indices) != len(layout):
+        raise LayoutError(f"need {len(layout)} indices, got {len(indices)}")
+    flat = 0
+    for idx, dim in zip(indices, layout.dims):
+        if not 0 <= idx < dim:
+            raise ValueError(f"basis index {idx} out of range for dim {dim}")
+        flat = flat * dim + idx
+    return flat
 
 
 def kron(a: Operator, b: Operator) -> Operator:
     """Kronecker product; the result's factors are a's followed by b's."""
-    clash = set(a.layout.labels) & set(b.layout.labels)
-    if clash:
-        raise LayoutError(f"factor labels {sorted(clash)} appear on both sides of kron")
     layout = SubsystemLayout(a.layout.factors + b.layout.factors)
     return Operator(layout, np.kron(a.matrix, b.matrix))
 

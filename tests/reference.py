@@ -34,6 +34,11 @@ def identity(layout: SubsystemLayout) -> Operator:
     return Operator(layout, np.eye(layout.total_dim, dtype=complex))
 
 
+def belief(label: str, eigenvalues: Sequence[float]) -> Operator:
+    """The diagonal belief operator with these eigenvalues on one factor."""
+    return Operator(single_factor(label, len(eigenvalues)), np.diag(eigenvalues))
+
+
 def dense(label_sum: LabelSum) -> Operator:
     """The sum as one operator on its layout: its block embedded once."""
     return embed(label_sum.block(), label_sum.layout)

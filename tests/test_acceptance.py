@@ -15,7 +15,6 @@ from heisensim import (
     EVEN_GAMMA,
     Direction,
     InteractionSequence,
-    ObserverSpec,
     Operator,
     SPIN_BETA,
     SubsystemLayout,
@@ -35,7 +34,7 @@ from heisensim.eprb import EPRB
 from heisensim.ghzm import GHZM
 from heisensim.measure import evolve_label_sum
 from conftest import random_direction
-from reference import cos_between, dense
+from reference import belief, cos_between, dense
 
 
 def equator(phi_deg: float) -> Direction:
@@ -166,16 +165,16 @@ def test_criterion_9_structural_identities(rng):
     # evolved belief operator reconstructed from its small pieces
     layout = SubsystemLayout((("O", 3), ("S", 2)))
     beta = tuple(rng.normal(size=3))
-    spec = ObserverSpec("O", beta)
+    b_small = belief("O", beta)
     n = random_direction(rng)
     projectors = [spin_projector(n, "up", "S"), spin_projector(n, "down", "S")]
     u_m = measurement_unitary(layout, "O", [projectors])
-    b = embed(spec.belief_operator(), layout)
+    b = embed(b_small, layout)
     evolved = heisenberg_evolve(b, InteractionSequence((("m", u_m),), layout))
     expected = np.zeros((6, 6), dtype=complex)
     for i, p in enumerate(projectors):
         u_i = shift_operator("O", 3, i + 1).matrix
-        expected += np.kron(u_i.conj().T @ spec.belief_operator().matrix @ u_i, p.matrix)
+        expected += np.kron(u_i.conj().T @ b_small.matrix @ u_i, p.matrix)
     assert float(np.linalg.norm(evolved.matrix - expected)) < 1e-12
 
     # the two EPRB measurement unitaries commute
@@ -215,7 +214,7 @@ def test_criterion_10_locality(rng):
 
     for entangled in (False, True):
         for k, observer in enumerate(("O1", "O2", "O3")):
-            bk = ObserverSpec(observer, SPIN_BETA).belief_operator()
+            bk = belief(observer, SPIN_BETA)
             fixed = random_direction(rng)
             evolved = []
             for _ in range(5):

@@ -76,14 +76,14 @@ class TestEprb:
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[eprb]\nphi1 = 0\nphi2 = 120\nformat = csv\n")
+        cfg.write_text("[eprb]\nphi1 = 0\nphi2 = 120\nformat = csv\n", encoding="utf-8")
         code, out, _ = run_cli(["eprb", "--config", str(cfg)], capsys)
         assert code == EXIT_OK
         assert out.splitlines()[-1].endswith("0.375")
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[eprb]\nphi1 = 0\nphi2 = 120\n")
+        cfg.write_text("[eprb]\nphi1 = 0\nphi2 = 120\n", encoding="utf-8")
         code, out, _ = run_cli(
             ["eprb", "--config", str(cfg), "--phi2", "0"], capsys
         )
@@ -92,7 +92,7 @@ class TestEprb:
 
     def test_flag_supplies_a_key_the_config_lacks(self, tmp_path, capsys):
         cfg = tmp_path / "part.cfg"
-        cfg.write_text("[eprb]\nphi1 = 0\n")
+        cfg.write_text("[eprb]\nphi1 = 0\n", encoding="utf-8")
         code, out, _ = run_cli(["eprb", "--config", str(cfg), "--phi2", "90"], capsys)
         assert code == EXIT_OK
         assert value_of("P_uu", out) == pytest.approx(0.25, abs=1e-10)
@@ -100,7 +100,7 @@ class TestEprb:
     def test_malformed_config_value_names_its_line(self, tmp_path, capsys):
         # the file is typed whole, even where a flag overrides the bad key
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[eprb]\nphi1 = 0\ntol = abc\n")
+        cfg.write_text("[eprb]\nphi1 = 0\ntol = abc\n", encoding="utf-8")
         code, out, err = run_cli(
             ["eprb", "--config", str(cfg), "--phi2", "90", "--tol", "1e-8"], capsys
         )
@@ -161,7 +161,7 @@ class TestEprb:
 
     def test_mismatched_config_section(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[ghzm]\nphi1 = 0\nphi2 = 0\nphi3 = 0\n")
+        cfg.write_text("[ghzm]\nphi1 = 0\nphi2 = 0\nphi3 = 0\n", encoding="utf-8")
         code, _, err = run_cli(["eprb", "--config", str(cfg)], capsys)
         assert code == EXIT_USAGE
         assert "does not match" in err
@@ -305,7 +305,8 @@ class TestAnalyze:
 class TestSweep:
     def test_grid_rows_in_order(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("[sweep]\nexperiment = eprb\nphi1 = 0 60 120 180\nphi2 = 0\n")
+        cfg.write_text("[sweep]\nexperiment = eprb\nphi1 = 0 60 120 180\nphi2 = 0\n",
+                       encoding="utf-8")
         code, out, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
         assert code == EXIT_OK
         rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
@@ -317,7 +318,8 @@ class TestSweep:
 
     def test_ghzm_grid(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("[sweep]\nexperiment = ghzm\nphi1 = 0 90\nphi2 = 0\nphi3 = 0\n")
+        cfg.write_text("[sweep]\nexperiment = ghzm\nphi1 = 0 90\nphi2 = 0\nphi3 = 0\n",
+                       encoding="utf-8")
         code, out, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
         assert code == EXIT_OK
         rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
@@ -416,7 +418,7 @@ class TestOneInputPath:
         required = [arg for k in _SCHEMAS[command] if k.startswith("phi") and k != key
                     for arg in (flag(k), "10")]
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"[{command}]\n{key} = {text}\n")
+        cfg.write_text(f"[{command}]\n{key} = {text}\n", encoding="utf-8")
         by_flag = self.manifest(
             [command, *required, *(["--verify"] if key == "verify" else [flag(key), text])],
             monkeypatch)

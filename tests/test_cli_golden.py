@@ -110,7 +110,7 @@ def transcript(name: str, workdir: Path) -> str:
     argv, config = CASES[name]
     if config is not None:
         path = workdir / f"{name}.cfg"
-        path.write_text(config)
+        path.write_text(config, encoding="utf-8")
         argv = [str(path) if a == "{config}" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -122,7 +122,7 @@ def transcript(name: str, workdir: Path) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_transcript_matches_golden(name, tmp_path):
-    expected = (GOLDEN_DIR / f"{name}.txt").read_text()
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
     assert transcript(name, tmp_path) == expected
 
 
@@ -134,5 +134,5 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
-            (GOLDEN_DIR / f"{case}.txt").write_text(transcript(case, Path(tmp)))
+            (GOLDEN_DIR / f"{case}.txt").write_text(transcript(case, Path(tmp)), encoding="utf-8")
     print(f"wrote {len(CASES)} transcripts to {GOLDEN_DIR}", file=sys.stderr)

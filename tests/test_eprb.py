@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from heisensim.cli import EXIT_OK, main
 from heisensim.eprb import EPRB
 from heisensim.ghzm import GHZM
 from heisensim.measure import evolve_label_sum
-from heisensim.tensor import Operator, SubsystemLayout, embed
+from heisensim.tensor import LayoutError, Operator, SubsystemLayout, embed
 from conftest import random_direction
 from reference import cos_between, real_expectation, reordered, unit_vector
 
@@ -73,6 +75,19 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match=message):
             exp.run(directions, True, eigenvalues)
 
+    @pytest.mark.parametrize("exp", [EPRB, GHZM], ids=lambda e: e.name)
+    def test_observables_are_products_of_diagonals(self, exp):
+        # each ledger observable alone, and each product the means read
+        keys = [((name,), ev) for name, _, ev in exp.ledger]
+        keys += [(names, ev or SPIN_BETA) for _, _, names, ev in exp.means]
+        for names, ev in keys:
+            expected = reduce(np.kron, [np.diag(np.array(ev, dtype=complex))] * len(names))
+            assert exp.observable(names, ev).matrix.tobytes() == expected.tobytes()
+
+    def test_duplicate_outcomes_rejected(self):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            GHZM.observable(("G",), (0, 1, 1))
+
     def test_probability_preset_runs(self):
         # b0 may coincide with an outcome value: the probability preset reuses 0
         values, _ = EPRB.run((Direction(0, 0), Direction(0, 0)), True, PROBABILITY_BETA)
@@ -90,6 +105,16 @@ class TestExperimentRun:
         as_tuple, _ = EPRB.run(self.DIRECTIONS, True, (0.0, 1.0, -1.0))
         as_list, _ = EPRB.run(self.DIRECTIONS, True, [0.0, 1.0, -1.0])
         assert as_list == as_tuple
+
+    @pytest.mark.parametrize("indices, error, message", [
+        ((0, 0, 0, -1), ValueError, "basis index -1 out of range for dim 2"),
+        ((0, 0, 0, 3), ValueError, "basis index 3 out of range for dim 2"),
+        ((0, 0, 0), LayoutError, "need 4 indices, got 3"),
+    ], ids=["negative", "too-large", "too-few"])
+    def test_initial_indices_checked_at_construction(self, indices, error, message):
+        with pytest.raises(error, match=message) as raised:
+            dataclasses.replace(EPRB, initial_indices=indices)
+        assert isinstance(raised.value, LayoutError) == (error is LayoutError)
 
     def test_runs_share_belief_operators(self, monkeypatch):
         import heisensim.experiment as experiment

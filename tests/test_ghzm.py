@@ -13,7 +13,7 @@ from heisensim import (
     ghz_entangler,
     heisenberg_evolve,
 )
-from heisensim.ghzm import GHZM
+from heisensim.ghzm import _PARITY_SHIFT, GHZM
 from heisensim.measure import SPIN_OUTCOMES, UP, evolve_label_sum
 from heisensim.tensor import Operator, StateVector, embed
 from conftest import random_direction
@@ -129,6 +129,10 @@ class TestParityMeasurementUnitary:
         assert block.shifts.shape == (27, 3, 3)
         assert [(labels, f.shape) for labels, f in block.projectors] == [
             ((o,), (27, 3, 3)) for o in ("O1", "O2", "O3")]
+
+    def test_referee_shifts_are_the_rolled_identities(self):
+        rolled = np.stack([np.roll(np.eye(3, dtype=complex), s, axis=0) for s in _PARITY_SHIFT])
+        assert GHZM.readout[0][1].shifts.tobytes() == rolled.tobytes()
 
 
 class TestLabelCopies:

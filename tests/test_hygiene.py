@@ -6,7 +6,7 @@ standard library, ``numpy`` and the package; no module-level name it or
 goes unread by the rest of the program, and no public method or property
 unread as an attribute in ``src``, unless it is listed with a reason; no
 parameter default it declares is one that no call there overrides; and
-every file it opens names its encoding.
+every file it or a test opens names its encoding.
 
 ``__init__`` is exempt from the unused-import check: its imports are the
 package's public re-exports.
@@ -126,8 +126,8 @@ PUBLIC_UNREAD = {
     "ghzm.ghz_entangler": "builds GHZM.entangler; tests check its action",
     "labels.SupportSet": "returned by support",
     "measure.InteractionSequence.total_unitary": "perfbench traces it; ROADMAP item 2 moves it",
-    "measure.shift_operator": "names the default shifts, which measurement_block indexes "
-                              "out of the identity; tests build reference blocks from it",
+    "measure.shift_operator": "names one entry of the shift table that measurement_block "
+                              "reads; tests build reference blocks from it",
     "measure.spin_projector": "Experiment.sequence builds the same matrices as one stack; "
                               "tests build reference blocks from it",
 }
@@ -265,7 +265,7 @@ def unencoded_file_calls(tree: ast.AST) -> list[int]:
     return lines
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", [*PACKAGE, *TESTS], ids=lambda p: p.stem)
 def test_file_io_names_its_encoding(path):
     lines = unencoded_file_calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert not lines, f"{path.name} reads or writes a file in the locale's encoding at {lines}"

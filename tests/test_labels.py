@@ -11,7 +11,6 @@ from heisensim import (
     DEFAULT_TOL,
     Direction,
     LayoutError,
-    ObserverSpec,
     Operator,
     SPIN_BETA,
     SubsystemLayout,
@@ -27,7 +26,7 @@ from heisensim.eprb import EPRB
 from heisensim.ghzm import GHZM
 from heisensim.measure import LabelSum, evolve_label_sum
 from conftest import directions, random_direction
-from reference import dense, identity, strided_residual
+from reference import belief, dense, identity, strided_residual
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 LAYOUT = EPRB.layout
@@ -174,7 +173,7 @@ def assert_ledger_matches_the_dense_reference(exp, directions):
     rows = exp.support_ledger(directions, 1e-10)
     assert [row[:2] for row in rows] == [[name, stage] for name, _, _ in exp.ledger
                                         for stage in stages]
-    ops = {name: embed(ObserverSpec(label, eigenvalues).belief_operator(), exp.layout)
+    ops = {name: embed(belief(label, eigenvalues), exp.layout)
            for name, label, eigenvalues in exp.ledger}
     for name, stage, labels, *residuals in rows:
         total = stages[stage]

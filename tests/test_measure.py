@@ -12,7 +12,6 @@ from heisensim import (
     InteractionSequence,
     LayoutError,
     NonUnitaryError,
-    ObserverSpec,
     Operator,
     SPIN_BETA,
     StateVector,
@@ -32,14 +31,14 @@ from heisensim.measure import (
     SPIN_OUTCOMES,
     LabelSum,
     Measurement,
-    _default_shifts,
     _measurement_blocks,
+    _shifts,
     evolve_label_sum,
     light_cone,
     measurement_block,
 )
 from conftest import directions, random_direction, random_unitary
-from reference import (cos_between, dense, is_hermitian, projector_from_state, reordered,
+from reference import (belief, cos_between, dense, is_hermitian, projector_from_state, reordered,
                        spin_eigenstate)
 
 OS_LAYOUT = SubsystemLayout((("O", 3), ("S", 2)))
@@ -60,21 +59,6 @@ def product_groups(layout, indices):
     states = [np.unravel_index(k, layout.dims) for k in indices]
     return [[Operator(single_factor(label, d), np.diag(np.eye(d)[s[j]])) for s in states]
             for j, (label, d) in enumerate(layout.factors)]
-
-
-class TestObserverSpec:
-    def test_properties(self):
-        spec = ObserverSpec("O", (0.0, 1.0, -1.0))
-        assert spec.dim == 3
-        assert_allclose(np.diag(spec.belief_operator().matrix), [0.0, 1.0, -1.0])
-
-    def test_probability_preset_allowed(self):
-        # the ignorant value may coincide with an outcome value
-        ObserverSpec("O", (0.0, 1.0, 0.0))
-
-    def test_duplicate_outcomes_rejected(self):
-        with pytest.raises(ValueError):
-            ObserverSpec("O", (0.0, 1.0, 1.0))
 
 
 class TestDirection:
@@ -114,6 +98,17 @@ class TestShiftOperator:
             shift_operator("O", 3, 3)
         with pytest.raises(ValueError):
             shift_operator("O", 3, 0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_table_holds_the_rolled_identities(self, dim):
+        # X^s moves each basis state s places on, so row r is row r - s of the identity
+        table = _shifts(dim)
+        assert table.shape == (dim, dim, dim) and not table.flags.writeable
+        for s in range(dim):
+            rolled = np.roll(np.eye(dim, dtype=complex), s, axis=0)
+            assert table[s].tobytes() == rolled.tobytes()
+            if s:
+                assert shift_operator("O", dim, s).matrix.tobytes() == rolled.tobytes()
 
 
 class TestSpinEigenstate:
@@ -237,8 +232,8 @@ class TestMeasurementUnitary:
         expected = sum(np.kron(shift_operator("O", 4, i + 1).matrix, p.matrix)
                        for i, p in enumerate(projectors))
         assert_allclose(block.matrix, expected, atol=0)
-        # the default shifts are those permutations, bit for bit
-        shifts = np.stack([shift_operator("O", 4, i + 1).matrix for i in range(3)])
+        # the default shifts are the rolled identities, bit for bit
+        shifts = np.stack([np.roll(np.eye(4, dtype=complex), i + 1, axis=0) for i in range(3)])
         assert block.shifts.tobytes() == shifts.tobytes()
 
     def test_projectors_on_other_factors_rejected(self):
@@ -286,9 +281,9 @@ class TestMeasurementUnitary:
         # unitary, so only a direct call reaches these two checks
         stack = np.stack([p.matrix for p in Z_PROJECTORS])[None]
         with pytest.raises(ValueError, match="projector family contains non-finite"):
-            _measurement_blocks([OS_LAYOUT], _default_shifts(2), [(("S",),)], [stack * np.nan])
+            _measurement_blocks([OS_LAYOUT], _shifts(3)[1:], [(("S",),)], [stack * np.nan])
         with pytest.raises(NonUnitaryError, match="post-check"):
-            _measurement_blocks([OS_LAYOUT], 2 * _default_shifts(2), [(("S",),)], [stack])
+            _measurement_blocks([OS_LAYOUT], 2 * _shifts(3)[1:], [(("S",),)], [stack])
 
     def test_disjoint_measurements_commute(self, rng):
         layout = SubsystemLayout((("O1", 3), ("O2", 3), ("S1", 2), ("S2", 2)))
@@ -303,7 +298,7 @@ class TestMeasurementUnitary:
 
 class TestHeisenbergEvolve:
     def test_empty_sequence_is_identity(self):
-        b = embed(ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator(), OS_LAYOUT)
+        b = embed(belief("O", (0.0, 1.0, -1.0)), OS_LAYOUT)
         out = heisenberg_evolve(b, InteractionSequence((), OS_LAYOUT))
         assert out is b
 
@@ -319,18 +314,17 @@ class TestHeisenbergEvolve:
         # evolved belief operator equals sum_i u_i' b u_i (x) P_i, built
         # here explicitly from its small pieces
         beta = tuple(rng.normal(size=3))
-        spec = ObserverSpec("O", beta)
         n = random_direction(rng)
         projectors = [spin_projector(n, UP, "S"), spin_projector(n, DOWN, "S")]
         u_m = measurement_unitary(OS_LAYOUT, "O", [projectors])
-        b = embed(spec.belief_operator(), OS_LAYOUT)
+        b_small = belief("O", beta)
+        b = embed(b_small, OS_LAYOUT)
         evolved = heisenberg_evolve(b, InteractionSequence((("measure", u_m),), OS_LAYOUT))
 
         expected = np.zeros((6, 6), dtype=complex)
-        b_small = spec.belief_operator().matrix
         for i, p in enumerate(projectors):
             u_i = shift_operator("O", 3, i + 1).matrix
-            expected += np.kron(u_i.conj().T @ b_small @ u_i, p.matrix)
+            expected += np.kron(u_i.conj().T @ b_small.matrix @ u_i, p.matrix)
         assert float(np.linalg.norm(evolved.matrix - expected)) < 1e-12
 
     def test_sequence_composition(self, rng):
@@ -339,7 +333,7 @@ class TestHeisenbergEvolve:
         # one: evolve(A, s1 + s2) == evolve(evolve(A, s2), s1)
         u1 = Operator(OS_LAYOUT, random_unitary(rng, 6))
         u2 = Operator(OS_LAYOUT, random_unitary(rng, 6))
-        b = embed(ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator(), OS_LAYOUT)
+        b = embed(belief("O", (0.0, 1.0, -1.0)), OS_LAYOUT)
         combined = heisenberg_evolve(
             b, InteractionSequence((("first", u1), ("second", u2)), OS_LAYOUT))
         nested = heisenberg_evolve(
@@ -351,12 +345,11 @@ class TestHeisenbergEvolve:
     def test_commuting_steps_compose_in_either_order(self, rng):
         layout = SubsystemLayout((("O1", 3), ("O2", 3), ("S1", 2), ("S2", 2)))
         n1, n2 = random_direction(rng), random_direction(rng)
-        spec1 = ObserverSpec("O1", (0.0, 1.0, -1.0))
         u1 = measurement_unitary(layout, "O1",
                                  [[spin_projector(n1, o, "S1") for o in (UP, DOWN)]])
         u2 = measurement_unitary(layout, "O2",
                                  [[spin_projector(n2, o, "S2") for o in (UP, DOWN)]])
-        b = embed(spec1.belief_operator(), layout)
+        b = embed(belief("O1", (0.0, 1.0, -1.0)), layout)
         combined = heisenberg_evolve(b, InteractionSequence((("m1", u1), ("m2", u2)), layout))
         stepwise = heisenberg_evolve(
             heisenberg_evolve(b, InteractionSequence((("m1", u1),), layout)),
@@ -659,7 +652,7 @@ def test_unsplit_measurement_sums_what_its_block_conjugates(exp, examples):
         layout = exp.layout
         for _, label, eigenvalues in exp.ledger:
             summed = conjugated = LabelSum.local(
-                ObserverSpec(label, eigenvalues).belief_operator(), layout)
+                belief(label, eigenvalues), layout)
             for tag, u in reversed(exp.sequence(drawn, True).steps):
                 covered = {k for p, _ in summed.groups for k in p}
                 plain = (isinstance(u, Measurement)
@@ -688,7 +681,7 @@ class TestLabelSums:
 
     def test_measurement_splits_an_observer_term_per_outcome(self, rng):
         # rule (b): the system factor is the identity in the sum
-        b = ObserverSpec("O", tuple(rng.normal(size=3))).belief_operator()
+        b = belief("O", tuple(rng.normal(size=3)))
         evolved = evolve_label_sum(b, InteractionSequence((("m", Z_BLOCK),), OS_LAYOUT))
         assert len(evolved) == 2
         assert [p for p, _ in evolved.groups] == [(0,), (1,)]
@@ -717,7 +710,7 @@ class TestLabelSums:
     def test_referee_leaves_an_observer_it_reads_unchanged(self):
         # the parity readout's one-hot projectors on O1 commute with B1,
         # which is diagonal there: the step is skipped, the same arrays out
-        b1 = ObserverSpec("O1", SPIN_BETA).belief_operator()
+        b1 = belief("O1", SPIN_BETA)
         seq = InteractionSequence(GHZM.readout, GHZM.layout)
         start = LabelSum.local(b1, GHZM.layout)
         for split in (True, False):
@@ -765,7 +758,7 @@ class TestLabelSums:
         assert [labels for labels, _ in entangled.projectors] == [("S", "T")]
 
     def test_sum_on_another_layout_rejected(self):
-        b = ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator()
+        b = belief("O", (0.0, 1.0, -1.0))
         other = SubsystemLayout((("O", 3), ("S", 2), ("T", 2)))
         with pytest.raises(LayoutError):
             evolve_label_sum(LabelSum.local(b, other), InteractionSequence((), OS_LAYOUT))

@@ -8,7 +8,6 @@ from heisensim import (
     EVEN_GAMMA,
     InteractionSequence,
     LayoutError,
-    ObserverSpec,
     Operator,
     SPIN_BETA,
     StateVector,
@@ -23,7 +22,7 @@ from heisensim import (
 from heisensim.eprb import EPRB
 from heisensim.ghzm import GHZM
 from conftest import random_direction
-from reference import schmidt_rank
+from reference import belief, schmidt_rank
 
 OS_LAYOUT = SubsystemLayout((("O", 3), ("S", 2)))
 Z_PROJECTORS = [
@@ -87,7 +86,7 @@ class TestSchrodingerEvolve:
 class TestCrossCheck:
     def test_empty_sequence_residual_zero(self):
         psi = observer_system_state(1.0, 0.0)
-        b = embed(ObserverSpec("O", (0.0, 1.0, -1.0)).belief_operator(), OS_LAYOUT)
+        b = embed(belief("O", (0.0, 1.0, -1.0)), OS_LAYOUT)
         assert cross_check(b, InteractionSequence((), OS_LAYOUT), psi) == 0.0
 
     def test_eprb_pipeline(self, rng):
