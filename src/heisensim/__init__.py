@@ -37,13 +37,11 @@ from .eprb import (
     BETA_PRESETS,
     PROBABILITY_BETA,
     SPIN_BETA,
-    singlet_entangler,
 )
 from .ghzm import (
     EVEN_GAMMA,
     GAMMA_PRESETS,
     ODD_GAMMA,
-    ghz_entangler,
 )
 from .labels import SupportSet, acts_trivially_on, support
 from .schrodinger import cross_check, schrodinger_evolve

@@ -24,10 +24,10 @@ from .experiment import Experiment
 from .ghzm import GHZM
 from .tensor import DEFAULT_TOL
 
-CONFIG_SECTIONS = ("eprb", "ghzm", "sweep")
 #: The experiment definitions by name: the ``eprb``/``ghzm`` commands and
 #: the values of the ``experiment`` key.
 EXPERIMENTS = {e.name: e for e in (EPRB, GHZM)}
+CONFIG_SECTIONS = (*EXPERIMENTS, "sweep")
 
 _REQUIRED = object()
 

@@ -11,13 +11,9 @@ fixed initial state. :data:`EPRB` is the whole definition.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from .experiment import Experiment
 from .measure import SPIN_BETA
-from .tensor import Operator, SubsystemLayout
+from .tensor import SubsystemLayout
 
 OBSERVER_1, OBSERVER_2 = "O1", "O2"
 PARTICLE_1, PARTICLE_2 = "S1", "S2"
@@ -25,25 +21,6 @@ PARTICLE_1, PARTICLE_2 = "S1", "S2"
 #: Belief eigenvalues turning <B1 B2> into the joint spin-up probability.
 PROBABILITY_BETA = (0.0, 1.0, 0.0)
 BETA_PRESETS = {"spin": SPIN_BETA, "probability": PROBABILITY_BETA}
-
-
-def singlet_entangler() -> Operator:
-    """Unitary on the particle pair sending up-down to the singlet.
-
-    Fixes the parallel-spin states, sends up-down to the antisymmetric
-    combination and down-up to the symmetric one.
-    """
-    r = 1.0 / math.sqrt(2.0)
-    m = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, r, r, 0.0],
-            [0.0, -r, r, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    return Operator(SubsystemLayout(((PARTICLE_1, 2), (PARTICLE_2, 2))), m)
-
 
 #: ``p_uu`` is the product mean re-run under the probability preset rather
 #: than post-processed from the configured eigenvalues.
@@ -53,7 +30,6 @@ EPRB = Experiment(
     # both observers ignorant; particle 1 up, particle 2 down along z
     initial_indices=(0, 0, 0, 1),
     measurements=((OBSERVER_1, PARTICLE_1), (OBSERVER_2, PARTICLE_2)),
-    entangler=singlet_entangler(),
     readout=(),
     preset_key="beta_preset",
     presets=BETA_PRESETS,

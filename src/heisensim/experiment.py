@@ -5,15 +5,16 @@ particles through ideal-measurement interactions, optionally after an
 entangling interaction between the particles, and the evolved observer
 operators carry the labels that match each outcome with its partner. An
 :class:`Experiment` holds only what tells the two apart: the layout and
-initial basis state, the ``(observer, particle)`` measurement pairs, the
-entangler, any trailing readout steps and the named observables, each on
-one factor. Building those operators and the interaction sequence,
-evaluating the means, cross-checking them against state evolution and
-tabulating operator support are written once, here.
+initial basis state, the ``(observer, particle)`` measurement pairs, which
+with that state fix the entangler, any trailing readout steps and the named
+observables, each on one factor. Building those operators and the
+interaction sequence, evaluating the means, cross-checking them against
+state evolution and tabulating operator support are written once, here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Mapping, Sequence
@@ -65,8 +66,11 @@ class Experiment:
     initial_indices: tuple[int, ...]
     #: ``(observer, particle)`` pairs in time order, one per direction
     measurements: tuple[tuple[str, str], ...]
-    #: unitary on the particle factors alone, applied first when enabled
-    entangler: Operator
+    #: unitary on the measured particles, applied first when enabled: their
+    #: initial state ``s`` and its all-flipped ``s̄`` go to ``(|s> - |s̄>)/sqrt(2)``
+    #: and ``(|s> + |s̄>)/sqrt(2)``, and every other state is fixed; EPRB's
+    #: up-down goes to the singlet, GHZM's all-up to ``(|uuu> - |ddd>)/sqrt(2)``
+    entangler: Operator = field(init=False, repr=False)
     #: ``(tag, unitary on some factors of the layout)`` steps after the measurements
     readout: tuple[tuple[str, Operator], ...]
     preset_key: str
@@ -85,6 +89,14 @@ class Experiment:
 
     def __post_init__(self):
         _basis_index(self.layout, self.initial_indices)
+        particles = SubsystemLayout(tuple((p, 2) for _, p in self.measurements))
+        s = [self.initial_indices[self.layout.position(p)] for p in particles.labels]
+        i, j = _basis_index(particles, s), _basis_index(particles, [1 - k for k in s])
+        m = np.eye(particles.total_dim, dtype=complex)
+        r = 1.0 / math.sqrt(2.0)
+        m[i, i] = m[i, j] = m[j, j] = r
+        m[j, i] = -r
+        object.__setattr__(self, "entangler", Operator(particles, m))
         n = len(SPIN_OUTCOMES)
         object.__setattr__(self, "_spin_blocks", (
             tuple(SubsystemLayout(((observer, n + 1), (particle, 2)))

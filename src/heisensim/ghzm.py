@@ -11,7 +11,6 @@ even-spin-up probability directly. :data:`GHZM` is the whole definition.
 
 from __future__ import annotations
 
-import math
 from itertools import product
 
 import numpy as np
@@ -43,22 +42,6 @@ _PARITY_SHIFT = np.array([0 if 0 in o else 2 - o.count(1) % 2
                           for o in product(range(3), repeat=len(OBSERVERS))])
 
 
-def ghz_entangler() -> Operator:
-    """Unitary on the particle triple sending all-up to the GHZ state.
-
-    All-up goes to ``(|uuu> - |ddd>)/sqrt(2)``; the orthogonal completion
-    sends all-down to ``(|uuu> + |ddd>)/sqrt(2)`` and fixes the six mixed
-    basis states. Pipeline results only ever exercise the all-up column.
-    """
-    r = 1.0 / math.sqrt(2.0)
-    m = np.eye(8, dtype=complex)
-    m[0, 0] = r
-    m[7, 0] = -r
-    m[0, 7] = r
-    m[7, 7] = r
-    return Operator(SubsystemLayout(tuple((s, 2) for s in PARTICLES)), m)
-
-
 def _parity_block() -> Measurement:
     """The referee interaction on ``[O0, O1, O2, O3]``: an ideal measurement of
     the ``[O1, O2, O3]`` basis, one product projector per basis state ``o``,
@@ -83,7 +66,6 @@ GHZM = Experiment(
     # all four observers ignorant, all three particles spin-up along z
     initial_indices=(0,) * 7,
     measurements=tuple(zip(OBSERVERS, PARTICLES)),
-    entangler=ghz_entangler(),
     readout=(("t3:parity", _parity_block()),),
     preset_key="gamma_preset",
     presets=GAMMA_PRESETS,

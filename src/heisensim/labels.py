@@ -82,7 +82,9 @@ def support(op: Operator | LabelSum, tol: float = DEFAULT_TOL,
     """Support set of ``op`` among ``labels``, by default every factor of its
     layout: the labels it acts on nontrivially. A :class:`LabelSum` is tested
     on its block alone, and when every label lies outside the block no block
-    is formed."""
+    is formed. The tolerance must be finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     residuals = dict.fromkeys(op.layout.labels if labels is None else labels, 0.0)
     block, scale, read = op, 1.0, list(residuals)
     if isinstance(op, LabelSum):

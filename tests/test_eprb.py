@@ -15,7 +15,6 @@ from heisensim import (
     SPIN_BETA,
     UP,
     heisenberg_evolve,
-    singlet_entangler,
     spin_projector,
 )
 from heisensim.cli import EXIT_OK, main
@@ -48,7 +47,7 @@ def nonentangled_means(theta1: float, theta2: float, beta) -> tuple[float, float
 
 class TestSingletEntangler:
     def test_action_on_all_four_basis_states(self):
-        u = singlet_entangler().matrix
+        u = EPRB.entangler.matrix
         r = 1.0 / math.sqrt(2.0)
         assert_allclose(u[:, 0], [1, 0, 0, 0], atol=0)  # up,up fixed
         assert_allclose(u[:, 1], [0, r, -r, 0], atol=0)  # up,down -> singlet
@@ -56,7 +55,25 @@ class TestSingletEntangler:
         assert_allclose(u[:, 3], [0, 0, 0, 1], atol=0)  # down,down fixed
 
     def test_unitary(self):
-        assert singlet_entangler().is_unitary(1e-15)
+        assert EPRB.entangler.is_unitary(1e-15)
+
+    def test_bits_match_the_literal_singlet(self):
+        # the matrix written out, independent of the rule that derives it
+        r = 1.0 / math.sqrt(2.0)
+        literal = np.array([[1, 0, 0, 0], [0, r, r, 0], [0, -r, r, 0], [0, 0, 0, 1]],
+                           dtype=complex)
+        assert EPRB.entangler.layout.labels == ("S1", "S2")
+        assert EPRB.entangler.matrix.tobytes() == literal.tobytes()
+
+    def test_derived_from_the_initial_particle_state(self):
+        # starting down-up, down-up goes to (|du> - |ud>)/sqrt(2) and up-down
+        # to (|du> + |ud>)/sqrt(2); up-up and down-down stay fixed
+        u = dataclasses.replace(EPRB, initial_indices=(0, 0, 1, 0)).entangler.matrix
+        r = 1.0 / math.sqrt(2.0)
+        assert_allclose(u[:, 2], [0, -r, r, 0], atol=0)
+        assert_allclose(u[:, 1], [0, r, r, 0], atol=0)
+        assert_allclose(u[:, 0], [1, 0, 0, 0], atol=0)
+        assert_allclose(u[:, 3], [0, 0, 0, 1], atol=0)
 
 
 class TestEigenvalues:
@@ -266,7 +283,7 @@ class TestCompletionInvariance:
             return embed(sub, layout)
 
         steps = (
-            ("t1:entangle", embed(singlet_entangler(), layout)),
+            ("t1:entangle", embed(EPRB.entangler, layout)),
             ("t2:measure-1", alt_measurement("O1", "S1", n1)),
             ("t2:measure-2", alt_measurement("O2", "S2", n2)),
         )

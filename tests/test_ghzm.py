@@ -10,7 +10,6 @@ from heisensim import (
     EVEN_GAMMA,
     InteractionSequence,
     ODD_GAMMA,
-    ghz_entangler,
     heisenberg_evolve,
 )
 from heisensim.ghzm import _PARITY_SHIFT, GHZM
@@ -54,17 +53,26 @@ def nonentangled_p_eu(directions) -> float:
 
 class TestGhzEntangler:
     def test_all_up_column(self):
-        u = ghz_entangler().matrix
+        u = GHZM.entangler.matrix
         r = 1.0 / math.sqrt(2.0)
         expected = np.zeros(8)
         expected[0], expected[7] = r, -r
         assert_allclose(u[:, 0], expected, atol=0)
 
     def test_unitary(self):
-        assert ghz_entangler().is_unitary(1e-15)
+        assert GHZM.entangler.is_unitary(1e-15)
+
+    def test_bits_match_the_literal_ghz_unitary(self):
+        # the matrix written out, independent of the rule that derives it
+        r = 1.0 / math.sqrt(2.0)
+        literal = np.eye(8, dtype=complex)
+        literal[0, 0] = literal[0, 7] = literal[7, 7] = r
+        literal[7, 0] = -r
+        assert GHZM.entangler.layout.labels == ("S1", "S2", "S3")
+        assert GHZM.entangler.matrix.tobytes() == literal.tobytes()
 
     def test_output_normalized(self):
-        u = ghz_entangler()
+        u = GHZM.entangler
         out = u.matrix @ np.eye(8)[:, 0]
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-15)
 
@@ -218,11 +226,11 @@ class TestEntanglerCompletionInvariance:
         dirs = [random_direction(rng) for _ in range(3)]
         reference = GHZM.run(dirs, True, EVEN_GAMMA)[0]["probability"]
 
-        alt = ghz_entangler().matrix.copy()
+        alt = GHZM.entangler.matrix.copy()
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=8))
         phases[0] = 1.0  # keep the constrained column verbatim
         alt = alt @ np.diag(phases)
-        alt_full = embed(Operator(ghz_entangler().layout, alt), GHZM.layout)
+        alt_full = embed(Operator(GHZM.entangler.layout, alt), GHZM.layout)
 
         seq = GHZM.sequence(dirs, True)
         steps = tuple(

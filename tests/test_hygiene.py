@@ -122,8 +122,6 @@ PUBLIC_UNREAD = {
     "cli._Parser.error": "argparse calls it on a usage error",
     "cli.build_parser": "tests compare the shared parser with a fresh one",
     "config.parse_config": "tests parse config text without a file",
-    "eprb.singlet_entangler": "builds EPRB.entangler; tests check its action",
-    "ghzm.ghz_entangler": "builds GHZM.entangler; tests check its action",
     "labels.SupportSet": "returned by support",
     "measure.InteractionSequence.total_unitary": "perfbench traces it; ROADMAP item 2 moves it",
     "measure.shift_operator": "names one entry of the shift table that measurement_block "

@@ -107,6 +107,12 @@ class TestSupport:
             assert sup.labels == {f"F{k}"}
             assert all(r == 0.0 for label, r in sup.residuals.items() if label != f"F{k}")
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        # 0 or less and NaN would mark every factor nontrivial, and inf none
+        with pytest.raises(ValueError, match=f"^tolerance must be finite and positive, got {tol}$"):
+            support(identity(LAYOUT), tol)
+
 
 class TestSupportOfALabelSum:
     @pytest.mark.parametrize("entangled", [True, False])
@@ -193,6 +199,13 @@ class TestSupportLedger:
         poles = [Direction(0.0, 0.0), Direction(math.pi, 1.0), random_direction(rng)]
         for directions in (generic, poles[:len(exp.measurements)]):
             assert_ledger_matches_the_dense_reference(exp, directions)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        # a caller's error, not a light-cone fault of the kernel
+        directions = (Direction(1.5, 0), Direction(1.5, 2))
+        with pytest.raises(ValueError, match=f"^tolerance must be finite and positive, got {tol}$"):
+            EPRB.support_ledger(directions, tol)
 
     # a GHZM example builds and conjugates 648-dim dense operators, about 1 s
     @pytest.mark.parametrize("exp, examples", [(EPRB, 40), (GHZM, 4)], ids=["eprb", "ghzm"])

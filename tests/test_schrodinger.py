@@ -17,7 +17,6 @@ from heisensim import (
     measurement_unitary,
     schrodinger_evolve,
     single_factor,
-    singlet_entangler,
 )
 from heisensim.eprb import EPRB
 from heisensim.ghzm import GHZM
@@ -54,7 +53,7 @@ class TestSchrodingerEvolve:
         assert_allclose(out.amplitudes, expected, atol=1e-15)
 
     def test_singlet_entangler_on_initial_particles(self):
-        seq = InteractionSequence((("entangle", embed(singlet_entangler(), EPRB.layout)),),
+        seq = InteractionSequence((("entangle", embed(EPRB.entangler, EPRB.layout)),),
                                   EPRB.layout)
         out = schrodinger_evolve(EPRB.initial_state(), seq)
         r = 1.0 / math.sqrt(2.0)
