@@ -183,10 +183,11 @@ def _columns(exp: Experiment) -> list[str]:
 
 def _grid(exp: Experiment, points, entangled: bool, preset: str, verify: bool):
     """The means by column at each point ``(theta1, phi1, theta2, ...)`` in
-    degrees, plus the largest verification residual (None unless ``verify``)."""
-    runs = [exp.run(_directions(point), entangled, exp.presets[preset], verify)
-            for point in points]
-    return [values for values, _ in runs], max(r for _, r in runs) if verify else None
+    degrees, plus the largest verification residual (None unless ``verify``):
+    one run over every point."""
+    means, residuals = exp.run([_directions(point) for point in points], entangled,
+                               exp.presets[preset], verify)
+    return means, max(residuals) if verify else None
 
 
 def _handle_run(man: RunManifest) -> _Rendered:

@@ -25,6 +25,7 @@ from .labels import support
 from .measure import (
     SPIN_OUTCOMES,
     Direction,
+    GridSplit,
     InteractionSequence,
     _measurement_blocks,
     _shifts,
@@ -47,6 +48,10 @@ from .tensor import (
 )
 
 Eigenvalues = tuple[float, ...]
+
+#: points walked as one grid: a run over more walks them this many at a time,
+#: so its memory stays that of this many points
+GRID_CHUNK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,59 +141,94 @@ class Experiment:
                                       np.diag(eigenvalues)) for name in names))
 
     def sequence(self, directions: Sequence[Direction], entangled: bool) -> InteractionSequence:
-        """Entangler (when enabled), one spin measurement per pair, readout.
+        """Entangler (when enabled), one spin measurement per pair, readout."""
+        seq, = self._sequences([directions], entangled)
+        return seq
 
-        The spin measurements are built and checked in one pass: each block
-        is the ``measurement_block`` of its observer and the
+    def _sequences(self, points: Sequence[Sequence[Direction]],
+                   entangled: bool) -> list[InteractionSequence]:
+        """:meth:`sequence` at each point, one direction per measurement.
+
+        Every spin measurement of the grid is built and checked in one pass:
+        each block is the ``measurement_block`` of its observer and the
         ``spin_projector``s of its particle along its direction, bit for bit.
+        The entangler and readout are the same objects at every point.
         """
-        if len(directions) != len(self.measurements):
-            raise ValueError(f"{self.name} takes {len(self.measurements)} directions, one per "
-                             f"measurement, got {len(directions)}")
+        for directions in points:
+            if len(directions) != len(self.measurements):
+                raise ValueError(f"{self.name} takes {len(self.measurements)} directions, one "
+                                 f"per measurement, got {len(directions)}")
         layouts, labels, shifts = self._spin_blocks
-        blocks = _measurement_blocks(layouts, shifts, labels, [_spin_stack(directions)])
-        steps = [("t1:entangle", self.entangler)] if entangled else []
-        steps += ((f"t2:measure-{k}", block) for k, block in enumerate(blocks, 1))
-        steps += self.readout
-        return InteractionSequence(tuple(steps), self.layout)
+        k = len(layouts)
+        stack = _spin_stack([n for directions in points for n in directions])
+        blocks = _measurement_blocks(layouts * len(points), shifts, labels * len(points), [stack])
+        head = (("t1:entangle", self.entangler),) if entangled else ()
+        tags = [f"t2:measure-{j}" for j in range(1, k + 1)]
+        return [InteractionSequence((*head, *zip(tags, blocks[i:i + k]), *self.readout),
+                                    self.layout) for i in range(0, len(blocks), k)]
 
     def run(
         self,
-        directions: Sequence[Direction],
+        points: Sequence[Sequence[Direction]],
         entangled: bool,
         eigenvalues: Eigenvalues,
         verify: bool = False,
-    ) -> tuple[dict[str, float], float | None]:
-        """Every mean by column, and under ``verify`` the largest gap between
-        a mean and its value in the state evolved once instead (else None).
+    ) -> tuple[list[dict[str, float]], list[float] | None]:
+        """At each point, one direction per measurement: every mean by
+        column; and under ``verify``, per point, the largest gap between a
+        mean and its value in the state evolved once instead (else None).
 
         Each mean reads one observable, the product of its named ones, and
-        each distinct observable is evolved once, as a label sum; one
-        sequence serves all eigenvalues, since its unitaries do not depend on
-        them. The initial state is a product basis state, so each mean is
-        read off the sum's diagonal entries, with nothing embedded, and each
-        measured observer is read at its initial index once no earlier step
-        acts on its group, which drops the copies that weigh 0 there: the
-        sums are exact for their mean in the initial state only. The state
-        evolved instead applies each named observable in turn, so a fault in
-        forming their product shows there too.
+        each distinct observable is evolved once over the grid, as a label
+        sum with a point axis where the points differ; one sequence per point
+        serves all eigenvalues, since its unitaries do not depend on them.
+        The initial state is a product basis state, so each mean is read off
+        the sum's diagonal entries, with nothing embedded, and each measured
+        observer is read at its initial index once no earlier step acts on
+        its group, which drops the copies that weigh 0 there: the sums are
+        exact for their mean in the initial state only. Each point's mean
+        sums the copies its own walk keeps, in the same order, so a grid
+        gives each point the bits a grid of that point alone gives. The
+        state evolved instead, point by point, applies each named observable
+        in turn, so a fault in forming their product shows there too.
         """
         keys = [(m[2], m[3] or tuple(eigenvalues)) for m in self.means]
-        seq = self.sequence(directions, entangled)
-        evolved = {key: evolve_label_sum(self.observable(*key), seq, at=self.initial_indices)
-                   for key in dict.fromkeys(keys)}
-        values = {m[0]: real_part(evolved[key].mean(self.initial_indices))
-                  for m, key in zip(self.means, keys)}
-        for (column, *_), (_, ev) in zip(self.means, keys):
-            if set(ev) <= {0.0, 1.0} and not -DEFAULT_TOL <= values[column] <= 1 + DEFAULT_TOL:
-                raise InvariantError(f"{column} = {values[column]} is not a probability")
-        if not verify:
-            return values, None
-        psi = schrodinger_evolve(self.initial_state(), seq)
-        return values, max(
-            abs(values[m[0]] - product_expectation(
-                psi, *(self.observable((name,), ev) for name in names)))
-            for m, (names, ev) in zip(self.means, keys))
+        means, residuals = [], []
+        initial = self.initial_state() if verify else None
+        for start in range(0, len(points), GRID_CHUNK):
+            seqs = self._sequences(points[start:start + GRID_CHUNK], entangled)
+            evolved = {key: self._means(self.observable(*key), seqs)
+                       for key in dict.fromkeys(keys)}
+            for p, seq in enumerate(seqs):
+                values = {m[0]: real_part(complex(evolved[key][p]))
+                          for m, key in zip(self.means, keys)}
+                for (column, *_), (_, ev) in zip(self.means, keys):
+                    if set(ev) <= {0.0, 1.0} and not (
+                            -DEFAULT_TOL <= values[column] <= 1 + DEFAULT_TOL):
+                        raise InvariantError(f"{column} = {values[column]} is not a probability")
+                means.append(values)
+                if verify:
+                    psi = schrodinger_evolve(initial, seq)
+                    residuals.append(max(
+                        abs(values[m[0]] - product_expectation(
+                            psi, *(self.observable((name,), ev) for name in names)))
+                        for m, (names, ev) in zip(self.means, keys)))
+        return means, residuals if verify else None
+
+    def _means(self, op: Operator, seqs: list[InteractionSequence]) -> Sequence[complex]:
+        """The mean of ``op`` at the initial state after each sequence of a
+        grid, read off one label sum; points that disagree on a rule the
+        walk decides by value are walked as grids of their own."""
+        try:
+            evolved = evolve_label_sum(op, seqs, at=self.initial_indices)
+        except GridSplit as split:
+            values = [0j] * len(seqs)
+            for part in split.parts:
+                for p, value in zip(part, self._means(op, [seqs[p] for p in part])):
+                    values[p] = value
+            return values
+        values = evolved.mean(self.initial_indices)
+        return values if np.ndim(values) else [values] * len(seqs)
 
     def support_ledger(self, directions: Sequence[Direction], tol: float) -> list[list]:
         """Rows ``[observable, stage, support labels, residual per label...]``

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,7 +101,9 @@ class InteractionSequence:
 
     Order is time order: the first step acts first. Each step acts on some
     factors of ``layout``, in any order, and is verified unitary on that
-    block at construction. Tags name the steps, so no two steps share one.
+    block at construction; a block that :func:`measurement_block` built
+    was checked there, so its residual is read, not recomputed. Tags name
+    the steps, so no two steps share one.
     """
 
     steps: tuple[tuple[str, Operator], ...]
@@ -111,8 +113,9 @@ class InteractionSequence:
         object.__setattr__(self, "steps", tuple((str(t), u) for t, u in self.steps))
         if len(set(self.tags)) != len(self.steps):
             raise ValueError(f"step tags {self.tags} repeat")
+        factors = set(self.layout.factors)
         for tag, u in self.steps:
-            if not set(u.layout.factors) <= set(self.layout.factors):
+            if not factors.issuperset(u.layout.factors):
                 raise LayoutError(f"step {tag!r} is not on factors of {self.layout.factors}")
             if not u.is_unitary(DEFAULT_TOL):
                 raise NonUnitaryError(f"step {tag!r} is not unitary within {DEFAULT_TOL}")
@@ -123,23 +126,7 @@ class InteractionSequence:
 
     @cached_property
     def _plan(self) -> list[tuple]:
-        # per step, latest first: its layout positions, its block as a stack
-        # of one, and for a measurement the terms of rule (b): the observer's
-        # positions and shifts, the projectors' groups on the layout, and the
-        # positions that any earlier step acts on
-        plan, earlier = [], set()
-        for _, u in self.steps:
-            rows = tuple(self.layout.position(label) for label in u.layout.labels)
-            terms = None
-            if isinstance(u, Measurement):
-                controls = tuple(
-                    _merge(self.layout,
-                           [(tuple(self.layout.position(label) for label in labels), stack)])
-                    for labels, stack in u.projectors)
-                terms = (rows[:1], u.shifts, controls, frozenset(earlier))
-            earlier.update(rows)
-            plan.append((rows, u.matrix[None], terms))
-        return plan[::-1]
+        return _plan((self,))
 
     def total_unitary(self) -> Operator:
         """Product of all steps embedded in the layout, earliest step
@@ -162,6 +149,68 @@ class Measurement(Operator):
 
     shifts: np.ndarray
     projectors: tuple[tuple[tuple[str, ...], np.ndarray], ...]
+
+
+@lru_cache(maxsize=64)
+def _structure(layout: SubsystemLayout, steps: tuple) -> tuple:
+    """Per step on ``layout``, latest first: its layout positions and, for a
+    measurement, the positions of each projector group and those that any
+    earlier step acts on. ``steps`` holds each step's layout and, for a
+    measurement, its groups' labels (else None), which is all these depend
+    on: every sequence of one experiment and entangler setting shares them."""
+    out, earlier = [], set()
+    for step_layout, groups in steps:
+        rows = tuple(layout.position(label) for label in step_layout.labels)
+        controls = None if groups is None else (
+            tuple(tuple(layout.position(label) for label in labels) for labels in groups),
+            frozenset(earlier))
+        earlier.update(rows)
+        out.append((rows, controls))
+    return tuple(out[::-1])
+
+
+def _stacked(u: Operator, more: list[Operator], get) -> np.ndarray:
+    """``get`` of a step at the first point, ``u``, when the step at every
+    other point, in ``more``, gives that same array; else the points' arrays
+    stacked on a leading point axis."""
+    first = get(u)
+    return first if all(get(v) is first for v in more) else np.stack([first, *map(get, more)])
+
+
+def _signature(seq: InteractionSequence) -> tuple:
+    """Each step's layout and, for a measurement, its projector groups' labels."""
+    return tuple((u.layout, tuple(labels for labels, _ in u.projectors)
+                  if isinstance(u, Measurement) else None) for _, u in seq.steps)
+
+
+def _plan(seqs: Sequence[InteractionSequence]) -> list[tuple]:
+    """Per step, latest first: its layout positions, its block as a stack of
+    one, and for a measurement the terms of rule (b): the observer's
+    positions and shifts, the projectors' groups on the layout, and the
+    positions that any earlier step acts on.
+
+    ``seqs`` is a grid: one sequence per point, on one layout and with one
+    :func:`_signature`. A step's matrix, shifts or projector group that is
+    not one object at every point is stacked on a leading point axis; the
+    rest is shared, as everything is for one sequence.
+    """
+    first = seqs[0]
+    layout, signature = first.layout, _signature(first)
+    if any(s.layout != layout or _signature(s) != signature for s in seqs[1:]):
+        raise LayoutError("the sequences of a grid differ in layout or in their steps' factors")
+    plan = []
+    for i, (rows, controls) in zip(range(len(signature) - 1, -1, -1),
+                                   _structure(layout, signature)):
+        u, more = first.steps[i][1], [s.steps[i][1] for s in seqs[1:]]
+        terms = None
+        if controls is not None:
+            groups, earlier = controls
+            projectors = [_stacked(u, more, lambda v: v.projectors[g][1])
+                          for g in range(len(groups))]
+            terms = (rows[:1], _stacked(u, more, lambda v: v.shifts),
+                     tuple(_merge(layout, [part]) for part in zip(groups, projectors)), earlier)
+        plan.append((rows, _stacked(u, more, lambda v: v.matrix)[..., None, :, :], terms))
+    return plan
 
 
 def measurement_block(observer: str, projectors: Sequence[Sequence[Operator]],
@@ -238,10 +287,17 @@ def _measurement_blocks(layouts: Sequence[SubsystemLayout], u: np.ndarray,
         raise ValueError("projector family does not sum to the identity (incomplete family)")
 
     matrices = np.einsum("iab,kicd->kacbd", u, p).reshape(k, layouts[0].total_dim, -1)
-    blocks = [Measurement(layout, m, u, tuple(zip(group_labels, (f[j] for f in stacks))))
-              for j, (layout, m, group_labels) in enumerate(zip(layouts, matrices, labels))]
-    if not all(block.is_unitary() for block in blocks):
+    # |u†u - I| of every block at once; each block keeps its own, so a
+    # sequence reads it rather than computing it again
+    residuals = np.linalg.norm(matrices.conj().swapaxes(-1, -2) @ matrices
+                               - np.eye(matrices.shape[-1]), axis=(-2, -1))
+    if not np.all(residuals < DEFAULT_TOL):
         raise NonUnitaryError("measurement unitary failed its unitarity post-check")
+    blocks = []
+    for j, (layout, m, group_labels) in enumerate(zip(layouts, matrices, labels)):
+        block = Measurement(layout, m, u, tuple(zip(group_labels, (f[j] for f in stacks))))
+        object.__setattr__(block, "_unitarity_residual", float(residuals[j]))
+        blocks.append(block)
     return blocks
 
 
@@ -270,41 +326,56 @@ def _merge(layout: SubsystemLayout, parts, identities=()) -> tuple:
     """One group from the per-term Kronecker product of ``(positions, stack)``
     parts and the identity on each position in ``identities``: its
     positions, ascending, and its ``(T, d, d)`` stack, ``T`` the parts' term
-    count (a part of one term applies to every term)."""
+    count (a part of one term applies to every term). A stack that leads
+    with a point axis makes the product lead with it."""
     parts = [*parts, *(((k,), np.eye(layout.dims[k])[None]) for k in identities)]
     positions, stack = parts[0]
     for more, a in parts[1:]:
         n, m = stack.shape[-1], a.shape[-1]
-        stack = (stack[:, :, None, :, None] * a[:, None, :, None, :]).reshape(-1, n * m, n * m)
+        stack = stack[..., :, None, :, None] * a[..., None, :, None, :]
+        stack = stack.reshape(*stack.shape[:-4], n * m, n * m)
         positions += more
-    order = sorted(range(len(positions)), key=positions.__getitem__)
-    if order != list(range(len(positions))):
-        dims, k = tuple(layout.dims[p] for p in positions), len(positions)
-        axes = (0, *(1 + j for j in order), *(1 + k + j for j in order))
-        stack = stack.reshape(-1, *dims, *dims).transpose(axes).reshape(stack.shape)
-    return tuple(sorted(positions)), stack
+    ascending = tuple(sorted(positions))
+    if ascending != positions:
+        order = sorted(range(len(positions)), key=positions.__getitem__)
+        dims, k, lead = tuple(layout.dims[p] for p in positions), len(positions), stack.ndim - 2
+        axes = (*range(lead), *(lead + j for j in order), *(lead + k + j for j in order))
+        shape = stack.shape
+        stack = stack.reshape(*shape[:lead], *dims, *dims).transpose(axes).reshape(shape)
+    return ascending, stack
 
 
 def _conjugate(layout: SubsystemLayout, positions, a: np.ndarray, rows, u: np.ndarray):
     """The stack of ``u_i† a_t u_i``, term ``t * n + i``, for a group's
     ``(T, d, d)`` stack ``a`` on ``positions`` and an ``(n, b, b)`` stack of
-    blocks on its factors at the layout positions ``rows``.
+    blocks on its factors at the layout positions ``rows``; either may lead
+    with a point axis, and then the result does.
 
     The group tensor is transposed so the block's row axes lead and its
-    column axes trail: one matrix product multiplies each side.
+    column axes trail: one matrix product multiplies each side, with the
+    same operands per point as for that point alone.
     """
-    terms, m, b = len(a), len(positions), u.shape[-1]
+    m, b, lead = len(positions), u.shape[-1], a.ndim - 3
+    uh = u.conj().swapaxes(-1, -2)
     if positions == rows:
-        return (u.conj().transpose(0, 2, 1) @ a[:, None] @ u).reshape(-1, *a.shape[1:])
+        if u.ndim == 4:  # the blocks' point axis leads the terms' axis
+            u, uh = u[:, None], uh[:, None]
+        y = uh @ a[..., None, :, :] @ u
+        return y.reshape(*y.shape[:-4], -1, *a.shape[-2:])
     dims = tuple(layout.dims[p] for p in positions)
     local = [positions.index(r) for r in rows]
     rest = [k for k in range(m) if k not in local]
     axes = (*(1 + k for k in local), 0, *(1 + k for k in rest),
             *(1 + m + k for k in rest), *(1 + m + k for k in local))
-    x = a.reshape(terms, *dims, *dims).transpose(axes)
-    y = (u.conj().transpose(0, 2, 1) @ x.reshape(b, -1)).reshape(len(u), -1, b) @ u
+    x = a.reshape(*a.shape[:-2], *dims, *dims).transpose(
+        (*range(lead), *(lead + k for k in axes)))
+    y = uh @ x.reshape(*x.shape[:lead], *[1] * lead, b, -1)
+    y = y.reshape(*y.shape[:-2], -1, b) @ u
+    points = y.ndim - 3
     back = (1 + axes.index(0), 0, *(1 + axes.index(k) for k in range(1, 2 * m + 1)))
-    return y.reshape(len(u), *x.shape).transpose(back).reshape(-1, *a.shape[1:])
+    y = y.reshape(*y.shape[:-2], *x.shape[lead:]).transpose(
+        (*range(points), *(points + k for k in back)))
+    return y.reshape(*y.shape[:points], -1, *a.shape[-2:])
 
 
 def _entries_at(layout: SubsystemLayout, positions, a: np.ndarray, observer: int,
@@ -345,17 +416,20 @@ def _outcome_sum(layout: SubsystemLayout, positions, b: np.ndarray, control) -> 
     the outcomes, then one transposed copy into layout order."""
     where, p = control
     merged = positions + where
-    n, m, k = len(p), len(positions), len(merged)
+    n, m, k = p.shape[-3], len(positions), len(merged)
     dims = tuple(layout.dims[q] for q in merged)
     d = b.shape[-1] * p.shape[-1]
-    s = b.reshape(-1, n, b.shape[-1] ** 2).transpose(0, 2, 1) @ p.reshape(n, -1)
+    s = (b.reshape(*b.shape[:-3], -1, n, b.shape[-1] ** 2).swapaxes(-1, -2)
+         @ p.reshape(*p.shape[:-3], n, -1)[..., None, :, :])
     # axes of s: the term, the group's rows then columns, the control's rows then columns
     rows = (*range(1, m + 1), *range(2 * m + 1, m + k + 1))
     cols = (*range(m + 1, 2 * m + 1), *range(m + k + 1, 2 * k + 1))
     order = sorted(range(k), key=merged.__getitem__)
-    axes = (0, *(rows[j] for j in order), *(cols[j] for j in order))
-    shape = (-1, *dims[:m], *dims[:m], *dims[m:], *dims[m:])
-    return tuple(sorted(merged)), s.reshape(shape).transpose(axes).reshape(-1, d, d)
+    lead = s.ndim - 3
+    axes = (*range(lead + 1), *(lead + rows[j] for j in order), *(lead + cols[j] for j in order))
+    shape = (*s.shape[:lead], -1, *dims[:m], *dims[:m], *dims[m:], *dims[m:])
+    s = s.reshape(shape).transpose(axes)
+    return tuple(sorted(merged)), s.reshape(*s.shape[:lead], -1, d, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +441,8 @@ class LabelSum:
     factor per term. Groups are disjoint, and a factor in no group is the
     identity. Each term is one labelled copy: a measurement splits a term
     into one per outcome, the awareness on the observer tied to the
-    projector on the system.
+    projector on the system. Walked over a grid of sequences, a stack that
+    differs between points is ``(P, T, d_g, d_g)``: one sum per point.
     """
 
     layout: SubsystemLayout
@@ -382,18 +457,21 @@ class LabelSum:
         return cls(layout, (_merge(layout, [(positions, op.matrix[None])]),))
 
     def __len__(self) -> int:
-        return len(self.groups[0][1])
+        return self.groups[0][1].shape[-3]
 
-    def mean(self, indices: Sequence[int]) -> complex:
+    def mean(self, indices: Sequence[int]) -> complex | np.ndarray:
         """``<psi|A|psi>`` in the product basis state with one index per
-        factor: each term's product of its groups' diagonal entries."""
+        factor: each term's product of its groups' diagonal entries, summed;
+        for a sum with a point axis, one such value per point."""
         terms = np.ones(len(self), dtype=complex)
         for positions, a in self.groups:
             flat = 0
             for k in positions:
                 flat = flat * self.layout.dims[k] + indices[k]
-            terms *= a[:, flat, flat]
-        return complex(terms.sum())
+            terms = terms * a[..., flat, flat]
+        # each point's terms are added alone: numpy adds the rows of a 2-D
+        # array at once in another order than it adds one row
+        return terms.sum() if terms.ndim == 1 else np.array([row.sum() for row in terms])
 
     def block(self) -> Operator:
         """The sum as one operator on the factors of its groups, in layout
@@ -409,7 +487,41 @@ class LabelSum:
                         total[0] if len(total) else total.sum(axis=0))
 
 
-def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
+class GridSplit(Exception):
+    """The points of a grid disagree on a rule decided by value; ``parts``
+    lists the indices of each set of points that agree, to be walked as its
+    own grid."""
+
+    def __init__(self, parts: list[list[int]]):
+        super().__init__(f"grid points disagree; walk {parts} apart")
+        self.parts = parts
+
+
+def _agreed(decisions: list):
+    """The decision that every point made, or :class:`GridSplit` naming the
+    points that agree; decisions are compared by their bytes."""
+    if len(decisions) == 1:
+        return decisions[0]
+    keys = [np.asarray(d).tobytes() for d in decisions]
+    if len(set(keys)) == 1:
+        return decisions[0]
+    parts: dict[bytes, list[int]] = {}
+    for p, key in enumerate(keys):
+        parts.setdefault(key, []).append(p)
+    raise GridSplit(list(parts.values()))
+
+
+def _each_point(count: int, *groupings) -> list[tuple]:
+    """The ``(positions, stack)`` groupings at each of ``count`` points, each
+    stack with a point axis cut to that point's; once, when none has one."""
+    if all(a.ndim == 3 for grouping in groupings for _, a in grouping):
+        return [groupings]
+    return [tuple([(q, a[p] if a.ndim == 4 else a) for q, a in grouping] for grouping in groupings)
+            for p in range(count)]
+
+
+def evolve_label_sum(op: Operator | LabelSum,
+                     seq: InteractionSequence | Sequence[InteractionSequence],
                      split: bool = True, at: Sequence[int] | None = None) -> LabelSum:
     """``U† op U`` for the sequence product ``U`` (earliest step rightmost) as a
     :class:`LabelSum`, ``op`` acting on some factors of the sequence's layout,
@@ -436,42 +548,54 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
     ``at``, drops the group and every term whose ``c`` is exactly 0. The
     steps still to come act on other factors, so the mean at ``at`` factors
     through this entry: the result is exact for ``.mean(at)`` only.
+
+    ``seq`` may also be a grid: a list of sequences, one per point, with the
+    same steps up to their matrices (see :func:`_plan`). A stack that differs
+    between points then carries a point axis, and each point's sum holds the
+    terms its own walk holds, in the same order and with the same bits. The
+    skip of rule (a) and the drop at ``at`` are decided per point; points
+    that decide differently raise :class:`GridSplit`.
     """
-    layout = seq.layout
+    seqs = (seq,) if isinstance(seq, InteractionSequence) else tuple(seq)
+    layout = seqs[0].layout
     if not isinstance(op, LabelSum):
         label_sum = LabelSum.local(op, layout)
     elif op.layout == layout:
         label_sum = op
     else:
         raise LayoutError(f"a sum on {op.layout.factors} cannot evolve on {layout.factors}")
-    for rows, block, measurement in seq._plan:
+    for rows, block, measurement in seqs[0]._plan if len(seqs) == 1 else _plan(seqs):
         groups = label_sum.groups
         touched = [g for g in groups if not set(rows).isdisjoint(g[0])]
         if not touched:
             continue
         rest = tuple(g for g in groups if set(rows).isdisjoint(g[0]))
         covered = set().union(*(g[0] for g in touched))
-        if measurement and rows[0] not in covered and all(
-                _commutes(layout, touched, p, f) for p, f in measurement[2]):
+        if measurement and rows[0] not in covered and _agreed([
+                all(_commutes(layout, meet, p, f) for p, f in controls)
+                for meet, controls in _each_point(len(seqs), touched, measurement[2])]):
             continue
         if measurement and not any(covered.intersection(p) for p, _ in measurement[2]):
             target, shifts, controls, earlier = measurement
             # the observer is in a group: the step meets one, and its system does not
             positions, a = _merge(layout, touched)
-            n = len(shifts)
+            n = shifts.shape[-3]
             if not split:
                 b = _conjugate(layout, positions, a, target, shifts)
                 groups = (_outcome_sum(layout, positions, b, _merge(layout, controls)), *rest)
             elif at is not None and earlier.isdisjoint(positions):
-                c = _entries_at(layout, positions, a, target[0], shifts, at)
-                keep = np.flatnonzero(c)
+                c = [_entries_at(layout, positions, x, target[0], u, at)
+                     for ((_, x),), ((_, u),) in _each_point(
+                         len(seqs), [(positions, a)], [(target, shifts)])]
+                keep = _agreed([np.flatnonzero(ci) for ci in c])
+                c = c[0] if len(c) == 1 else np.stack(c)
                 (p, x), *more = controls
-                groups = ((p, x[keep % n] * c[keep, None, None]),
-                          *((q, y[keep % n]) for q, y in more),
-                          *((q, y[keep // n]) for q, y in rest))
+                groups = ((p, x[..., keep % n, :, :] * c[..., keep, None, None]),
+                          *((q, y[..., keep % n, :, :]) for q, y in more),
+                          *((q, y[..., keep // n, :, :]) for q, y in rest))
             else:
                 groups = ((positions, _conjugate(layout, positions, a, target, shifts)),
-                          *((p, np.repeat(x, n, axis=0)) for p, x in rest),
+                          *((p, np.repeat(x, n, axis=-3)) for p, x in rest),
                           *((p, np.tile(x, (len(label_sum), 1, 1))) for p, x in controls))
         else:
             positions, a = _merge(layout, touched, sorted(set(rows) - covered))

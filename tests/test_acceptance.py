@@ -65,13 +65,13 @@ def test_criterion_2_singlet_correlation_law(rng):
     start = time.perf_counter()
     for k in range(1000):
         n1, n2 = random_direction(rng), random_direction(rng)
-        report = EPRB.run((n1, n2), True, (0.0, 1.0, -1.0))[0]
+        report = EPRB.run([(n1, n2)], True, (0.0, 1.0, -1.0))[0][0]
         dot = cos_between(n1, n2)
         assert report["mean_b1b2"] == pytest.approx(-dot, abs=1e-10)
         # p_uu is the same product mean re-run under beta = (0, 1, 0)
         assert report["p_uu"] == pytest.approx((1.0 - dot) / 4.0, abs=1e-10)
         if k < 100:
-            explicit = EPRB.run((n1, n2), True, (0.0, 1.0, 0.0))[0]
+            explicit = EPRB.run([(n1, n2)], True, (0.0, 1.0, 0.0))[0][0]
             assert explicit["mean_b1b2"] == pytest.approx((1.0 - dot) / 4.0, abs=1e-10)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"1000 singlet checks took {elapsed:.2f} s"
@@ -81,14 +81,14 @@ def test_criterion_2_singlet_correlation_law(rng):
 def test_criterion_3_perfect_anticorrelation(rng):
     for _ in range(100):
         n = random_direction(rng)
-        assert EPRB.run((n, n), True, SPIN_BETA)[0]["p_uu"] < 1e-12
+        assert EPRB.run([(n, n)], True, SPIN_BETA)[0][0]["p_uu"] < 1e-12
     print("\nACCEPTANCE 3: P_uu(n, n) < 1e-12 for 100 random directions: PASS")
 
 
 def test_criterion_4_nonentangled_factorization(rng):
     for _ in range(1000):
         n1, n2 = random_direction(rng), random_direction(rng)
-        r = EPRB.run((n1, n2), False, SPIN_BETA)[0]
+        r = EPRB.run([(n1, n2)], False, SPIN_BETA)[0][0]
         assert r["mean_b1b2"] == pytest.approx(r["mean_b1"] * r["mean_b2"], abs=1e-10)
         b1, b2 = SPIN_BETA[1], SPIN_BETA[2]
         m1 = b1 * math.cos(n1.theta / 2) ** 2 + b2 * math.sin(n1.theta / 2) ** 2
@@ -100,16 +100,16 @@ def test_criterion_4_nonentangled_factorization(rng):
 def test_criterion_5_ghzm(rng):
     start = time.perf_counter()
     for phis in ((0, 90, 90), (90, 0, 90), (90, 90, 0)):
-        values, _ = GHZM.run([equator(p) for p in phis], True, EVEN_GAMMA)
+        (values,), _ = GHZM.run([[equator(p) for p in phis]], True, EVEN_GAMMA)
         assert abs(values["probability"]) < 1e-10
-    values, _ = GHZM.run([equator(0)] * 3, True, EVEN_GAMMA)
+    (values,), _ = GHZM.run([[equator(0)] * 3], True, EVEN_GAMMA)
     assert values["probability"] == pytest.approx(1.0, abs=1e-10)
     for _ in range(100):
         phis = rng.uniform(0.0, 2.0 * math.pi, size=3)
-        values, _ = GHZM.run([Direction(math.pi / 2, p) for p in phis], True, EVEN_GAMMA)
+        (values,), _ = GHZM.run([[Direction(math.pi / 2, p) for p in phis]], True, EVEN_GAMMA)
         assert values["probability"] == pytest.approx((1.0 + math.cos(sum(phis))) / 2.0, abs=1e-10)
-    plain = GHZM.run([equator(p) for p in rng.uniform(0, 360, size=3)], False,
-                     EVEN_GAMMA)[0]["probability"]
+    plain = GHZM.run([[equator(p) for p in rng.uniform(0, 360, size=3)]], False,
+                     EVEN_GAMMA)[0][0]["probability"]
     assert plain == pytest.approx(0.5, abs=1e-10)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"GHZM criterion took {elapsed:.1f} s"
@@ -123,7 +123,7 @@ def test_criterion_6_instruction_set_gap(capsys):
     assert survivors and all(parity == "odd" for _, parity in survivors)
     assert main(["bell-q", "--format", "csv"]) == EXIT_OK
     quantum_q = float(capsys.readouterr().out.splitlines()[-1].split(",")[-1])
-    quantum_p = GHZM.run([equator(0)] * 3, True, EVEN_GAMMA)[0]["probability"]
+    quantum_p = GHZM.run([[equator(0)] * 3], True, EVEN_GAMMA)[0][0]["probability"]
     assert quantum_q > q_max + 0.1
     assert quantum_p == pytest.approx(1.0, abs=1e-10)  # classical value is 0
     print("\nACCEPTANCE 6: instruction-set bounds Q <= 1 and P_eu(0,0,0) = 0, both beaten: PASS")

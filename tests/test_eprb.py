@@ -90,7 +90,7 @@ class TestEigenvalues:
         message = (f"observable {name} on factor {label} takes 3 eigenvalues, one per state, "
                    f"got {len(eigenvalues)}" if len(eigenvalues) != 3 else "pairwise distinct")
         with pytest.raises(ValueError, match=message):
-            exp.run(directions, True, eigenvalues)
+            exp.run([directions], True, eigenvalues)
 
     @pytest.mark.parametrize("exp", [EPRB, GHZM], ids=lambda e: e.name)
     def test_observables_are_products_of_diagonals(self, exp):
@@ -107,7 +107,7 @@ class TestEigenvalues:
 
     def test_probability_preset_runs(self):
         # b0 may coincide with an outcome value: the probability preset reuses 0
-        values, _ = EPRB.run((Direction(0, 0), Direction(0, 0)), True, PROBABILITY_BETA)
+        (values,), _ = EPRB.run([(Direction(0, 0), Direction(0, 0))], True, PROBABILITY_BETA)
         assert values["p_uu"] == pytest.approx(0.0, abs=1e-12)
 
     def test_presets(self):
@@ -119,8 +119,8 @@ class TestExperimentRun:
     DIRECTIONS = (Direction(0.3, 0.1), Direction(1.2, 2.0))
 
     def test_list_eigenvalues_match_tuple(self):
-        as_tuple, _ = EPRB.run(self.DIRECTIONS, True, (0.0, 1.0, -1.0))
-        as_list, _ = EPRB.run(self.DIRECTIONS, True, [0.0, 1.0, -1.0])
+        (as_tuple,), _ = EPRB.run([self.DIRECTIONS], True, (0.0, 1.0, -1.0))
+        (as_list,), _ = EPRB.run([self.DIRECTIONS], True, [0.0, 1.0, -1.0])
         assert as_list == as_tuple
 
     @pytest.mark.parametrize("indices, error, message", [
@@ -140,7 +140,7 @@ class TestExperimentRun:
         monkeypatch.setattr(experiment, "evolve_label_sum",
                             lambda op, seq, **kw: seen.append(op) or evolve(op, seq, **kw))
         for _ in range(2):
-            EPRB.run(self.DIRECTIONS, True, (0.0, 1.0, -1.0))
+            EPRB.run([self.DIRECTIONS], True, (0.0, 1.0, -1.0))
         first, second = seen[:len(seen) // 2], seen[len(seen) // 2:]
         assert len(first) == len(second) > 0
         assert all(a is b for a, b in zip(first, second))
@@ -168,7 +168,7 @@ class TestEntangled:
     def test_spin_preset_gives_minus_dot_product(self, rng):
         for _ in range(50):
             n1, n2 = random_direction(rng), random_direction(rng)
-            report = EPRB.run((n1, n2), True, SPIN_BETA)[0]
+            report = EPRB.run([(n1, n2)], True, SPIN_BETA)[0][0]
             assert report["mean_b1b2"] == pytest.approx(-cos_between(n1, n2), abs=1e-12)
 
     def test_general_beta_closed_form(self, rng):
@@ -177,7 +177,7 @@ class TestEntangled:
         for _ in range(1000):
             n1, n2 = random_direction(rng), random_direction(rng)
             beta = (rng.normal(), *np.sort(rng.normal(size=2))[::-1])
-            report = EPRB.run((n1, n2), True, beta)[0]
+            report = EPRB.run([(n1, n2)], True, beta)[0][0]
             assert report["mean_b1b2"] == pytest.approx(
                 entangled_correlation(n1, n2, beta), abs=1e-10
             )
@@ -185,19 +185,19 @@ class TestEntangled:
     def test_p_uu_law(self, rng):
         for _ in range(50):
             n1, n2 = random_direction(rng), random_direction(rng)
-            report = EPRB.run((n1, n2), True, SPIN_BETA)[0]
+            report = EPRB.run([(n1, n2)], True, SPIN_BETA)[0][0]
             assert report["p_uu"] == pytest.approx((1.0 - cos_between(n1, n2)) / 4.0, abs=1e-12)
 
     def test_perfect_anticorrelation_at_equal_directions(self, rng):
         for _ in range(20):
             n = random_direction(rng)
-            assert EPRB.run((n, n), True, SPIN_BETA)[0]["p_uu"] < 1e-12
+            assert EPRB.run([(n, n)], True, SPIN_BETA)[0][0]["p_uu"] < 1e-12
 
     def test_rotational_invariance(self, rng):
         # p_uu depends only on the opening angle between the analyzers:
         # rigidly rotating both directions in 3d changes nothing
         n1, n2 = random_direction(rng), random_direction(rng)
-        reference = EPRB.run((n1, n2), True, SPIN_BETA)[0]["p_uu"]
+        reference = EPRB.run([(n1, n2)], True, SPIN_BETA)[0][0]["p_uu"]
         for _ in range(4):
             q, r = np.linalg.qr(rng.normal(size=(3, 3)))
             rot = q * np.sign(np.diag(r))
@@ -205,7 +205,7 @@ class TestEntangled:
                 rot[:, 0] = -rot[:, 0]
             m1, m2 = (_from_vector(rot @ unit_vector(n)) for n in (n1, n2))
             assert abs(cos_between(m1, m2) - cos_between(n1, n2)) < 1e-12
-            assert EPRB.run((m1, m2), True, SPIN_BETA)[0]["p_uu"] == pytest.approx(
+            assert EPRB.run([(m1, m2)], True, SPIN_BETA)[0][0]["p_uu"] == pytest.approx(
                 reference, abs=1e-10
             )
 
@@ -214,20 +214,20 @@ class TestNonentangled:
     def test_factorization(self, rng):
         for _ in range(50):
             n1, n2 = random_direction(rng), random_direction(rng)
-            r = EPRB.run((n1, n2), False, SPIN_BETA)[0]
+            r = EPRB.run([(n1, n2)], False, SPIN_BETA)[0][0]
             assert r["mean_b1b2"] == pytest.approx(r["mean_b1"] * r["mean_b2"], abs=1e-10)
 
     def test_closed_form(self, rng):
         for _ in range(50):
             n1, n2 = random_direction(rng), random_direction(rng)
-            r = EPRB.run((n1, n2), False, SPIN_BETA)[0]
+            r = EPRB.run([(n1, n2)], False, SPIN_BETA)[0][0]
             m1, m2 = nonentangled_means(n1.theta, n2.theta, SPIN_BETA)
             assert r["mean_b1"] == pytest.approx(m1, abs=1e-12)
             assert r["mean_b2"] == pytest.approx(m2, abs=1e-12)
             assert r["mean_b1b2"] == pytest.approx(m1 * m2, abs=1e-12)
 
     def test_z_analyzers_read_initial_spins(self):
-        r = EPRB.run((Direction(0, 0), Direction(0, 0)), False, SPIN_BETA)[0]
+        r = EPRB.run([(Direction(0, 0), Direction(0, 0))], False, SPIN_BETA)[0][0]
         assert r["mean_b1"] == pytest.approx(SPIN_BETA[1], abs=1e-14)
         assert r["mean_b2"] == pytest.approx(SPIN_BETA[2], abs=1e-14)
         assert r["mean_b1b2"] == pytest.approx(r["mean_b1"] * r["mean_b2"], abs=1e-14)
@@ -292,5 +292,5 @@ class TestCompletionInvariance:
         b1, b2 = (EPRB.observable((name,), SPIN_BETA) for name in ("B1", "B2"))
         prod = heisenberg_evolve(b1, seq).matrix @ heisenberg_evolve(b2, seq).matrix
         alt = real_expectation(psi0, Operator(layout, prod))
-        standard = EPRB.run((n1, n2), True, SPIN_BETA)[0]["mean_b1b2"]
+        standard = EPRB.run([(n1, n2)], True, SPIN_BETA)[0][0]["mean_b1b2"]
         assert alt == pytest.approx(standard, abs=1e-12)

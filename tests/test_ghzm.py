@@ -167,22 +167,22 @@ class TestLabelCopies:
 class TestRunGhzm:
     def test_headline_zeros(self):
         for phis in ((0, 90, 90), (90, 0, 90), (90, 90, 0)):
-            value = GHZM.run([equator(p) for p in phis], True, EVEN_GAMMA)[0]["probability"]
+            value = GHZM.run([[equator(p) for p in phis]], True, EVEN_GAMMA)[0][0]["probability"]
             assert abs(value) < 1e-10
 
     def test_headline_unity(self):
-        value = GHZM.run([equator(0), equator(0), equator(0)], True, EVEN_GAMMA)[0]["probability"]
+        value = GHZM.run([[equator(0), equator(0), equator(0)]], True, EVEN_GAMMA)[0][0]["probability"]
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_nonentangled_equator_is_half(self, rng):
         phis = rng.uniform(0, 360, size=3)
-        values, _ = GHZM.run([equator(p) for p in phis], False, EVEN_GAMMA)
+        (values,), _ = GHZM.run([[equator(p) for p in phis]], False, EVEN_GAMMA)
         assert values["probability"] == pytest.approx(0.5, abs=1e-12)
 
     def test_entangled_closed_form(self, rng):
         for _ in range(20):
             dirs = [random_direction(rng) for _ in range(3)]
-            values, _ = GHZM.run(dirs, True, EVEN_GAMMA)
+            (values,), _ = GHZM.run([dirs], True, EVEN_GAMMA)
             assert values["probability"] == pytest.approx(entangled_p_eu(dirs), abs=1e-10)
 
     def test_nonentangled_closed_form_and_azimuth_freedom(self, rng):
@@ -190,21 +190,21 @@ class TestRunGhzm:
         values = []
         for _ in range(3):
             dirs = [Direction(t, rng.uniform(0, 2 * math.pi)) for t in thetas]
-            value = GHZM.run(dirs, False, EVEN_GAMMA)[0]["probability"]
+            value = GHZM.run([dirs], False, EVEN_GAMMA)[0][0]["probability"]
             assert value == pytest.approx(nonentangled_p_eu(dirs), abs=1e-10)
             values.append(value)
         assert max(values) - min(values) < 1e-12
 
     def test_even_and_odd_presets_are_complementary(self, rng):
         dirs = [random_direction(rng) for _ in range(3)]
-        even = GHZM.run(dirs, True, EVEN_GAMMA)[0]["probability"]
-        odd = GHZM.run(dirs, True, ODD_GAMMA)[0]["probability"]
+        even = GHZM.run([dirs], True, EVEN_GAMMA)[0][0]["probability"]
+        odd = GHZM.run([dirs], True, ODD_GAMMA)[0][0]["probability"]
         assert even + odd == pytest.approx(1.0, abs=1e-10)
 
     def test_probability_bounds(self, rng):
         for _ in range(5):
             dirs = [random_direction(rng) for _ in range(3)]
-            value = GHZM.run(dirs, True, EVEN_GAMMA)[0]["probability"]
+            value = GHZM.run([dirs], True, EVEN_GAMMA)[0][0]["probability"]
             assert -1e-12 <= value <= 1.0 + 1e-12
 
     def test_measurement_order_invariance(self, rng):
@@ -224,7 +224,7 @@ class TestEntanglerCompletionInvariance:
         # the pipeline only exercises the all-up column; dress every other
         # column with random phases (still unitary) and compare
         dirs = [random_direction(rng) for _ in range(3)]
-        reference = GHZM.run(dirs, True, EVEN_GAMMA)[0]["probability"]
+        reference = GHZM.run([dirs], True, EVEN_GAMMA)[0][0]["probability"]
 
         alt = GHZM.entangler.matrix.copy()
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=8))

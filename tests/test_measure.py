@@ -27,8 +27,10 @@ from heisensim import (
 )
 from heisensim.eprb import EPRB
 from heisensim.ghzm import GHZM
+import heisensim.experiment as experiment
 from heisensim.measure import (
     SPIN_OUTCOMES,
+    GridSplit,
     LabelSum,
     Measurement,
     _measurement_blocks,
@@ -593,7 +595,7 @@ def test_run_matches_the_full_sums_mean(exp):
         for entangled in (True, False):
             seq = exp.sequence(drawn, entangled)
             for preset in exp.presets.values():
-                values, _ = exp.run(drawn, entangled, preset)
+                (values,), _ = exp.run([drawn], entangled, preset)
                 for column, _, names, eigenvalues in exp.means:
                     op = exp.observable(names, eigenvalues or preset)
                     full = evolve_label_sum(op, seq)
@@ -636,6 +638,160 @@ def test_sequence_builds_each_spin_measurement_bit_for_bit(exp):
     for count in (n - 1, n + 1):
         with pytest.raises(ValueError, match=f"{n} directions"):
             exp.sequence([Direction(0.0, 0.0)] * count, True)
+
+
+def bits(value) -> bytes:
+    """A float or complex value's bytes, so that -0.0 and 0.0 differ."""
+    return np.complex128(value).tobytes()
+
+
+@pytest.mark.parametrize("exp", [EPRB, GHZM], ids=["eprb", "ghzm"])
+def test_a_grid_gives_each_point_the_bits_of_its_run_alone(exp):
+    # 20 seeded grids of 1-8 points, three polar angles in ten at 0, pi/2
+    # or pi, where copies weigh exactly 0 and signed zeros occur
+    rng = np.random.default_rng(27)
+
+    def polar():
+        if rng.random() < 0.3:
+            return float(rng.choice((0.0, math.pi / 2, math.pi)))
+        return rng.uniform(0, math.pi)
+
+    for _ in range(20):
+        points = [tuple(Direction(polar(), rng.uniform(0, 2 * math.pi))
+                        for _ in exp.measurements) for _ in range(rng.integers(1, 9))]
+        for entangled in (True, False):
+            for preset in exp.presets.values():
+                for verify in (False, True):
+                    means, residuals = exp.run(points, entangled, preset, verify)
+                    alone = [exp.run([point], entangled, preset, verify) for point in points]
+                    assert [[(k, bits(v)) for k, v in m.items()] for m in means] == \
+                        [[(k, bits(v)) for k, v in own.items()] for (own,), _ in alone]
+                    if verify:
+                        assert [bits(r) for r in residuals] == [bits(r) for _, (r,) in alone]
+                    else:
+                        assert residuals is None
+
+
+def test_a_grid_longer_than_a_chunk_is_walked_in_chunks(monkeypatch):
+    points = [(Direction(0.1 * k, 0.3 * k), Direction(1.0, 0.2 * k)) for k in range(5)]
+    whole = EPRB.run(points, True, SPIN_BETA, True)
+    walks = []
+    evolve = experiment.evolve_label_sum
+    monkeypatch.setattr(experiment, "GRID_CHUNK", 2)
+    monkeypatch.setattr(experiment, "evolve_label_sum",
+                        lambda op, seq, **kw: walks.append(len(seq)) or evolve(op, seq, **kw))
+    chunked = EPRB.run(points, True, SPIN_BETA, True)
+    # four distinct observables, each walked over chunks of 2, 2 and 1 points
+    assert walks == [2] * 4 + [2] * 4 + [1] * 4
+    assert [[bits(v) for v in m.values()] for m in chunked[0]] == \
+        [[bits(v) for v in m.values()] for m in whole[0]]
+    assert [bits(r) for r in chunked[1]] == [bits(r) for r in whole[1]]
+
+
+def walk_grid(op, seqs, split=True, at=None) -> list[tuple[list[int], LabelSum]]:
+    """``(point indices, sum)`` of each part of a grid that the walk keeps
+    whole, walking apart the points that a GridSplit names."""
+    try:
+        return [(list(range(len(seqs))), evolve_label_sum(op, seqs, split, at))]
+    except GridSplit as exc:
+        return [([part[p] for p in points], evolved) for part in exc.parts
+                for points, evolved in walk_grid(op, [seqs[p] for p in part], split, at)]
+
+
+def assert_walks_alone(op, seqs, split, at):
+    """Each point of the grid holds the groups, stacks and mean, bit for bit,
+    of its own one-sequence walk; returns the parts the walk kept whole."""
+    parts = walk_grid(op, seqs, split, at)
+    assert sorted(p for points, _ in parts for p in points) == list(range(len(seqs)))
+    for points, evolved in parts:
+        for k, p in enumerate(points):
+            own = evolve_label_sum(op, seqs[p], split, at)
+            assert [q for q, _ in evolved.groups] == [q for q, _ in own.groups]
+            for (_, x), (_, y) in zip(evolved.groups, own.groups):
+                x = x[k] if x.ndim == 4 else x
+                assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+            if at is not None:
+                mean = evolved.mean(at)
+                assert bits(mean[k] if np.ndim(mean) else mean) == bits(own.mean(at))
+    return [points for points, _ in parts]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=structured_sequences(), seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=4),
+       shared=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_a_grid_walks_each_point_as_its_own_walk(case, seeds, shared):
+    # one sequence per seed, its measurements in the product or a random
+    # basis as the seed's bits say, so rule (a) may skip at some points
+    # only; a step drawn shared is the first point's at every point
+    dims, specs, support_a, support_b = case
+    built = []
+    for seed in seeds:
+        flipped = [(*spec[:4], bool(seed >> k & 1)) if spec[0] == "measure" and spec[3] else spec
+                   for k, spec in enumerate(specs)]
+        built.append(build_structured((dims, flipped, support_a, support_b), seed))
+    layout, first, a, b, rng = built[0]
+    seqs = [InteractionSequence(tuple(f if keep else step for f, step, keep
+                                      in zip(first.steps, seq.steps, shared)), layout)
+            for _, seq, *_ in built]
+    at = [int(rng.integers(d)) for d in layout.dims]
+    for op in (a, b):
+        for split, read in ((True, at), (True, None), (False, None)):
+            assert_walks_alone(op, seqs, split, read)
+
+
+def test_a_grid_of_sequences_with_other_steps_is_rejected():
+    d = (Direction(0.2, 0.1), Direction(0.9, 1.0))
+    for other in (EPRB.sequence(d, False), GHZM.sequence((*d, d[0]), True)):
+        with pytest.raises(LayoutError, match="differ"):
+            evolve_label_sum(EPRB.observable(("B1",), SPIN_BETA), [EPRB.sequence(d, True), other])
+
+
+def test_spin_blocks_keep_the_residual_of_their_stacked_check():
+    # one u†u - I norm over the stack; each block holds its entry, so the
+    # sequence reads it instead of computing it again
+    for tag, u in GHZM.sequence([Direction(0.3, 0.1), Direction(2.0, 4.0), Direction(0.0, 0.0)],
+                                True).steps:
+        if tag.startswith("t2:"):
+            residual = vars(u)["_unitarity_residual"]
+            assert abs(residual - np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(6))) < 1e-15
+
+
+def test_points_that_disagree_on_a_skip_are_walked_apart():
+    # A1 on S1 commutes with the projectors of a measurement along z, which
+    # rule (a) then skips, and not with those of a tilted one
+    op = EPRB.observable(("A1",), (1.0, -1.0))
+    points = [(Direction(0.0, 0.0), Direction(0.4, 0.0)),
+              (Direction(0.7, 0.2), Direction(0.4, 0.0)),
+              (Direction(0.0, 1.0), Direction(1.1, 0.5))]
+    seqs = EPRB._sequences(points, False)
+    with pytest.raises(GridSplit) as split:
+        evolve_label_sum(op, seqs, at=EPRB.initial_indices)
+    assert split.value.parts == [[0, 2], [1]]
+    assert assert_walks_alone(op, seqs, True, EPRB.initial_indices) == [[0, 2], [1]]
+
+
+def test_points_that_disagree_on_a_dropped_copy_are_walked_apart():
+    # O1 measures S2, then S1; B1 A1 on [O1, S1] meets the later measurement
+    # on both factors, so the conjugation by its block, pointwise, reaches
+    # the earlier one, whose read at t0 drops a copy of weight exactly 0
+    # along z and none when tilted
+    layout = EPRB.layout
+    op = Operator(SubsystemLayout((("O1", 3), ("S1", 2))),
+                  np.diag([0.0, 0.0, 1.0, -1.0, -1.0, 1.0]))
+
+    def seq(n0, n1):
+        return InteractionSequence(tuple(
+            (f"m{k}", measurement_block("O1", [[spin_projector(n, o, s) for o in SPIN_OUTCOMES]]))
+            for k, (n, s) in enumerate(((n0, "S2"), (n1, "S1")))), layout)
+
+    seqs = [seq(Direction(0.3, 0.0), Direction(0.0, 0.0)),
+            seq(Direction(0.3, 0.0), Direction(0.8, 1.3))]
+    at = EPRB.initial_indices
+    assert [len(evolve_label_sum(op, s, at=at)) for s in seqs] == [1, 2]
+    with pytest.raises(GridSplit) as split:
+        evolve_label_sum(op, seqs, at=at)
+    assert split.value.parts == [[0], [1]]
+    assert assert_walks_alone(op, seqs, True, at) == [[0], [1]]
 
 
 @pytest.mark.parametrize("exp, examples", [(EPRB, 50), (GHZM, 25)], ids=["eprb", "ghzm"])
