@@ -199,8 +199,7 @@ def _plan(seqs: Sequence[InteractionSequence]) -> list[tuple]:
     if any(s.layout != layout or _signature(s) != signature for s in seqs[1:]):
         raise LayoutError("the sequences of a grid differ in layout or in their steps' factors")
     plan = []
-    for i, (rows, controls) in zip(range(len(signature) - 1, -1, -1),
-                                   _structure(layout, signature)):
+    for i, (rows, controls) in zip(reversed(range(len(signature))), _structure(layout, signature)):
         u, more = first.steps[i][1], [s.steps[i][1] for s in seqs[1:]]
         terms = None
         if controls is not None:
