@@ -479,11 +479,16 @@ class LabelSum:
         other factor. One group of one term, as every unsplit sum is, is its
         own block, and a sum of no terms is 0.
         """
+        positions, matrix = self._block_matrix()
+        return Operator(SubsystemLayout(tuple(self.layout.factors[k] for k in positions)), matrix)
+
+    def _block_matrix(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """:meth:`block` as its layout positions and its matrix, unchecked:
+        one group of one term gives its stack's own matrix, not a copy."""
         positions, total = _merge(self.layout, [(p, a[:1]) for p, a in self.groups])
         for t in range(1, len(self)):
             total = total + _merge(self.layout, [(p, a[t:t + 1]) for p, a in self.groups])[1]
-        return Operator(SubsystemLayout(tuple(self.layout.factors[k] for k in positions)),
-                        total[0] if len(total) else total.sum(axis=0))
+        return positions, total[0] if len(total) else total.sum(axis=0)
 
 
 class GridSplit(Exception):

@@ -44,11 +44,32 @@ def dense(label_sum: LabelSum) -> Operator:
     return embed(label_sum.block(), label_sum.layout)
 
 
+def copied_residual(op: Operator, label: str) -> float:
+    """One factor's residual read off one copy of the whole operator: its
+    ``(outer, d, inner)`` tensor with the factor's row and column axes moved
+    first, so each ``d × d`` block is contiguous. The normalized trace is
+    taken as the first diagonal block plus the mean offset of the others and
+    subtracted from each diagonal block, and the Frobenius norm of what is
+    left is the residual. :func:`heisensim.labels.acts_trivially_on` reads
+    these bits on an operator with no exactly diagonal factor."""
+    layout = op.layout
+    k, d = layout.position(label), layout.dim_of(label)
+    inner = int(np.prod(layout.dims[k + 1 :], dtype=int))
+    outer = op.dim // (d * inner)
+    # a copy, not ascontiguousarray: on a one-factor layout that is a read-only view
+    blocks = op.matrix.reshape(outer, d, inner, outer, d, inner).transpose(1, 4, 0, 2, 3, 5).copy()
+    first = blocks[0, 0]
+    reduced = first + sum(blocks[i, i] - first for i in range(1, d)) / d
+    for i in range(d):
+        blocks[i, i] -= reduced
+    return float(np.linalg.norm(blocks))
+
+
 def strided_residual(op: Operator, label: str) -> float:
-    """:func:`heisensim.labels.acts_trivially_on` read in place: the same
-    reduced block, the first diagonal block plus the mean offset of the
-    others, subtracted from strided views of the ``(outer, d, inner)``
-    tensor rather than from one copy with the factor's axes first."""
+    """:func:`copied_residual` read in place: the same reduced block, the
+    first diagonal block plus the mean offset of the others, subtracted from
+    strided views of the ``(outer, d, inner)`` tensor rather than from one
+    copy with the factor's axes first."""
     layout = op.layout
     k, d = layout.position(label), layout.dim_of(label)
     inner = int(np.prod(layout.dims[k + 1 :], dtype=int))

@@ -542,9 +542,13 @@ class TestInternalErrors:
         # a NaN mean would otherwise print, with a NaN residual, and pass --verify
         (["ghzm", "--phi", "0", "0", "0", "--verify"], "experiment", "evolve_label_sum",
          lambda f: lambda op, seq, **kw: scaled(f(op, seq, **kw), math.nan), "not finite"),
+        # a NaN in a ledger block fails its first read, named by the factor
+        (["analyze"], "experiment", "evolve_label_sum",
+         lambda f: lambda op, seq, **kw: scaled(f(op, seq, **kw), math.nan),
+         "residual on O1 is nan"),
     ], ids=["imaginary-part", "not-a-probability", "ghzm-not-a-probability", "norm-drift",
             "non-unitary-step", "non-orthogonal-spin-projectors", "incomplete-spin-projectors",
-            "support-outside-light-cone", "non-finite-mean"])
+            "support-outside-light-cone", "non-finite-mean", "non-finite-ledger"])
     def test_invariant_failure_exits_internal(self, argv, module, name, wrap, message,
                                               capsys, monkeypatch):
         import importlib

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from heisensim import (
     DEFAULT_TOL,
     Direction,
+    InvariantError,
     LayoutError,
     Operator,
     SPIN_BETA,
@@ -26,7 +27,7 @@ from heisensim.eprb import EPRB
 from heisensim.ghzm import GHZM
 from heisensim.measure import LabelSum, evolve_label_sum
 from conftest import directions, random_direction
-from reference import belief, dense, identity, strided_residual
+from reference import belief, copied_residual, dense, identity, strided_residual
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 LAYOUT = EPRB.layout
@@ -165,6 +166,23 @@ class TestSupportOfALabelSum:
         assert np.shares_memory(block.matrix, a)
         assert np.array_equal(block.matrix, a[0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 4)], ids=["in-a-record", "between-records"])
+    def test_a_non_finite_entry_fails_every_read_on_its_block(self, bad, where, rng):
+        # B1 evolved through the entangled sequence: one term on O1, S1, S2,
+        # exactly diagonal on O1 (entries 0 and 4 lie in records 0 and 1); a
+        # kernel fault, not a caller's error, named by the factor read
+        seq = EPRB.sequence((random_direction(rng), random_direction(rng)), True)
+        evolved = evolve_label_sum(EPRB.observable(("B1",), SPIN_BETA), seq, split=False)
+        ((positions, a),) = evolved.groups
+        assert a[0][where] == 0 or where == (0, 0)
+        a = a.copy()
+        a[0][where] = bad
+        broken = LabelSum(evolved.layout, ((positions, a),))
+        for label in ("O1", "S1", "S2"):
+            with pytest.raises(InvariantError, match=f"^residual on {label} is (nan|inf): "):
+                support(broken, labels=(label, "O2"))
+
 
 def assert_ledger_matches_the_dense_reference(exp, directions):
     # each stage's sequence built whole and multiplied out, the operator
@@ -229,25 +247,42 @@ class TestSupportLedger:
         # per observable: its own factor at t0, then at each later stage each
         # factor a step of the stage acts on, at most once: on the block right
         # after the last step of the walk that acts on it, when the block holds
-        # it; no operator on the whole layout
+        # it; all of a block's factors in one read, and no operator on the
+        # whole layout
         import heisensim.labels as labels
 
-        block_dims, embeds = Counter(), []
+        read, residuals, record_blocks = [], labels._residuals, labels._record_blocks
+        block_dims, records, embeds = Counter(), Counter(), []
 
-        def checked(op, label):
-            block_dims[op.dim] += 1
-            return acts_trivially_on(op, label)
+        def counted(matrix, layout, names):
+            read.append(list(names))
+            block_dims[matrix.shape[0]] += len(names)
+            return residuals(matrix, layout, names)
+
+        def gathered(matrix, dims):
+            view, axes = record_blocks(matrix, dims)
+            # the records the view holds, and each record block's dimension
+            records[matrix.shape[0], math.prod(view.shape[a[0]] for a in axes if len(a) == 1),
+                    math.prod(view.shape[a[0]] for a in axes if len(a) == 2)] += 1
+            return view, axes
 
         def embedded(*args, **kwargs):
             embeds.append(args)
             return embed(*args, **kwargs)
 
-        monkeypatch.setattr(labels, "acts_trivially_on", checked)
+        monkeypatch.setattr(labels, "_residuals", counted)
+        monkeypatch.setattr(labels, "_record_blocks", gathered)
         for module in [m for n, m in sys.modules.items() if n.startswith("heisensim")]:
             if getattr(module, "embed", None) is embed:
                 monkeypatch.setattr(module, "embed", embedded)
         exp.support_ledger([random_direction(rng) for _ in exp.measurements], 1e-10)
         assert (sum(block_dims.values()), block_dims, embeds) == (checks, dims, [])
+        assert all(len(set(names)) == len(names) for names in read)
+        assert sum(records.values()) == len(read) == (12 if exp is EPRB else 15)
+        if exp is GHZM:
+            # the referee at 648 dims: 81 records of O0..O3, each an 8 x 8
+            # block on S1..S3
+            assert {key: n for key, n in records.items() if key[0] == 648} == {(648, 81, 8): 2}
 
     @pytest.mark.parametrize("exp, dims", [
         (EPRB, {3: 2, 6: 2, 12: 4}),
@@ -353,3 +388,54 @@ def test_triviality_matches_partial_trace_reconstruction(layout, seed):
             residual = acts_trivially_on(op, label)
             assert (residual < DEFAULT_TOL) == (expected < 1e-10)
             assert abs(residual - expected) < 1e-12
+
+
+@st.composite
+def record_operators(draw):
+    """A random operator on the EPRB or GHZM layout, exactly diagonal on a
+    drawn set of factors, the identity on a drawn subset of them and lower
+    triangular on another set, so zero between some records but not all,
+    with some of its exact zeros written as -0.0."""
+    layout = draw(st.sampled_from([LAYOUT, GHZM.layout]))
+    factors = st.sets(st.sampled_from(range(len(layout))))
+    diagonal, identities, triangular = draw(factors), draw(factors), draw(factors)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rest = [f for k, f in enumerate(layout.factors) if k not in identities]
+    if rest:
+        sub = SubsystemLayout(rest)
+        tensor = random_matrix(rng, sub.total_dim).reshape(2 * sub.dims)
+        for k, (label, d) in enumerate(rest):
+            rows = np.arange(d).reshape((-1,) + (1,) * (2 * len(rest) - k - 1))
+            cols = np.arange(d).reshape((-1,) + (1,) * (len(rest) - k - 1))
+            if layout.position(label) in diagonal:
+                tensor = tensor * (rows == cols)
+            elif layout.position(label) in triangular:
+                tensor = tensor * (rows >= cols)
+        matrix = embed(Operator(sub, tensor.reshape(sub.total_dim, -1)), layout).matrix.copy()
+    else:
+        matrix = complex(rng.normal(), rng.normal()) * np.eye(layout.total_dim, dtype=complex)
+    zeros = matrix == 0
+    matrix[zeros & (rng.random(matrix.shape) < draw(st.sampled_from([0.0, 0.5, 1.0])))] = -0.0
+    return Operator(layout, matrix)
+
+
+def exactly_diagonal(op, label):
+    k, d = op.layout.position(label), op.layout.dim_of(label)
+    tensor = op.matrix.reshape(2 * op.layout.dims)
+    return all(not np.take(np.take(tensor, i, axis=k), j, axis=len(op.layout) + k - 1).any()
+               for i in range(d) for j in range(d) if i != j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=record_operators())
+def test_the_record_block_read_matches_the_copy_read(op):
+    # each read within 1e-12 of one copy of the whole operator per factor,
+    # exactly 0 where that is, and its bits when no factor is exactly
+    # diagonal; support reads every factor as acts_trivially_on does
+    reads = {label: acts_trivially_on(op, label) for label in op.layout.labels}
+    expected = {label: copied_residual(op, label) for label in op.layout.labels}
+    for label, r in reads.items():
+        assert abs(r - expected[label]) <= 1e-12 * expected[label], label
+    if not any(exactly_diagonal(op, label) for label in op.layout.labels):
+        assert reads == expected
+    assert support(op).residuals == reads
