@@ -217,17 +217,13 @@ class Experiment:
 
     def _means(self, op: Operator, seqs: list[InteractionSequence]) -> Sequence[complex]:
         """The mean of ``op`` at the initial state after each sequence of a
-        grid, read off one label sum; points that disagree on a rule the
-        walk decides by value are walked as grids of their own."""
+        grid, read off one label sum; when the points may disagree on a rule
+        the walk decides by value, each point is walked alone."""
+        at = self.initial_indices
         try:
-            evolved = evolve_label_sum(op, seqs, at=self.initial_indices)
-        except GridSplit as split:
-            values = [0j] * len(seqs)
-            for part in split.parts:
-                for p, value in zip(part, self._means(op, [seqs[p] for p in part])):
-                    values[p] = value
-            return values
-        values = evolved.mean(self.initial_indices)
+            values = evolve_label_sum(op, seqs, at=at).mean(at)
+        except GridSplit:
+            return [evolve_label_sum(op, seq, at=at).mean(at) for seq in seqs]
         return values if np.ndim(values) else [values] * len(seqs)
 
     def support_ledger(self, directions: Sequence[Direction], tol: float) -> list[list]:

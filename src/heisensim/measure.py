@@ -355,12 +355,11 @@ def _conjugate(layout: SubsystemLayout, positions, a: np.ndarray, rows, u: np.nd
     same operands per point as for that point alone.
     """
     m, b, lead = len(positions), u.shape[-1], a.ndim - 3
-    uh = u.conj().swapaxes(-1, -2)
     if positions == rows:
-        if u.ndim == 4:  # the blocks' point axis leads the terms' axis
-            u, uh = u[:, None], uh[:, None]
-        y = uh @ a[..., None, :, :] @ u
+        u = u[..., None, :, :, :]  # a point axis of the blocks leads the terms' axis
+        y = u.conj().swapaxes(-1, -2) @ a[..., None, :, :] @ u
         return y.reshape(*y.shape[:-4], -1, *a.shape[-2:])
+    uh = u.conj().swapaxes(-1, -2)
     dims = tuple(layout.dims[p] for p in positions)
     local = [positions.index(r) for r in rows]
     rest = [k for k in range(m) if k not in local]
@@ -492,36 +491,15 @@ class LabelSum:
 
 
 class GridSplit(Exception):
-    """The points of a grid disagree on a rule decided by value; ``parts``
-    lists the indices of each set of points that agree, to be walked as its
-    own grid."""
-
-    def __init__(self, parts: list[list[int]]):
-        super().__init__(f"grid points disagree; walk {parts} apart")
-        self.parts = parts
+    """A rule the walk decides by value reads a stack that differs between
+    the points of a grid: walk each point as its own grid."""
 
 
-def _agreed(decisions: list):
-    """The decision that every point made, or :class:`GridSplit` naming the
-    points that agree; decisions are compared by their bytes."""
-    if len(decisions) == 1:
-        return decisions[0]
-    keys = [np.asarray(d).tobytes() for d in decisions]
-    if len(set(keys)) == 1:
-        return decisions[0]
-    parts: dict[bytes, list[int]] = {}
-    for p, key in enumerate(keys):
-        parts.setdefault(key, []).append(p)
-    raise GridSplit(list(parts.values()))
-
-
-def _each_point(count: int, *groupings) -> list[tuple]:
-    """The ``(positions, stack)`` groupings at each of ``count`` points, each
-    stack with a point axis cut to that point's; once, when none has one."""
-    if all(a.ndim == 3 for grouping in groupings for _, a in grouping):
-        return [groupings]
-    return [tuple([(q, a[p] if a.ndim == 4 else a) for q, a in grouping] for grouping in groupings)
-            for p in range(count)]
+def _shared(*stacks: np.ndarray) -> None:
+    """Raise :class:`GridSplit` unless every stack is shared by the grid's
+    points, so that a decision read off them is the same at every point."""
+    if any(a.ndim == 4 for a in stacks):
+        raise GridSplit("grid points may decide a rule differently; walk them apart")
 
 
 def evolve_label_sum(op: Operator | LabelSum,
@@ -557,8 +535,9 @@ def evolve_label_sum(op: Operator | LabelSum,
     same steps up to their matrices (see :func:`_plan`). A stack that differs
     between points then carries a point axis, and each point's sum holds the
     terms its own walk holds, in the same order and with the same bits. The
-    skip of rule (a) and the drop at ``at`` are decided per point; points
-    that decide differently raise :class:`GridSplit`.
+    skip of rule (a) and the drop at ``at`` are decided once, for every
+    point: when a stack either decision reads has a point axis, the walk
+    raises :class:`GridSplit`.
     """
     seqs = (seq,) if isinstance(seq, InteractionSequence) else tuple(seq)
     layout = seqs[0].layout
@@ -575,10 +554,10 @@ def evolve_label_sum(op: Operator | LabelSum,
             continue
         rest = tuple(g for g in groups if set(rows).isdisjoint(g[0]))
         covered = set().union(*(g[0] for g in touched))
-        if measurement and rows[0] not in covered and _agreed([
-                all(_commutes(layout, meet, p, f) for p, f in controls)
-                for meet, controls in _each_point(len(seqs), touched, measurement[2])]):
-            continue
+        if measurement and rows[0] not in covered:
+            _shared(*(a for _, a in (*touched, *measurement[2])))
+            if all(_commutes(layout, touched, p, f) for p, f in measurement[2]):
+                continue
         if measurement and not any(covered.intersection(p) for p, _ in measurement[2]):
             target, shifts, controls, earlier = measurement
             # the observer is in a group: the step meets one, and its system does not
@@ -588,13 +567,11 @@ def evolve_label_sum(op: Operator | LabelSum,
                 b = _conjugate(layout, positions, a, target, shifts)
                 groups = (_outcome_sum(layout, positions, b, _merge(layout, controls)), *rest)
             elif at is not None and earlier.isdisjoint(positions):
-                c = [_entries_at(layout, positions, x, target[0], u, at)
-                     for ((_, x),), ((_, u),) in _each_point(
-                         len(seqs), [(positions, a)], [(target, shifts)])]
-                keep = _agreed([np.flatnonzero(ci) for ci in c])
-                c = c[0] if len(c) == 1 else np.stack(c)
+                _shared(a, shifts)
+                c = _entries_at(layout, positions, a, target[0], shifts, at)
+                keep = np.flatnonzero(c)
                 (p, x), *more = controls
-                groups = ((p, x[..., keep % n, :, :] * c[..., keep, None, None]),
+                groups = ((p, x[..., keep % n, :, :] * c[keep, None, None]),
                           *((q, y[..., keep % n, :, :]) for q, y in more),
                           *((q, y[..., keep // n, :, :]) for q, y in rest))
             else:
