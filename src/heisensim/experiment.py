@@ -131,6 +131,9 @@ class Experiment:
         distinct, or :func:`kron` raises. Cached per experiment (hashed by
         identity), names and eigenvalues, since every caller shares it."""
         factors = {name: label for name, label, _ in self.ledger}
+        if unknown := [name for name in names if name not in factors]:
+            raise LayoutError(f"{self.name} has no observable {unknown[0]}; "
+                              f"its ledger names {', '.join(factors)}")
         for name in names:
             if len(eigenvalues) != (dim := self.layout.dim_of(factors[name])):
                 raise LayoutError(f"observable {name} on factor {factors[name]} takes {dim} "

@@ -24,6 +24,7 @@ from .tensor import (
     NonUnitaryError,
     Operator,
     SubsystemLayout,
+    _basis_index,
     embed,
     single_factor,
 )
@@ -461,6 +462,7 @@ class LabelSum:
         """``<psi|A|psi>`` in the product basis state with one index per
         factor: each term's product of its groups' diagonal entries, summed;
         for a sum with a point axis, one such value per point."""
+        _basis_index(self.layout, indices)
         terms = np.ones(len(self), dtype=complex)
         for positions, a in self.groups:
             flat = 0
@@ -540,7 +542,11 @@ def evolve_label_sum(op: Operator | LabelSum,
     raises :class:`GridSplit`.
     """
     seqs = (seq,) if isinstance(seq, InteractionSequence) else tuple(seq)
+    if not seqs:
+        raise ValueError("an empty grid has no sequence to walk")
     layout = seqs[0].layout
+    if at is not None:
+        _basis_index(layout, at)
     if not isinstance(op, LabelSum):
         label_sum = LabelSum.local(op, layout)
     elif op.layout == layout:

@@ -105,6 +105,11 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="pairwise distinct"):
             GHZM.observable(("G",), (0, 1, 1))
 
+    def test_an_unknown_observable_is_named(self):
+        with pytest.raises(LayoutError, match="eprb has no observable Q; "
+                                              "its ledger names B1, B2, A1, A2"):
+            EPRB.observable(("Q",), SPIN_BETA)
+
     def test_probability_preset_runs(self):
         # b0 may coincide with an outcome value: the probability preset reuses 0
         (values,), _ = EPRB.run([(Direction(0, 0), Direction(0, 0))], True, PROBABILITY_BETA)
@@ -144,6 +149,34 @@ class TestExperimentRun:
         first, second = seen[:len(seen) // 2], seen[len(seen) // 2:]
         assert len(first) == len(second) > 0
         assert all(a is b for a, b in zip(first, second))
+
+
+    @pytest.mark.parametrize("entangled", [True, False])
+    def test_a_mean_on_the_measured_particles_walks_each_point_alone(self, entangled, rng,
+                                                                     monkeypatch):
+        # A1 A2 meets the projectors of both measurements, which differ between
+        # the points: the grid raises GridSplit, and each point is walked alone
+        import heisensim.experiment as experiment
+
+        exp = dataclasses.replace(EPRB, means=(("a1a2", "<A1 A2>", ("A1", "A2"), (1.0, -1.0)),))
+        poles = [Direction(0.0, 0.3), Direction(math.pi / 2, 1.0), Direction(math.pi, 2.0)]
+        points = [(random_direction(rng), random_direction(rng)) for _ in range(4)]
+        points += [(pole, random_direction(rng)) for pole in poles] + [(poles[0], poles[2])]
+        evolve, walks = experiment.evolve_label_sum, []
+        monkeypatch.setattr(experiment, "evolve_label_sum", lambda op, seq, **kw: walks.append(
+            seq if isinstance(seq, InteractionSequence) else len(seq)) or evolve(op, seq, **kw))
+        means, residuals = exp.run(points, entangled, SPIN_BETA, verify=True)
+        assert walks[0] == len(points)
+        assert len(walks) == 1 + len(points)
+        assert all(isinstance(walk, InteractionSequence) for walk in walks[1:])
+        for (n1, n2), values, residual in zip(points, means, residuals):
+            (own,), (own_residual,) = exp.run([(n1, n2)], entangled, SPIN_BETA, verify=True)
+            assert [np.float64(x).tobytes() for x in (values["a1a2"], residual)] == \
+                [np.float64(x).tobytes() for x in (own["a1a2"], own_residual)]
+            c1, c2 = math.cos(n1.theta), math.cos(n2.theta)
+            expected = -c1 * c2 * cos_between(n1, n2) if entangled else -(c1 * c2) ** 2
+            assert abs(values["a1a2"] - expected) < 1e-12
+            assert residual < 1e-12
 
 
 class TestLabelCopies:

@@ -745,6 +745,28 @@ def test_a_grid_of_sequences_with_other_steps_is_rejected():
             evolve_label_sum(EPRB.observable(("B1",), SPIN_BETA), [EPRB.sequence(d, True), other])
 
 
+def test_an_empty_grid_is_rejected():
+    with pytest.raises(ValueError, match="empty grid"):
+        evolve_label_sum(EPRB.observable(("B1",), SPIN_BETA), [])
+
+
+@pytest.mark.parametrize("at, error, message", [
+    ((-1, 0, 0, 0), ValueError, "basis index -1 out of range for dim 3"),
+    ((3, 0, 0, 0), ValueError, "basis index 3 out of range for dim 3"),
+    ((0, 0, 0, 2), ValueError, "basis index 2 out of range for dim 2"),
+    ((0,), LayoutError, "need 4 indices, got 1"),
+], ids=["negative", "too-large", "unread-factor", "too-few"])
+def test_a_read_at_an_invalid_basis_state_is_rejected(at, error, message):
+    # B1 on O1 alone: every index is checked, the ones no group reads too
+    b1 = EPRB.observable(("B1",), SPIN_BETA)
+    seq = EPRB.sequence((Direction(0.2, 0.1), Direction(0.9, 1.0)), True)
+    for read in (lambda: LabelSum.local(b1, EPRB.layout).mean(at),
+                 lambda: evolve_label_sum(b1, seq, at=at)):
+        with pytest.raises(error, match=message) as raised:
+            read()
+        assert isinstance(raised.value, LayoutError) == (error is LayoutError)
+
+
 def test_spin_blocks_keep_the_residual_of_their_stacked_check():
     # one u†u - I norm over the stack; each block holds its entry, so the
     # sequence reads it instead of computing it again
