@@ -779,7 +779,8 @@ def test_spin_blocks_keep_the_residual_of_their_stacked_check():
 
 def test_points_that_disagree_on_a_skip_are_walked_apart():
     # A1 on S1 commutes with the projectors of a measurement along z, which
-    # rule (a) then skips, and not with those of a tilted one
+    # rule (a) then skips, and not with those of a tilted one; the grid's
+    # projectors differ, so each point is walked alone
     op = EPRB.observable(("A1",), (1.0, -1.0))
     points = [(Direction(0.0, 0.0), Direction(0.4, 0.0)),
               (Direction(0.7, 0.2), Direction(0.4, 0.0)),
@@ -794,7 +795,8 @@ def test_points_that_disagree_on_a_dropped_copy_are_walked_apart():
     # O1 measures S2, then S1; B1 A1 on [O1, S1] meets the later measurement
     # on both factors, so the conjugation by its block, pointwise, reaches
     # the earlier one, whose read at t0 drops a copy of weight exactly 0
-    # along z and none when tilted
+    # along z and none when tilted; the group read there differs between
+    # the points, so each is walked alone
     layout = EPRB.layout
     op = Operator(SubsystemLayout((("O1", 3), ("S1", 2))),
                   np.diag([0.0, 0.0, 1.0, -1.0, -1.0, 1.0]))
