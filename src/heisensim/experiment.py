@@ -145,30 +145,27 @@ class Experiment:
 
     def sequence(self, directions: Sequence[Direction], entangled: bool) -> InteractionSequence:
         """Entangler (when enabled), one spin measurement per pair, readout."""
-        seq, = self._sequences([directions], entangled)
-        return seq
+        return self._grid([directions], entangled)
 
-    def _sequences(self, points: Sequence[Sequence[Direction]],
-                   entangled: bool) -> list[InteractionSequence]:
-        """:meth:`sequence` at each point, one direction per measurement.
-
-        Every spin measurement of the grid is built and checked in one pass:
-        each block is the ``measurement_block`` of its observer and the
+    def _grid(self, points: Sequence[Sequence[Direction]], entangled: bool) -> InteractionSequence:
+        """:meth:`sequence` over points, one direction per measurement each,
+        as one sequence: each spin measurement, built and checked in one pass,
+        leads with the point axis unless there is one point, and at each point
+        is the ``measurement_block`` of its observer and the
         ``spin_projector``s of its particle along its direction, bit for bit.
-        The entangler and readout are the same objects at every point.
-        """
+        The entangler and readout are shared."""
         for directions in points:
             if len(directions) != len(self.measurements):
                 raise ValueError(f"{self.name} takes {len(self.measurements)} directions, one "
                                  f"per measurement, got {len(directions)}")
         layouts, labels, shifts = self._spin_blocks
-        k = len(layouts)
-        stack = _spin_stack([n for directions in points for n in directions])
-        blocks = _measurement_blocks(layouts * len(points), shifts, labels * len(points), [stack])
+        k, size = len(layouts), len(points)
+        stack = _spin_stack([directions[j] for j in range(k) for directions in points])
+        stack = stack.reshape(k, *((size,) if size > 1 else ()), *stack.shape[1:])
         head = (("t1:entangle", self.entangler),) if entangled else ()
         tags = [f"t2:measure-{j}" for j in range(1, k + 1)]
-        return [InteractionSequence((*head, *zip(tags, blocks[i:i + k]), *self.readout),
-                                    self.layout) for i in range(0, len(blocks), k)]
+        blocks = _measurement_blocks(layouts, shifts, labels, [stack])
+        return InteractionSequence((*head, *zip(tags, blocks), *self.readout), self.layout)
 
     def run(
         self,
@@ -183,7 +180,7 @@ class Experiment:
 
         Each mean reads one observable, the product of its named ones, and
         each distinct observable is evolved once over the grid, as a label
-        sum with a point axis where the points differ; one sequence per point
+        sum with a point axis where the points differ; the grid's sequence
         serves all eigenvalues, since its unitaries do not depend on them.
         The initial state is a product basis state, so each mean is read off
         the sum's diagonal entries, with nothing embedded, and each measured
@@ -199,10 +196,11 @@ class Experiment:
         means, residuals = [], []
         initial = self.initial_state() if verify else None
         for start in range(0, len(points), GRID_CHUNK):
-            seqs = self._sequences(points[start:start + GRID_CHUNK], entangled)
-            evolved = {key: self._means(self.observable(*key), seqs)
+            chunk = points[start:start + GRID_CHUNK]
+            seq, size = self._grid(chunk, entangled), len(chunk)
+            evolved = {key: self._means(self.observable(*key), seq, size)
                        for key in dict.fromkeys(keys)}
-            for p, seq in enumerate(seqs):
+            for p in range(size):
                 values = {m[0]: real_part(complex(evolved[key][p]))
                           for m, key in zip(self.means, keys)}
                 for (column, *_), (_, ev) in zip(self.means, keys):
@@ -211,23 +209,23 @@ class Experiment:
                         raise InvariantError(f"{column} = {values[column]} is not a probability")
                 means.append(values)
                 if verify:
-                    psi = schrodinger_evolve(initial, seq)
+                    psi = schrodinger_evolve(initial, seq.point(p))
                     residuals.append(max(
                         abs(values[m[0]] - product_expectation(
                             psi, *(self.observable((name,), ev) for name in names)))
                         for m, (names, ev) in zip(self.means, keys)))
         return means, residuals if verify else None
 
-    def _means(self, op: Operator, seqs: list[InteractionSequence]) -> Sequence[complex]:
-        """The mean of ``op`` at the initial state after each sequence of a
-        grid, read off one label sum; when the points may disagree on a rule
-        the walk decides by value, each point is walked alone."""
+    def _means(self, op: Operator, seq: InteractionSequence, size: int) -> Sequence[complex]:
+        """The mean of ``op`` at the initial state at each of a grid's ``size``
+        points, read off one label sum; when the points may disagree on a
+        rule the walk decides by value, each point is walked alone."""
         at = self.initial_indices
         try:
-            values = evolve_label_sum(op, seqs, at=at).mean(at)
+            values = evolve_label_sum(op, seq, at=at).mean(at)
         except GridSplit:
-            return [evolve_label_sum(op, seq, at=at).mean(at) for seq in seqs]
-        return values if np.ndim(values) else [values] * len(seqs)
+            return [evolve_label_sum(op, seq.point(p), at=at).mean(at) for p in range(size)]
+        return values if np.ndim(values) else [values] * size
 
     def support_ledger(self, directions: Sequence[Direction], tol: float) -> list[list]:
         """Rows ``[observable, stage, support labels, residual per label...]``

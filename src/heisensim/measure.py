@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .tensor import (
     NonUnitaryError,
     Operator,
     SubsystemLayout,
+    _as_finite_complex,
     _basis_index,
     embed,
     single_factor,
@@ -105,6 +106,10 @@ class InteractionSequence:
     block at construction; a block that :func:`measurement_block` built
     was checked there, so its residual is read, not recomputed. Tags name
     the steps, so no two steps share one.
+
+    A sequence may be a grid of points: a :class:`Measurement` that differs
+    between them leads with a point axis, and every other step is shared.
+    :meth:`point` gives the sequence at one point.
     """
 
     steps: tuple[tuple[str, Operator], ...]
@@ -125,9 +130,29 @@ class InteractionSequence:
     def tags(self) -> tuple[str, ...]:
         return tuple(t for t, _ in self.steps)
 
+    def point(self, p: int) -> "InteractionSequence":
+        """The sequence at point ``p`` of a grid, every step without a point axis."""
+        return InteractionSequence(tuple((t, u.point(p) if isinstance(u, Measurement) else u)
+                                         for t, u in self.steps), self.layout)
+
     @cached_property
     def _plan(self) -> list[tuple]:
-        return _plan((self,))
+        """Per step, latest first: its layout positions, its block as a stack
+        of one, and for a measurement the terms of rule (b): the observer's
+        positions and shifts, the projectors' groups on the layout, and the
+        positions that any earlier step acts on. On a grid, a measurement's
+        block and projector groups keep its point axis."""
+        layout, plan, earlier = self.layout, [], set()
+        for _, u in self.steps:
+            rows = tuple(layout.position(label) for label in u.layout.labels)
+            terms = None
+            if isinstance(u, Measurement):
+                groups = tuple(_merge(layout, [(tuple(map(layout.position, labels)), f)])
+                               for labels, f in u.projectors)
+                terms = (rows[:1], u.shifts, groups, frozenset(earlier))
+            earlier.update(rows)
+            plan.append((rows, u.matrix[..., None, :, :], terms))
+        return plan[::-1]
 
     def total_unitary(self) -> Operator:
         """Product of all steps embedded in the layout, earliest step
@@ -146,71 +171,33 @@ class Measurement(Operator):
     factors]`` that keeps its terms beside the dense matrix: the ``u_i``
     stacked on the observer's factor, and the ``P_i`` as the ``(labels,
     stack)`` groups it was built from, whose per-term Kronecker product they
-    are."""
+    are.
+
+    On a grid of ``P`` points the matrix is ``(P, b, b)`` and each group's
+    stack ``(P, n, d, d)``, one block per point; the shifts are shared.
+    :func:`_measurement_blocks` keeps each point's unitarity residual, the
+    block is unitary when it is at every point, and :meth:`point` gives one
+    point's block with that point's own residual.
+    """
 
     shifts: np.ndarray
     projectors: tuple[tuple[tuple[str, ...], np.ndarray], ...]
 
+    def __post_init__(self):
+        # a grid's blocks lead with one point axis, and are checked as one stack
+        points = np.shape(self.matrix)[:-2][:1]
+        object.__setattr__(self, "matrix", _as_finite_complex(
+            self.matrix, (*points, self.dim, self.dim), "operator matrix"))
 
-@lru_cache(maxsize=64)
-def _structure(layout: SubsystemLayout, steps: tuple) -> tuple:
-    """Per step on ``layout``, latest first: its layout positions and, for a
-    measurement, the positions of each projector group and those that any
-    earlier step acts on. ``steps`` holds each step's layout and, for a
-    measurement, its groups' labels (else None), which is all these depend
-    on: every sequence of one experiment and entangler setting shares them."""
-    out, earlier = [], set()
-    for step_layout, groups in steps:
-        rows = tuple(layout.position(label) for label in step_layout.labels)
-        controls = None if groups is None else (
-            tuple(tuple(layout.position(label) for label in labels) for labels in groups),
-            frozenset(earlier))
-        earlier.update(rows)
-        out.append((rows, controls))
-    return tuple(out[::-1])
-
-
-def _stacked(u: Operator, more: list[Operator], get) -> np.ndarray:
-    """``get`` of a step at the first point, ``u``, when the step at every
-    other point, in ``more``, gives that same array; else the points' arrays
-    stacked on a leading point axis."""
-    first = get(u)
-    return first if all(get(v) is first for v in more) else np.stack([first, *map(get, more)])
-
-
-def _signature(seq: InteractionSequence) -> tuple:
-    """Each step's layout and, for a measurement, its projector groups' labels."""
-    return tuple((u.layout, tuple(labels for labels, _ in u.projectors)
-                  if isinstance(u, Measurement) else None) for _, u in seq.steps)
-
-
-def _plan(seqs: Sequence[InteractionSequence]) -> list[tuple]:
-    """Per step, latest first: its layout positions, its block as a stack of
-    one, and for a measurement the terms of rule (b): the observer's
-    positions and shifts, the projectors' groups on the layout, and the
-    positions that any earlier step acts on.
-
-    ``seqs`` is a grid: one sequence per point, on one layout and with one
-    :func:`_signature`. A step's matrix, shifts or projector group that is
-    not one object at every point is stacked on a leading point axis; the
-    rest is shared, as everything is for one sequence.
-    """
-    first = seqs[0]
-    layout, signature = first.layout, _signature(first)
-    if any(s.layout != layout or _signature(s) != signature for s in seqs[1:]):
-        raise LayoutError("the sequences of a grid differ in layout or in their steps' factors")
-    plan = []
-    for i, (rows, controls) in zip(reversed(range(len(signature))), _structure(layout, signature)):
-        u, more = first.steps[i][1], [s.steps[i][1] for s in seqs[1:]]
-        terms = None
-        if controls is not None:
-            groups, earlier = controls
-            projectors = [_stacked(u, more, lambda v: v.projectors[g][1])
-                          for g in range(len(groups))]
-            terms = (rows[:1], _stacked(u, more, lambda v: v.shifts),
-                     tuple(_merge(layout, [part]) for part in zip(groups, projectors)), earlier)
-        plan.append((rows, _stacked(u, more, lambda v: v.matrix)[..., None, :, :], terms))
-    return plan
+    def point(self, p: int) -> "Measurement":
+        """The block at point ``p`` of a grid; a block with no point axis is
+        its own."""
+        if self.matrix.ndim == 2:
+            return self
+        block = Measurement(self.layout, self.matrix[p], self.shifts,
+                            tuple((labels, f[p]) for labels, f in self.projectors))
+        object.__setattr__(block, "_unitarity_residual", float(self._residuals[p]))
+        return block
 
 
 def measurement_block(observer: str, projectors: Sequence[Sequence[Operator]],
@@ -263,22 +250,25 @@ def _measurement_blocks(layouts: Sequence[SubsystemLayout], u: np.ndarray,
     """The ``k`` blocks ``sum_i u_i (x) P_i``, built and checked at once: block
     ``j`` on ``layouts[j]``, the observer then its groups' factors, whose
     labels are ``labels[j]``; the layouts differ in labels only. Every block
-    shares the ``(n, o, o)`` shifts
-    ``u``; ``stacks`` holds each group's ``(k, n, d, d)`` stack, so
-    ``P_i`` of block ``j`` is the Kronecker product of every group's entry
-    ``[j, i]``. Each block's entries must be finite, its ``P_i`` orthogonal
-    and complete, and the block unitary."""
-    k, n = stacks[0].shape[:2]
-    if not all(np.isfinite(f).all() for f in stacks):
+    shares the ``(n, o, o)`` shifts ``u``; ``stacks`` holds each group's
+    ``(k, n, d, d)`` stack, so ``P_i`` of block ``j`` is the Kronecker
+    product of every group's entry ``[j, i]``. A ``(k, P, n, d, d)`` stack
+    is a grid of ``P`` points: entry ``[j, p, i]`` is ``P_i`` at point ``p``,
+    and each block leads with the point axis. Each block's entries must be
+    finite, its ``P_i`` orthogonal and complete, and the block unitary, at
+    every point."""
+    lead, n = stacks[0].shape[:-3], stacks[0].shape[-3]
+    flat = [f.reshape(-1, *f.shape[-3:]) for f in stacks]
+    if not all(np.isfinite(f).all() for f in flat):
         raise ValueError("projector family contains non-finite entries")
     # |P_i P_j| for i != j is the product of the groups' |F_i F_j|, since
     # P_i P_j is the Kronecker product of the F_i F_j; |P_i P_i - P_i| on the diagonal
-    gaps = np.prod([np.linalg.norm(f[:, :, None] @ f[:, None], axis=(-2, -1)) for f in stacks],
+    gaps = np.prod([np.linalg.norm(f[:, :, None] @ f[:, None], axis=(-2, -1)) for f in flat],
                    axis=0)
     _, p = _merge(layouts[0], [(tuple(map(layouts[0].position, group)),
                                 f.reshape(-1, *f.shape[2:]))
-                               for group, f in zip(labels[0], stacks)])
-    p = p.reshape(k, n, *p.shape[1:])
+                               for group, f in zip(labels[0], flat)])
+    p = p.reshape(-1, n, *p.shape[1:])
     diagonal = np.arange(n)
     gaps[:, diagonal, diagonal] = np.linalg.norm(p @ p - p, axis=(-2, -1))
     if np.any(gaps >= DEFAULT_TOL):
@@ -286,17 +276,20 @@ def _measurement_blocks(layouts: Sequence[SubsystemLayout], u: np.ndarray,
     if np.any(np.linalg.norm(p.sum(axis=1) - np.eye(p.shape[-1]), axis=(-2, -1)) >= DEFAULT_TOL):
         raise ValueError("projector family does not sum to the identity (incomplete family)")
 
-    matrices = np.einsum("iab,kicd->kacbd", u, p).reshape(k, layouts[0].total_dim, -1)
+    matrices = np.einsum("iab,kicd->kacbd", u, p).reshape(len(p), layouts[0].total_dim, -1)
     # |u†u - I| of every block at once; each block keeps its own, so a
     # sequence reads it rather than computing it again
     residuals = np.linalg.norm(matrices.conj().swapaxes(-1, -2) @ matrices
                                - np.eye(matrices.shape[-1]), axis=(-2, -1))
     if not np.all(residuals < DEFAULT_TOL):
         raise NonUnitaryError("measurement unitary failed its unitarity post-check")
+    matrices, residuals = matrices.reshape(*lead, *matrices.shape[1:]), residuals.reshape(lead)
+    worst = residuals.reshape(len(layouts), -1).max(axis=1)
     blocks = []
     for j, (layout, m, group_labels) in enumerate(zip(layouts, matrices, labels)):
         block = Measurement(layout, m, u, tuple(zip(group_labels, (f[j] for f in stacks))))
-        object.__setattr__(block, "_unitarity_residual", float(residuals[j]))
+        object.__setattr__(block, "_residuals", residuals[j])
+        object.__setattr__(block, "_unitarity_residual", float(worst[j]))
         blocks.append(block)
     return blocks
 
@@ -440,8 +433,8 @@ class LabelSum:
     factor per term. Groups are disjoint, and a factor in no group is the
     identity. Each term is one labelled copy: a measurement splits a term
     into one per outcome, the awareness on the observer tied to the
-    projector on the system. Walked over a grid of sequences, a stack that
-    differs between points is ``(P, T, d_g, d_g)``: one sum per point.
+    projector on the system. Walked over a grid, a stack that differs
+    between points is ``(P, T, d_g, d_g)``: one sum per point.
     """
 
     layout: SubsystemLayout
@@ -494,7 +487,7 @@ class LabelSum:
 
 class GridSplit(Exception):
     """A rule the walk decides by value reads a stack that differs between
-    the points of a grid: walk each point as its own grid."""
+    the points of a grid: walk each point's sequence alone."""
 
 
 def _shared(*stacks: np.ndarray) -> None:
@@ -504,8 +497,7 @@ def _shared(*stacks: np.ndarray) -> None:
         raise GridSplit("grid points may decide a rule differently; walk them apart")
 
 
-def evolve_label_sum(op: Operator | LabelSum,
-                     seq: InteractionSequence | Sequence[InteractionSequence],
+def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
                      split: bool = True, at: Sequence[int] | None = None) -> LabelSum:
     """``U† op U`` for the sequence product ``U`` (earliest step rightmost) as a
     :class:`LabelSum`, ``op`` acting on some factors of the sequence's layout,
@@ -533,18 +525,14 @@ def evolve_label_sum(op: Operator | LabelSum,
     steps still to come act on other factors, so the mean at ``at`` factors
     through this entry: the result is exact for ``.mean(at)`` only.
 
-    ``seq`` may also be a grid: a list of sequences, one per point, with the
-    same steps up to their matrices (see :func:`_plan`). A stack that differs
-    between points then carries a point axis, and each point's sum holds the
-    terms its own walk holds, in the same order and with the same bits. The
-    skip of rule (a) and the drop at ``at`` are decided once, for every
-    point: when a stack either decision reads has a point axis, the walk
-    raises :class:`GridSplit`.
+    On a grid (see :class:`InteractionSequence`) a stack that a measurement's
+    point axis reaches keeps that axis, and each point's sum holds the terms
+    the walk of :meth:`InteractionSequence.point` holds, in the same order
+    and with the same bits. The skip of rule (a) and the drop at ``at`` are
+    decided once, for every point: when a stack either decision reads has a
+    point axis, the walk raises :class:`GridSplit`.
     """
-    seqs = (seq,) if isinstance(seq, InteractionSequence) else tuple(seq)
-    if not seqs:
-        raise ValueError("an empty grid has no sequence to walk")
-    layout = seqs[0].layout
+    layout = seq.layout
     if at is not None:
         _basis_index(layout, at)
     if not isinstance(op, LabelSum):
@@ -553,7 +541,7 @@ def evolve_label_sum(op: Operator | LabelSum,
         label_sum = op
     else:
         raise LayoutError(f"a sum on {op.layout.factors} cannot evolve on {layout.factors}")
-    for rows, block, measurement in seqs[0]._plan if len(seqs) == 1 else _plan(seqs):
+    for rows, block, measurement in seq._plan:
         groups = label_sum.groups
         touched = [g for g in groups if not set(rows).isdisjoint(g[0])]
         if not touched:

@@ -1,10 +1,24 @@
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from heisensim import Direction
+
+# hypothesis imports its patch writer, and with it libcst, only when a test
+# fails; libcst's use of the deprecated mypy_extensions.TypedDict then warns,
+# and under -W error the report of that failure is lost to an INTERNALERROR.
+# Imported here first, with only that warning ignored, the failure is reported.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        importlib.import_module("hypothesis.extra._patching")
+    except ImportError:
+        pass
 
 
 @pytest.fixture

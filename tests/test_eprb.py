@@ -164,11 +164,11 @@ class TestExperimentRun:
         points += [(pole, random_direction(rng)) for pole in poles] + [(poles[0], poles[2])]
         evolve, walks = experiment.evolve_label_sum, []
         monkeypatch.setattr(experiment, "evolve_label_sum", lambda op, seq, **kw: walks.append(
-            seq if isinstance(seq, InteractionSequence) else len(seq)) or evolve(op, seq, **kw))
+            {u.matrix.shape[:-2] for _, u in seq.steps}) or evolve(op, seq, **kw))
         means, residuals = exp.run(points, entangled, SPIN_BETA, verify=True)
-        assert walks[0] == len(points)
-        assert len(walks) == 1 + len(points)
-        assert all(isinstance(walk, InteractionSequence) for walk in walks[1:])
+        # the grid's measurements lead with the point axis, and each point's have none
+        assert walks[0] == {(), (len(points),)} if entangled else {(len(points),)}
+        assert walks[1:] == [{()}] * len(points)
         for (n1, n2), values, residual in zip(points, means, residuals):
             (own,), (own_residual,) = exp.run([(n1, n2)], entangled, SPIN_BETA, verify=True)
             assert [np.float64(x).tobytes() for x in (values["a1a2"], residual)] == \

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from heisensim.measure import (
     Measurement,
     _measurement_blocks,
     _shifts,
+    _spin_stack,
     evolve_label_sum,
     light_cone,
     measurement_block,
@@ -286,6 +288,17 @@ class TestMeasurementUnitary:
             _measurement_blocks([OS_LAYOUT], _shifts(3)[1:], [(("S",),)], [stack * np.nan])
         with pytest.raises(NonUnitaryError, match="post-check"):
             _measurement_blocks([OS_LAYOUT], 2 * _shifts(3)[1:], [(("S",),)], [stack])
+
+    def test_a_grid_block_keeps_each_points_residual(self):
+        # one stacked check: the block holds its worst point's residual and
+        # each point's block its own; the matrix has at most one point axis
+        stack = _spin_stack([Direction(0.4 * k, 0.3 * k) for k in range(3)])
+        block, = _measurement_blocks([OS_LAYOUT], _shifts(3)[1:], [(("S",),)], [stack[None]])
+        own = [np.linalg.norm(m.conj().T @ m - np.eye(6)) for m in block.matrix]
+        assert abs(block._unitarity_residual - max(own)) < 1e-15
+        assert all(abs(block.point(p)._unitarity_residual - r) < 1e-15 for p, r in enumerate(own))
+        with pytest.raises(LayoutError, match="shape"):
+            Measurement(OS_LAYOUT, np.stack([block.matrix] * 2), block.shifts, block.projectors)
 
     def test_disjoint_measurements_commute(self, rng):
         layout = SubsystemLayout((("O1", 3), ("O2", 3), ("S1", 2), ("S2", 2)))
@@ -679,7 +692,7 @@ def test_a_grid_longer_than_a_chunk_is_walked_in_chunks(monkeypatch):
     evolve = experiment.evolve_label_sum
     monkeypatch.setattr(experiment, "GRID_CHUNK", 2)
     monkeypatch.setattr(experiment, "evolve_label_sum",
-                        lambda op, seq, **kw: walks.append(len(seq)) or evolve(op, seq, **kw))
+                        lambda op, seq, **kw: walks.append(grid_points(seq)) or evolve(op, seq, **kw))
     chunked = EPRB.run(points, True, SPIN_BETA, True)
     # four distinct observables, each walked over chunks of 2, 2 and 1 points
     assert walks == [2] * 4 + [2] * 4 + [1] * 4
@@ -688,23 +701,95 @@ def test_a_grid_longer_than_a_chunk_is_walked_in_chunks(monkeypatch):
     assert [bits(r) for r in chunked[1]] == [bits(r) for r in whole[1]]
 
 
-def walk_grid(op, seqs, split=True, at=None) -> list[tuple[list[int], LabelSum]]:
-    """``(point indices, sum)`` of each part of a grid that the walk keeps
-    whole: the whole grid, or each point alone when it raises GridSplit."""
+def test_a_grid_builds_one_block_per_measurement_and_one_sequence(monkeypatch):
+    # a 4-point GHZM run: its three spin measurements, each with a point axis,
+    # in one sequence; nothing is built per point
+    built = []
+    for cls in (Measurement, InteractionSequence):
+        init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, init=init: built.append(type(self)) or init(self))
+    points = [[Direction(0.3 * k, 0.1), Direction(1.0, 0.2 * k), Direction(0.0, 0.0)]
+              for k in range(4)]
+    GHZM.run(points, True, GHZM.presets["even"])
+    assert built.count(Measurement) == 3
+    assert built.count(InteractionSequence) == 1
+
+
+@pytest.mark.parametrize("exp", [EPRB, GHZM], ids=["eprb", "ghzm"])
+def test_a_grids_point_is_the_sequence_of_that_point(exp):
+    n = len(exp.measurements)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.lists(directions, min_size=n, max_size=n), min_size=1, max_size=5),
+           st.booleans())
+    def check(points, entangled):
+        grid = exp._grid(points, entangled)
+        for p, point in enumerate(points):
+            view, own = grid.point(p), exp.sequence(point, entangled)
+            assert view.layout == own.layout and view.tags == own.tags
+            for (_, u), (_, v) in zip(view.steps, own.steps):
+                assert type(u) is type(v) and u.layout == v.layout
+                arrays = [(u.matrix, v.matrix), (np.float64(u._unitarity_residual),
+                                                 np.float64(v._unitarity_residual))]
+                if isinstance(v, Measurement):
+                    arrays += [(u.shifts, v.shifts), *zip((f for _, f in u.projectors),
+                                                          (f for _, f in v.projectors))]
+                    assert [g for g, _ in u.projectors] == [g for g, _ in v.projectors]
+                for x, y in arrays:
+                    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+    check()
+
+
+def grid_points(seq) -> int:
+    """The points of a grid's sequence: its measurements' point axis, or 1."""
+    return max((len(u.matrix) for _, u in seq.steps if u.matrix.ndim == 3), default=1)
+
+
+def grid_of(seqs, shared) -> tuple[InteractionSequence, list[InteractionSequence]]:
+    """A grid over sequences with the same steps, one per point, and the
+    sequence at each of its points. A measurement step not drawn ``shared``
+    is built with ``_measurement_blocks`` from every point's projector
+    stacks, with a point axis on the grid and without one at each point;
+    its shifts, and every other step, are the first point's."""
+    grid, alone = [], [[] for _ in seqs]
+    for i, (tag, u) in enumerate(seqs[0].steps):
+        steps = [u] * len(seqs)
+        if isinstance(u, Measurement) and not shared[i]:
+            stacks = [np.stack([s.steps[i][1].projectors[g][1] for s in seqs])
+                      for g in range(len(u.projectors))]
+            build = partial(_measurement_blocks, [u.layout], u.shifts,
+                            [tuple(group for group, _ in u.projectors)])
+            steps = [build([f[None, p] for f in stacks])[0] for p in range(len(seqs))]
+            u, = build([f[None] for f in stacks])
+        grid.append((tag, u))
+        for own, step in zip(alone, steps):
+            own.append((tag, step))
+    layout = seqs[0].layout
+    return (InteractionSequence(tuple(grid), layout),
+            [InteractionSequence(tuple(own), layout) for own in alone])
+
+
+def walk_grid(op, seq, size, split=True, at=None) -> list[tuple[list[int], LabelSum]]:
+    """``(point indices, sum)`` of each part of a grid of ``size`` points that
+    the walk keeps whole: the whole grid, or each point alone when it raises
+    GridSplit."""
     try:
-        return [(list(range(len(seqs))), evolve_label_sum(op, seqs, split, at))]
+        return [(list(range(size)), evolve_label_sum(op, seq, split, at))]
     except GridSplit:
-        return [([p], evolve_label_sum(op, [seq], split, at)) for p, seq in enumerate(seqs)]
+        return [([p], evolve_label_sum(op, seq.point(p), split, at)) for p in range(size)]
 
 
-def assert_walks_alone(op, seqs, split, at):
-    """Each point of the grid holds the groups, stacks and mean, bit for bit,
-    of its own one-sequence walk; returns the parts the walk kept whole."""
-    parts = walk_grid(op, seqs, split, at)
-    assert sorted(p for points, _ in parts for p in points) == list(range(len(seqs)))
+def assert_walks_alone(op, seq, alone, split, at):
+    """Each point of the grid ``seq`` holds the groups, stacks and mean, bit
+    for bit, of the walk of its own sequence in ``alone``; returns the parts
+    the walk kept whole."""
+    parts = walk_grid(op, seq, len(alone), split, at)
+    assert sorted(p for points, _ in parts for p in points) == list(range(len(alone)))
     for points, evolved in parts:
         for k, p in enumerate(points):
-            own = evolve_label_sum(op, seqs[p], split, at)
+            own = evolve_label_sum(op, alone[p], split, at)
             assert [q for q, _ in evolved.groups] == [q for q, _ in own.groups]
             for (_, x), (_, y) in zip(evolved.groups, own.groups):
                 x = x[k] if x.ndim == 4 else x
@@ -721,33 +806,19 @@ def assert_walks_alone(op, seqs, split, at):
 def test_a_grid_walks_each_point_as_its_own_walk(case, seeds, shared):
     # one sequence per seed, its measurements in the product or a random
     # basis as the seed's bits say, so rule (a) may skip at some points
-    # only; a step drawn shared is the first point's at every point
+    # only; a measurement drawn shared is the first point's at every point
     dims, specs, support_a, support_b = case
     built = []
     for seed in seeds:
         flipped = [(*spec[:4], bool(seed >> k & 1)) if spec[0] == "measure" and spec[3] else spec
                    for k, spec in enumerate(specs)]
         built.append(build_structured((dims, flipped, support_a, support_b), seed))
-    layout, first, a, b, rng = built[0]
-    seqs = [InteractionSequence(tuple(f if keep else step for f, step, keep
-                                      in zip(first.steps, seq.steps, shared)), layout)
-            for _, seq, *_ in built]
+    layout, _, a, b, rng = built[0]
+    seq, alone = grid_of([seq for _, seq, *_ in built], shared)
     at = [int(rng.integers(d)) for d in layout.dims]
     for op in (a, b):
         for split, read in ((True, at), (True, None), (False, None)):
-            assert_walks_alone(op, seqs, split, read)
-
-
-def test_a_grid_of_sequences_with_other_steps_is_rejected():
-    d = (Direction(0.2, 0.1), Direction(0.9, 1.0))
-    for other in (EPRB.sequence(d, False), GHZM.sequence((*d, d[0]), True)):
-        with pytest.raises(LayoutError, match="differ"):
-            evolve_label_sum(EPRB.observable(("B1",), SPIN_BETA), [EPRB.sequence(d, True), other])
-
-
-def test_an_empty_grid_is_rejected():
-    with pytest.raises(ValueError, match="empty grid"):
-        evolve_label_sum(EPRB.observable(("B1",), SPIN_BETA), [])
+            assert_walks_alone(op, seq, alone, split, read)
 
 
 @pytest.mark.parametrize("at, error, message", [
@@ -785,10 +856,11 @@ def test_points_that_disagree_on_a_skip_are_walked_apart():
     points = [(Direction(0.0, 0.0), Direction(0.4, 0.0)),
               (Direction(0.7, 0.2), Direction(0.4, 0.0)),
               (Direction(0.0, 1.0), Direction(1.1, 0.5))]
-    seqs = EPRB._sequences(points, False)
+    seq = EPRB._grid(points, False)
     with pytest.raises(GridSplit):
-        evolve_label_sum(op, seqs, at=EPRB.initial_indices)
-    assert assert_walks_alone(op, seqs, True, EPRB.initial_indices) == [[0], [1], [2]]
+        evolve_label_sum(op, seq, at=EPRB.initial_indices)
+    alone = [EPRB.sequence(point, False) for point in points]
+    assert assert_walks_alone(op, seq, alone, True, EPRB.initial_indices) == [[0], [1], [2]]
 
 
 def test_points_that_disagree_on_a_dropped_copy_are_walked_apart():
@@ -810,9 +882,10 @@ def test_points_that_disagree_on_a_dropped_copy_are_walked_apart():
             seq(Direction(0.3, 0.0), Direction(0.8, 1.3))]
     at = EPRB.initial_indices
     assert [len(evolve_label_sum(op, s, at=at)) for s in seqs] == [1, 2]
+    grid, alone = grid_of(seqs, (True, False))
     with pytest.raises(GridSplit):
-        evolve_label_sum(op, seqs, at=at)
-    assert assert_walks_alone(op, seqs, True, at) == [[0], [1]]
+        evolve_label_sum(op, grid, at=at)
+    assert assert_walks_alone(op, grid, alone, True, at) == [[0], [1]]
 
 
 @pytest.mark.parametrize("exp, examples", [(EPRB, 50), (GHZM, 25)], ids=["eprb", "ghzm"])
