@@ -148,20 +148,18 @@ class Experiment:
         return self._grid([directions], entangled)
 
     def _grid(self, points: Sequence[Sequence[Direction]], entangled: bool) -> InteractionSequence:
-        """:meth:`sequence` over points, one direction per measurement each,
-        as one sequence: each spin measurement, built and checked in one pass,
-        leads with the point axis unless there is one point, and at each point
-        is the ``measurement_block`` of its observer and the
-        ``spin_projector``s of its particle along its direction, bit for bit.
-        The entangler and readout are shared."""
+        """:meth:`sequence` over points, one direction per measurement each, as
+        one sequence: each spin measurement, built and checked in one pass, leads
+        with the point axis unless there is one point, and at each point is the
+        ``measurement_block`` of its observer and the ``spin_projector``s of its
+        particle along its direction, bit for bit; entangler and readout are shared."""
         for directions in points:
             if len(directions) != len(self.measurements):
                 raise ValueError(f"{self.name} takes {len(self.measurements)} directions, one "
                                  f"per measurement, got {len(directions)}")
         layouts, labels, shifts = self._spin_blocks
-        k, size = len(layouts), len(points)
-        stack = _spin_stack([directions[j] for j in range(k) for directions in points])
-        stack = stack.reshape(k, *((size,) if size > 1 else ()), *stack.shape[1:])
+        k = len(layouts)
+        stack = _spin_stack([dirs[j] for j in range(k) for dirs in points]).reshape(k, -1, 2, 2, 2)
         head = (("t1:entangle", self.entangler),) if entangled else ()
         tags = [f"t2:measure-{j}" for j in range(1, k + 1)]
         blocks = _measurement_blocks(layouts, shifts, labels, [stack])
@@ -196,11 +194,10 @@ class Experiment:
         means, residuals = [], []
         initial = self.initial_state() if verify else None
         for start in range(0, len(points), GRID_CHUNK):
-            chunk = points[start:start + GRID_CHUNK]
-            seq, size = self._grid(chunk, entangled), len(chunk)
-            evolved = {key: self._means(self.observable(*key), seq, size)
+            seq = self._grid(points[start:start + GRID_CHUNK], entangled)
+            evolved = {key: self._means(self.observable(*key), seq)
                        for key in dict.fromkeys(keys)}
-            for p in range(size):
+            for p in range(seq.points):
                 values = {m[0]: real_part(complex(evolved[key][p]))
                           for m, key in zip(self.means, keys)}
                 for (column, *_), (_, ev) in zip(self.means, keys):
@@ -216,16 +213,16 @@ class Experiment:
                         for m, (names, ev) in zip(self.means, keys)))
         return means, residuals if verify else None
 
-    def _means(self, op: Operator, seq: InteractionSequence, size: int) -> Sequence[complex]:
-        """The mean of ``op`` at the initial state at each of a grid's ``size``
-        points, read off one label sum; when the points may disagree on a
-        rule the walk decides by value, each point is walked alone."""
+    def _means(self, op: Operator, seq: InteractionSequence) -> Sequence[complex]:
+        """The mean of ``op`` at the initial state at each point of a grid,
+        read off one label sum; when the points may disagree on a rule the
+        walk decides by value, each point is walked alone."""
         at = self.initial_indices
         try:
             values = evolve_label_sum(op, seq, at=at).mean(at)
         except GridSplit:
-            return [evolve_label_sum(op, seq.point(p), at=at).mean(at) for p in range(size)]
-        return values if np.ndim(values) else [values] * size
+            return [evolve_label_sum(op, seq.point(p), at=at).mean(at) for p in range(seq.points)]
+        return values if np.ndim(values) else [values] * seq.points
 
     def support_ledger(self, directions: Sequence[Direction], tol: float) -> list[list]:
         """Rows ``[observable, stage, support labels, residual per label...]``

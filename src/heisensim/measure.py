@@ -107,9 +107,9 @@ class InteractionSequence:
     was checked there, so its residual is read, not recomputed. Tags name
     the steps, so no two steps share one.
 
-    A sequence may be a grid of points: a :class:`Measurement` that differs
-    between them leads with a point axis, and every other step is shared.
-    :meth:`point` gives the sequence at one point.
+    A sequence may be a grid of :attr:`points`: a :class:`Measurement` that
+    differs between them leads with a point axis, and every other step is
+    shared. :meth:`point` gives the sequence at one point.
     """
 
     steps: tuple[tuple[str, Operator], ...]
@@ -130,10 +130,20 @@ class InteractionSequence:
     def tags(self) -> tuple[str, ...]:
         return tuple(t for t, _ in self.steps)
 
+    @property
+    def points(self) -> int:
+        """The grid's point count: the measurements' point axis, or 1."""
+        return next((len(u.matrix) for _, u in self.steps if u.matrix.ndim == 3), 1)
+
     def point(self, p: int) -> "InteractionSequence":
-        """The sequence at point ``p`` of a grid, every step without a point axis."""
-        return InteractionSequence(tuple((t, u.point(p) if isinstance(u, Measurement) else u)
-                                         for t, u in self.steps), self.layout)
+        """The sequence at point ``p`` of a grid; the first call builds every point's."""
+        return self._points[p]
+
+    @cached_property
+    def _points(self) -> tuple["InteractionSequence", ...]:
+        return tuple(InteractionSequence(tuple((t, u.point(p) if isinstance(u, Measurement) else u)
+                                               for t, u in self.steps), self.layout)
+                     for p in range(self.points))
 
     @cached_property
     def _plan(self) -> list[tuple]:
@@ -174,10 +184,8 @@ class Measurement(Operator):
     are.
 
     On a grid of ``P`` points the matrix is ``(P, b, b)`` and each group's
-    stack ``(P, n, d, d)``, one block per point; the shifts are shared.
-    :func:`_measurement_blocks` keeps each point's unitarity residual, the
-    block is unitary when it is at every point, and :meth:`point` gives one
-    point's block with that point's own residual.
+    stack ``(P, n, d, d)``; the shifts are shared. The block is unitary when
+    it is at every point, and :meth:`point` gives one point's, with its residual.
     """
 
     shifts: np.ndarray
@@ -190,14 +198,23 @@ class Measurement(Operator):
             self.matrix, (*points, self.dim, self.dim), "operator matrix"))
 
     def point(self, p: int) -> "Measurement":
-        """The block at point ``p`` of a grid; a block with no point axis is
-        its own."""
+        """The block at point ``p`` of a grid, or this block if it has no point axis."""
         if self.matrix.ndim == 2:
             return self
         block = Measurement(self.layout, self.matrix[p], self.shifts,
                             tuple((labels, f[p]) for labels, f in self.projectors))
-        object.__setattr__(block, "_unitarity_residual", float(self._residuals[p]))
+        object.__setattr__(block, "_residuals", self._residuals[p])
         return block
+
+    @cached_property
+    def _residuals(self) -> np.ndarray:
+        """``|u†u - I|`` at each point, unless :func:`_measurement_blocks` set it."""
+        gram = self.matrix.conj().swapaxes(-1, -2) @ self.matrix
+        return np.linalg.norm(gram - np.eye(self.dim), axis=(-2, -1))
+
+    @cached_property
+    def _unitarity_residual(self) -> float:
+        return float(np.max(self._residuals))
 
 
 def measurement_block(observer: str, projectors: Sequence[Sequence[Operator]],
@@ -240,8 +257,7 @@ def measurement_block(observer: str, projectors: Sequence[Sequence[Operator]],
         observer_layout = shifts[0].layout
     layout = SubsystemLayout((*observer_layout.factors, *(f for g in layouts for f in g.factors)))
     stacks = [np.stack([q.matrix for q in group])[None] for group in groups]
-    block, = _measurement_blocks([layout], u, [tuple(g.labels for g in layouts)], stacks)
-    return block
+    return _measurement_blocks([layout], u, [tuple(g.labels for g in layouts)], stacks)[0]
 
 
 def _measurement_blocks(layouts: Sequence[SubsystemLayout], u: np.ndarray,
@@ -254,9 +270,11 @@ def _measurement_blocks(layouts: Sequence[SubsystemLayout], u: np.ndarray,
     ``(k, n, d, d)`` stack, so ``P_i`` of block ``j`` is the Kronecker
     product of every group's entry ``[j, i]``. A ``(k, P, n, d, d)`` stack
     is a grid of ``P`` points: entry ``[j, p, i]`` is ``P_i`` at point ``p``,
-    and each block leads with the point axis. Each block's entries must be
-    finite, its ``P_i`` orthogonal and complete, and the block unitary, at
-    every point."""
+    and each block leads with the point axis unless ``P`` is 1. Each block's
+    entries must be finite, its ``P_i`` orthogonal and complete, and the
+    block unitary, at every point."""
+    # one point is no grid, and numpy may round a product over a length-1 axis otherwise
+    stacks = [f[:, 0] if f.ndim == 5 and f.shape[1] == 1 else f for f in stacks]
     lead, n = stacks[0].shape[:-3], stacks[0].shape[-3]
     flat = [f.reshape(-1, *f.shape[-3:]) for f in stacks]
     if not all(np.isfinite(f).all() for f in flat):
@@ -284,13 +302,10 @@ def _measurement_blocks(layouts: Sequence[SubsystemLayout], u: np.ndarray,
     if not np.all(residuals < DEFAULT_TOL):
         raise NonUnitaryError("measurement unitary failed its unitarity post-check")
     matrices, residuals = matrices.reshape(*lead, *matrices.shape[1:]), residuals.reshape(lead)
-    worst = residuals.reshape(len(layouts), -1).max(axis=1)
-    blocks = []
-    for j, (layout, m, group_labels) in enumerate(zip(layouts, matrices, labels)):
-        block = Measurement(layout, m, u, tuple(zip(group_labels, (f[j] for f in stacks))))
-        object.__setattr__(block, "_residuals", residuals[j])
-        object.__setattr__(block, "_unitarity_residual", float(worst[j]))
-        blocks.append(block)
+    blocks = [Measurement(layout, m, u, tuple(zip(group_labels, (f[j] for f in stacks))))
+              for j, (layout, m, group_labels) in enumerate(zip(layouts, matrices, labels))]
+    for block, residual in zip(blocks, residuals):
+        object.__setattr__(block, "_residuals", residual)
     return blocks
 
 
@@ -561,7 +576,7 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
                 b = _conjugate(layout, positions, a, target, shifts)
                 groups = (_outcome_sum(layout, positions, b, _merge(layout, controls)), *rest)
             elif at is not None and earlier.isdisjoint(positions):
-                _shared(a, shifts)
+                _shared(a)
                 c = _entries_at(layout, positions, a, target[0], shifts, at)
                 keep = np.flatnonzero(c)
                 (p, x), *more = controls

@@ -167,7 +167,7 @@ class TestExperimentRun:
             {u.matrix.shape[:-2] for _, u in seq.steps}) or evolve(op, seq, **kw))
         means, residuals = exp.run(points, entangled, SPIN_BETA, verify=True)
         # the grid's measurements lead with the point axis, and each point's have none
-        assert walks[0] == {(), (len(points),)} if entangled else {(len(points),)}
+        assert walks[0] == ({(), (len(points),)} if entangled else {(len(points),)})
         assert walks[1:] == [{()}] * len(points)
         for (n1, n2), values, residual in zip(points, means, residuals):
             (own,), (own_residual,) = exp.run([(n1, n2)], entangled, SPIN_BETA, verify=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -299,6 +300,26 @@ class TestMeasurementUnitary:
         assert all(abs(block.point(p)._unitarity_residual - r) < 1e-15 for p, r in enumerate(own))
         with pytest.raises(LayoutError, match="shape"):
             Measurement(OS_LAYOUT, np.stack([block.matrix] * 2), block.shifts, block.projectors)
+
+    def test_a_grid_block_built_directly_checks_each_point(self):
+        # six points on the six-dimensional block: a residual that mixed the
+        # point axis with the matrix axes would still broadcast
+        stack = _spin_stack([Direction(0.4 * k, 0.3 * k) for k in range(6)])
+        built, = _measurement_blocks([OS_LAYOUT], _shifts(3)[1:], [(("S",),)], [stack[None]])
+        block = Measurement(OS_LAYOUT, built.matrix, built.shifts, built.projectors)
+        assert block.matrix.shape == (6, 6, 6)
+        assert abs(block._unitarity_residual - built._unitarity_residual) < 1e-15
+        for p in range(6):
+            assert abs(block.point(p)._unitarity_residual
+                       - built.point(p)._unitarity_residual) < 1e-15
+        assert InteractionSequence((("m", block),), OS_LAYOUT).point(5).steps[0][1].matrix.shape \
+            == (6, 6)
+        skewed = built.matrix.copy()
+        skewed[4] *= 2
+        bad = Measurement(OS_LAYOUT, skewed, built.shifts, built.projectors)
+        assert bad.point(3).is_unitary() and not bad.point(4).is_unitary()
+        with pytest.raises(NonUnitaryError, match="'m' is not unitary"):
+            InteractionSequence((("m", bad),), OS_LAYOUT)
 
     def test_disjoint_measurements_commute(self, rng):
         layout = SubsystemLayout((("O1", 3), ("O2", 3), ("S1", 2), ("S2", 2)))
@@ -692,7 +713,7 @@ def test_a_grid_longer_than_a_chunk_is_walked_in_chunks(monkeypatch):
     evolve = experiment.evolve_label_sum
     monkeypatch.setattr(experiment, "GRID_CHUNK", 2)
     monkeypatch.setattr(experiment, "evolve_label_sum",
-                        lambda op, seq, **kw: walks.append(grid_points(seq)) or evolve(op, seq, **kw))
+                        lambda op, seq, **kw: walks.append(seq.points) or evolve(op, seq, **kw))
     chunked = EPRB.run(points, True, SPIN_BETA, True)
     # four distinct observables, each walked over chunks of 2, 2 and 1 points
     assert walks == [2] * 4 + [2] * 4 + [1] * 4
@@ -714,6 +735,26 @@ def test_a_grid_builds_one_block_per_measurement_and_one_sequence(monkeypatch):
     GHZM.run(points, True, GHZM.presets["even"])
     assert built.count(Measurement) == 3
     assert built.count(InteractionSequence) == 1
+
+
+def test_a_split_grid_builds_each_points_sequence_once(monkeypatch):
+    # A1 A2 meets both measurements, whose projectors differ between the
+    # points, so its walk splits; the walks apart and the verify oracle
+    # share one sequence per point
+    built = []
+    init = InteractionSequence.__post_init__
+    monkeypatch.setattr(InteractionSequence, "__post_init__",
+                        lambda self: built.append(self) or init(self))
+    exp = dataclasses.replace(EPRB, means=(("a1", "<A1>", ("A1",), (1.0, -1.0)),
+                                           ("a1a2", "<A1 A2>", ("A1", "A2"), (1.0, -1.0))))
+    points = [(Direction(0.3 * k, 0.1), Direction(1.0, 0.2 * k)) for k in range(4)]
+    seq = exp._grid(points, True)
+    with pytest.raises(GridSplit):
+        evolve_label_sum(exp.observable(("A1", "A2"), (1.0, -1.0)), seq,
+                         at=exp.initial_indices)
+    built.clear()
+    exp.run(points, True, SPIN_BETA, verify=True)
+    assert len(built) == 1 + len(points)
 
 
 @pytest.mark.parametrize("exp", [EPRB, GHZM], ids=["eprb", "ghzm"])
@@ -740,11 +781,6 @@ def test_a_grids_point_is_the_sequence_of_that_point(exp):
                     assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
     check()
-
-
-def grid_points(seq) -> int:
-    """The points of a grid's sequence: its measurements' point axis, or 1."""
-    return max((len(u.matrix) for _, u in seq.steps if u.matrix.ndim == 3), default=1)
 
 
 def grid_of(seqs, shared) -> tuple[InteractionSequence, list[InteractionSequence]]:
@@ -774,7 +810,8 @@ def grid_of(seqs, shared) -> tuple[InteractionSequence, list[InteractionSequence
 def walk_grid(op, seq, size, split=True, at=None) -> list[tuple[list[int], LabelSum]]:
     """``(point indices, sum)`` of each part of a grid of ``size`` points that
     the walk keeps whole: the whole grid, or each point alone when it raises
-    GridSplit."""
+    GridSplit. A grid whose steps are all shared has no point axis, so its
+    sequence cannot tell its size."""
     try:
         return [(list(range(size)), evolve_label_sum(op, seq, split, at))]
     except GridSplit:
@@ -803,10 +840,15 @@ def assert_walks_alone(op, seq, alone, split, at):
 @settings(max_examples=150, deadline=None)
 @given(case=structured_sequences(), seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=4),
        shared=st.lists(st.booleans(), min_size=4, max_size=4))
+@example(case=([3, 2, 2, 2], [("measure", 3, [2], 1, False), ("measure", 3, [0], 1, False)],
+               ((3,), True), ((1,), True)),
+         seeds=[0], shared=[False, True, False, False])
 def test_a_grid_walks_each_point_as_its_own_walk(case, seeds, shared):
     # one sequence per seed, its measurements in the product or a random
     # basis as the seed's bits say, so rule (a) may skip at some points
-    # only; a measurement drawn shared is the first point's at every point
+    # only; a measurement drawn shared is the first point's at every point.
+    # The example is a grid of one point: had it kept a point axis, its mean
+    # would multiply one complex entry broadcast, which numpy rounds unlike two alone
     dims, specs, support_a, support_b = case
     built = []
     for seed in seeds:
