@@ -26,6 +26,7 @@ from .tensor import (
     SubsystemLayout,
     _as_finite_complex,
     _basis_index,
+    _record_blocks,
     embed,
     single_factor,
 )
@@ -130,10 +131,17 @@ class InteractionSequence:
     def tags(self) -> tuple[str, ...]:
         return tuple(t for t, _ in self.steps)
 
-    @property
+    @cached_property
     def points(self) -> int:
         """The grid's point count: the measurements' point axis, or 1."""
         return next((len(u.matrix) for _, u in self.steps if u.matrix.ndim == 3), 1)
+
+    def _one_point(self) -> None:
+        """Raise :class:`LayoutError` for a grid of more than one point, which
+        the functions of one point cannot take."""
+        if self.points > 1:
+            raise LayoutError(f"the sequence is a grid of {self.points} points; "
+                              f"take one point's sequence with .point(p)")
 
     def point(self, p: int) -> "InteractionSequence":
         """The sequence at point ``p`` of a grid; the first call builds every point's."""
@@ -164,9 +172,39 @@ class InteractionSequence:
             plan.append((rows, u.matrix[..., None, :, :], terms))
         return plan[::-1]
 
+    @cached_property
+    def _record_facts(self) -> list[tuple | None]:
+        """Per step of :attr:`_plan`, what the record walk of
+        :func:`evolve_label_sum` reads off it, worked out on its first unsplit
+        walk: for a measurement, ``perm[i, s]``, the basis state of the
+        observer that its shift ``u_i`` sends ``s`` to, unless some shift is
+        not exactly a permutation; the positions of its projectors and, per
+        basis state of them, the outcome whose projector holds it, unless they
+        are not exactly diagonal with entries 0 and 1, which their checked
+        completeness makes one-hot, or lead with a point axis; and whether
+        each projector group is exactly diagonal."""
+        facts = []
+        for _, _, measurement in self._plan:
+            if measurement is None:
+                facts.append(None)
+                continue
+            _, u, controls, _ = measurement
+            perm = onehot = None
+            if (((u == 0) | (u == 1)).all() and (u.sum(axis=-2) == 1).all()
+                    and (u.sum(axis=-1) == 1).all()):
+                perm = u.real.argmax(axis=-2)
+            if all(f.ndim == 3 for _, f in controls):
+                where, p = _merge(self.layout, controls)
+                diagonal = np.diagonal(p, axis1=-2, axis2=-1)
+                if not _off_diagonal(p).any() and ((diagonal == 0) | (diagonal == 1)).all():
+                    onehot = (where, diagonal.real.argmax(axis=0))
+            facts.append((perm, onehot, [not _off_diagonal(f).any() for _, f in controls]))
+        return facts
+
     def total_unitary(self) -> Operator:
         """Product of all steps embedded in the layout, earliest step
         rightmost: the dense reference for :func:`heisenberg_evolve`."""
+        self._one_point()
         if not self.steps:
             raise ValueError("empty sequence has no total unitary")
         total = embed(self.steps[0][1], self.layout).matrix
@@ -353,6 +391,11 @@ def _merge(layout: SubsystemLayout, parts, identities=()) -> tuple:
     return ascending, stack
 
 
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The entries of a stack of square matrices off their diagonals."""
+    return a[..., ~np.eye(a.shape[-1], dtype=bool)]
+
+
 def _conjugate(layout: SubsystemLayout, positions, a: np.ndarray, rows, u: np.ndarray):
     """The stack of ``u_i† a_t u_i``, term ``t * n + i``, for a group's
     ``(T, d, d)`` stack ``a`` on ``positions`` and an ``(n, b, b)`` stack of
@@ -450,10 +493,16 @@ class LabelSum:
     into one per outcome, the awareness on the observer tied to the
     projector on the system. Walked over a grid, a stack that differs
     between points is ``(P, T, d_g, d_g)``: one sum per point.
+
+    An unsplit sum may carry ``records``: the ascending positions of factors
+    it is exactly diagonal on, kept as an index. Its one group then holds
+    one block per record, ``R`` of them in the row-major order of those
+    factors, and the sum is ``sum_r |r><r| (x) a[r]``: a term per record.
     """
 
     layout: SubsystemLayout
     groups: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    records: tuple[int, ...] = ()
 
     @classmethod
     def local(cls, op: Operator, layout: SubsystemLayout) -> "LabelSum":
@@ -469,24 +518,25 @@ class LabelSum:
     def mean(self, indices: Sequence[int]) -> complex | np.ndarray:
         """``<psi|A|psi>`` in the product basis state with one index per
         factor: each term's product of its groups' diagonal entries, summed;
-        for a sum with a point axis, one such value per point."""
+        for a sum with a point axis, one such value per point. Of a sum
+        that carries records, only the term of the state's record counts."""
         _basis_index(self.layout, indices)
         terms = np.ones(len(self), dtype=complex)
         for positions, a in self.groups:
-            flat = 0
-            for k in positions:
-                flat = flat * self.layout.dims[k] + indices[k]
+            flat = _flat(self.layout, positions, indices)
             terms = terms * a[..., flat, flat]
+        if self.records:
+            return terms[..., _flat(self.layout, self.records, indices)]
         # each point's terms are added alone: numpy adds the rows of a 2-D
         # array at once in another order than it adds one row
         return terms.sum() if terms.ndim == 1 else np.array([row.sum() for row in terms])
 
     def block(self) -> Operator:
-        """The sum as one operator on the factors of its groups, in layout
-        order: each term's groups merged, one term at a time, and the terms
-        added. The sum is this block tensored with the identity on every
-        other factor. One group of one term, as every unsplit sum is, is its
-        own block, and a sum of no terms is 0.
+        """The sum as one operator on the factors of its groups and records,
+        in layout order: each term's groups merged, one term at a time, and
+        the terms added. The sum is this block tensored with the identity on
+        every other factor. One group of one term, as every unsplit sum
+        without records is, is its own block, and a sum of no terms is 0.
         """
         positions, matrix = self._block_matrix()
         return Operator(SubsystemLayout(tuple(self.layout.factors[k] for k in positions)), matrix)
@@ -494,10 +544,54 @@ class LabelSum:
     def _block_matrix(self) -> tuple[tuple[int, ...], np.ndarray]:
         """:meth:`block` as its layout positions and its matrix, unchecked:
         one group of one term gives its stack's own matrix, not a copy."""
+        if self.records:
+            return self._demoted(self.records)._block_matrix()
         positions, total = _merge(self.layout, [(p, a[:1]) for p, a in self.groups])
         for t in range(1, len(self)):
             total = total + _merge(self.layout, [(p, a[t:t + 1]) for p, a in self.groups])[1]
         return positions, total[0] if len(total) else total.sum(axis=0)
+
+    def _recorded(self) -> "LabelSum":
+        """This one-term sum carrying as records the factors its term is
+        exactly diagonal on, found from the values."""
+        ((positions, a),) = self.groups
+        view, axes = _record_blocks(a[0], tuple(self.layout.dims[k] for k in positions))
+        records = tuple(k for k, own in zip(positions, axes) if len(own) == 1)
+        if not records:
+            return self
+        group = tuple(k for k, own in zip(positions, axes) if len(own) == 2)
+        order = [own[0] for own in axes if len(own) == 1] + [
+            own[j] for j in (0, 1) for own in axes if len(own) == 2]
+        d = math.prod(self.layout.dims[k] for k in group)
+        return LabelSum(self.layout, ((group, view.transpose(order).reshape(-1, d, d)),), records)
+
+    def _demoted(self, positions: Sequence[int]) -> "LabelSum":
+        """This sum with its records on ``positions`` moved into its group:
+        each block laid out over them, with every entry between two of
+        their records exactly 0."""
+        moved = tuple(k for k in self.records if k in positions)
+        if not moved:
+            return self
+        keep = tuple(k for k in self.records if k not in moved)
+        ((group, a),), dims, r = self.groups, self.layout.dims, len(self.records)
+        lead, d, m = a.ndim - 3, a.shape[-1], math.prod(dims[k] for k in moved)
+        a = a.reshape(*a.shape[:lead], *(dims[k] for k in self.records), d, d).transpose(
+            *range(lead), *(lead + self.records.index(k) for k in keep + moved),
+            lead + r, lead + r + 1)
+        a = a.reshape(*a.shape[:lead], -1, m, d, d)
+        out = np.zeros((*a.shape[:-2], d, m, d), dtype=a.dtype)
+        diagonal = np.arange(m)
+        out[..., diagonal, :, diagonal, :] = np.moveaxis(a, -3, 0)
+        stack = out.reshape(*out.shape[:-4], m * d, m * d)
+        return LabelSum(self.layout, (_merge(self.layout, [(moved + group, stack)]),), keep)
+
+
+def _flat(layout: SubsystemLayout, positions: Sequence[int], indices: Sequence[int]) -> int:
+    """The row-major index of ``indices`` on the factors at ``positions``."""
+    flat = 0
+    for k in positions:
+        flat = flat * layout.dims[k] + indices[k]
+    return flat
 
 
 class GridSplit(Exception):
@@ -546,17 +640,39 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
     and with the same bits. The skip of rule (a) and the drop at ``at`` are
     decided once, for every point: when a stack either decision reads has a
     point axis, the walk raises :class:`GridSplit`.
+
+    Without ``split``, the factors ``op`` is exactly diagonal on are carried
+    as records (see :class:`LabelSum`), and so are those that a measurement
+    of a record observer adds as exactly one-hot diagonal projectors: they
+    come from the steps, which keep them as long as each step acts on them
+    only by an exact permutation or a diagonal control. A shift of a record
+    observer is a gather of its records, so rule (b) sums ``B[perm_i(r)] (x)
+    P_i`` per record; rule (c) on the other factors conjugates every
+    record's block at once; and a step of rule (c) that acts on a record
+    first moves it back into the group. A measurement that rule (a) cannot
+    skip on the records alone, or whose shifts are not permutations, ends
+    the records, and the walk goes on as above. A decision read off a stack
+    with a point axis raises :class:`GridSplit` here too. Split, a sum that
+    carries records first moves them all into its group.
     """
     layout = seq.layout
     if at is not None:
         _basis_index(layout, at)
     if not isinstance(op, LabelSum):
         label_sum = LabelSum.local(op, layout)
+        if not split:
+            label_sum = label_sum._recorded()
     elif op.layout == layout:
         label_sum = op
     else:
         raise LayoutError(f"a sum on {op.layout.factors} cannot evolve on {layout.factors}")
-    for rows, block, measurement in seq._plan:
+    plan = seq._plan
+    if label_sum.records:
+        if split:
+            label_sum = label_sum._demoted(label_sum.records)
+        else:
+            label_sum, plan = _walk_records(label_sum, seq)
+    for rows, block, measurement in plan:
         groups = label_sum.groups
         touched = [g for g in groups if not set(rows).isdisjoint(g[0])]
         if not touched:
@@ -594,10 +710,78 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
     return label_sum
 
 
+def _walk_records(label_sum: LabelSum, seq: InteractionSequence) -> tuple[LabelSum, list]:
+    """The unsplit walk of a sum that carries records, as far as the steps
+    keep them (see :func:`evolve_label_sum`): the sum, and the steps of the
+    plan that are left for the walk without records."""
+    layout, plan = seq.layout, seq._plan
+    for index, ((rows, block, measurement), facts) in enumerate(zip(plan, seq._record_facts)):
+        records = label_sum.records
+        if not records:
+            return label_sum, plan[index:]
+        ((group, a),) = label_sum.groups
+        covered = set(records).union(group)
+        if covered.isdisjoint(rows):
+            continue
+        if measurement:
+            _, _, controls, _ = measurement
+            perm, onehot, diagonal = facts
+            if rows[0] not in covered:
+                # rule (a): a diagonal projector off the group commutes with every record
+                _shared(a, *(f for _, f in controls))
+                if all(covered.isdisjoint(p) or (exact and set(group).isdisjoint(p))
+                       for (p, _), exact in zip(controls, diagonal)):
+                    continue
+                return label_sum._demoted(records), plan[index:]
+            if not any(covered.intersection(p) for p, _ in controls):
+                if rows[0] not in records or perm is None:
+                    return label_sum._demoted(records), plan[index:]
+                _shared(*(f for _, f in controls))
+                label_sum = _record_outcomes(layout, label_sum, rows[0], perm, controls, onehot)
+                continue
+        label_sum = label_sum._demoted(rows)
+        ((group, a),) = label_sum.groups
+        positions, a = _merge(layout, [(group, a)], sorted(set(rows) - set(group)))
+        label_sum = LabelSum(layout, ((positions, _conjugate(layout, positions, a, rows, block)),),
+                             label_sum.records)
+    return label_sum, []
+
+
+def _record_outcomes(layout: SubsystemLayout, label_sum: LabelSum, observer: int,
+                     perm: np.ndarray, controls, onehot) -> LabelSum:
+    """Rule (b) without splitting, on a measurement of the record observer at
+    ``observer`` whose shifts permute its basis by ``perm``: ``u_i† B u_i``
+    at record ``r`` is ``B`` at the record whose observer index is
+    ``perm[i]`` of ``r``'s, so each outcome's blocks are gathered, not
+    conjugated. Exactly one-hot projectors (``onehot``) make their factors
+    records, each basis state of them taking its outcome's blocks; other
+    projectors are summed in, ``sum_i B[perm_i(r)] (x) P_i`` per record."""
+    ((group, a),), records = label_sum.groups, label_sum.records
+    j = records.index(observer)
+    flat = np.arange(a.shape[-3]).reshape([layout.dims[k] for k in records])
+    index = np.moveaxis(np.take(flat, perm, axis=j), j, 0).reshape(len(perm), -1)
+    b = a[..., index, :, :]  # the blocks at each outcome and record
+    lead = b.ndim - 4
+    if onehot is None:
+        b = np.swapaxes(b, -3, -4)
+        b = b.reshape(*b.shape[:lead], -1, *b.shape[-2:])
+        return LabelSum(layout, (_outcome_sum(layout, group, b, _merge(layout, controls)),),
+                        records)
+    where, outcome = onehot
+    merged = records + where
+    order = sorted(range(len(merged)), key=merged.__getitem__)
+    b = np.swapaxes(b[..., outcome, :, :, :], -3, -4)
+    b = b.reshape(*b.shape[:lead], *(layout.dims[k] for k in merged), *b.shape[-2:]).transpose(
+        *range(lead), *(lead + k for k in order), lead + len(merged), lead + len(merged) + 1)
+    return LabelSum(layout, ((group, b.reshape(*b.shape[:lead], -1, *b.shape[-2:])),),
+                    tuple(sorted(merged)))
+
+
 def heisenberg_evolve(op: Operator, seq: InteractionSequence) -> Operator:
     """``U† op U`` on the sequence's layout, ``op`` acting on some of its
     factors: :func:`evolve_label_sum` without splitting, so one term that is
     dense only within the light cone of ``op``, embedded once."""
+    seq._one_point()
     if not seq.steps and seq.layout == op.layout:
         return op
     return embed(evolve_label_sum(op, seq, split=False).block(), seq.layout)

@@ -37,6 +37,7 @@ def schrodinger_evolve(initial: StateVector, seq: InteractionSequence) -> StateV
     own factors of the state tensor; no step is embedded in the layout."""
     if seq.layout != initial.layout:
         raise LayoutError("state and sequence live on different layouts")
+    seq._one_point()
     layout = initial.layout
     amps = initial.amplitudes.reshape(layout.dims)
     for tag, u in seq.steps:

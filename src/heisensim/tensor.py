@@ -174,6 +174,36 @@ def _basis_index(layout: SubsystemLayout, indices: Sequence[int]) -> int:
     return flat
 
 
+def _record_blocks(matrix: np.ndarray,
+                   dims: tuple[int, ...]) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """A view of the record blocks of ``matrix``, an operator on factors of
+    ``dims``, and the axes of each factor in it: one, its record, for a
+    factor on which every off-diagonal entry is exactly 0, and its row and
+    column axes for any other.
+
+    Every entry the view leaves out is exactly 0, so a NaN or an inf is
+    always in it. Each factor is tested on the blocks that the diagonal
+    factors before it leave, with one count of the nonzero entries on its
+    diagonal: it is diagonal when that count is every nonzero entry of the
+    blocks. With no diagonal factor the view is the whole matrix.
+    """
+    n = len(dims)
+    view = matrix.reshape(dims + dims)
+    nonzero = view != 0  # NaN != 0, so a NaN is never taken for a zero
+    count = np.count_nonzero(nonzero)
+    # what each axis of the view indexes: factor k's row k, its column n + k,
+    # and its record 2n + k
+    tags = list(range(2 * n))
+    for k in range(n):
+        i, j = tags.index(k), tags.index(n + k)
+        diagonal = np.diagonal(nonzero, axis1=i, axis2=j)
+        if np.count_nonzero(diagonal) == count:
+            view, nonzero = np.diagonal(view, axis1=i, axis2=j), diagonal
+            tags = [t for t in tags if t not in (k, n + k)] + [2 * n + k]
+    return view, [(tags.index(2 * n + k),) if 2 * n + k in tags
+                  else (tags.index(k), tags.index(n + k)) for k in range(n)]
+
+
 def kron(a: Operator, b: Operator) -> Operator:
     """Kronecker product; the result's factors are a's followed by b's."""
     layout = SubsystemLayout(a.layout.factors + b.layout.factors)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -10,7 +11,6 @@ import pytest
 import heisensim
 from heisensim.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from heisensim.config import _SCHEMAS
-from heisensim.measure import LabelSum
 from heisensim.tensor import Operator
 
 
@@ -28,9 +28,10 @@ def value_of(label: str, text: str) -> float:
 
 
 def scaled(label_sum, factor):
-    """The label sum times ``factor``: its first group's stack scaled."""
+    """The label sum times ``factor``: its first group's stack scaled, its
+    records kept."""
     (positions, a), *rest = label_sum.groups
-    return LabelSum(label_sum.layout, ((positions, a * factor), *rest))
+    return dataclasses.replace(label_sum, groups=((positions, a * factor), *rest))
 
 
 class TestBellQ:

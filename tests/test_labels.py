@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -157,11 +158,13 @@ class TestSupportOfALabelSum:
             support(b1, labels=("missing",))
 
     def test_a_one_term_group_is_its_own_block(self, rng):
-        # the group's matrix itself, not a contraction of it with ones
+        # the group's matrix itself, not a contraction of it with ones: A1,
+        # which the tilted measurement of S1 leaves dense, carries no records
         seq = EPRB.sequence((random_direction(rng), random_direction(rng)), True)
-        evolved = evolve_label_sum(EPRB.observable(("B1",), SPIN_BETA), seq, split=False)
+        evolved = evolve_label_sum(EPRB.observable(("A1",), (1.0, -1.0)), seq, split=False)
         (_, a), = evolved.groups
         block = evolved.block()
+        assert evolved.records == ()
         assert block.layout.labels == ("O1", "S1", "S2")
         assert np.shares_memory(block.matrix, a)
         assert np.array_equal(block.matrix, a[0])
@@ -169,19 +172,28 @@ class TestSupportOfALabelSum:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 4)], ids=["in-a-record", "between-records"])
     def test_a_non_finite_entry_fails_every_read_on_its_block(self, bad, where, rng):
-        # B1 evolved through the entangled sequence: one term on O1, S1, S2,
-        # exactly diagonal on O1 (entries 0 and 4 lie in records 0 and 1); a
-        # kernel fault, not a caller's error, named by the factor read
+        # B1 evolved through the entangled sequence: one block on O1, S1, S2,
+        # exactly diagonal on O1 (entries 0 and 4 lie in records 0 and 1),
+        # read as a dense block and, for an entry in a record, on the record
+        # blocks the walk carries; a kernel fault, not a caller's error, named
+        # by the factor read
         seq = EPRB.sequence((random_direction(rng), random_direction(rng)), True)
         evolved = evolve_label_sum(EPRB.observable(("B1",), SPIN_BETA), seq, split=False)
-        ((positions, a),) = evolved.groups
-        assert a[0][where] == 0 or where == (0, 0)
+        positions, a = evolved._block_matrix()
+        assert a[where] == 0 or where == (0, 0)
         a = a.copy()
-        a[0][where] = bad
-        broken = LabelSum(evolved.layout, ((positions, a),))
-        for label in ("O1", "S1", "S2"):
-            with pytest.raises(InvariantError, match=f"^residual on {label} is (nan|inf): "):
-                support(broken, labels=(label, "O2"))
+        a[where] = bad
+        broken = [LabelSum(evolved.layout, ((positions, a[None]),))]
+        if where == (0, 0):
+            assert evolved.records == (0,)
+            ((group, blocks),) = evolved.groups
+            blocks = blocks.copy()
+            blocks[0, 0, 0] = bad
+            broken.append(LabelSum(evolved.layout, ((group, blocks),), evolved.records))
+        for label_sum in broken:
+            for label in ("O1", "S1", "S2"):
+                with pytest.raises(InvariantError, match=f"^residual on {label} is (nan|inf): "):
+                    support(label_sum, labels=(label, "O2"))
 
 
 def assert_ledger_matches_the_dense_reference(exp, directions):
@@ -218,6 +230,18 @@ class TestSupportLedger:
         for directions in (generic, poles[:len(exp.measurements)]):
             assert_ledger_matches_the_dense_reference(exp, directions)
 
+    def test_the_ghzm_ledger_holds_no_dense_referee(self, rng):
+        # the referee is walked and read as 81 record blocks of 8 x 8: the
+        # ledger never holds as much memory as one 648 x 648 complex matrix
+        directions = [random_direction(rng) for _ in GHZM.measurements]
+        tracemalloc.start()
+        try:
+            GHZM.support_ledger(directions, 1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 648 * 648 * np.dtype(complex).itemsize
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
         # a caller's error, not a light-cone fault of the kernel
@@ -225,7 +249,8 @@ class TestSupportLedger:
         with pytest.raises(ValueError, match=f"^tolerance must be finite and positive, got {tol}$"):
             EPRB.support_ledger(directions, tol)
 
-    # a GHZM example builds and conjugates 648-dim dense operators, about 1 s
+    # a GHZM example's dense reference multiplies out and conjugates
+    # 648-dim operators, about 1 s
     @pytest.mark.parametrize("exp, examples", [(EPRB, 40), (GHZM, 4)], ids=["eprb", "ghzm"])
     def test_rows_match_the_dense_reference_at_drawn_angles(self, exp, examples):
         n = len(exp.measurements)
@@ -237,66 +262,67 @@ class TestSupportLedger:
 
         check()
 
-    @pytest.mark.parametrize("exp, checks, dims", [
-        (EPRB, 20, {2: 2, 3: 2, 6: 8, 12: 8}),
+    @pytest.mark.parametrize("exp, checks, dims, records", [
+        (EPRB, 20, {2: 2, 3: 2, 6: 8, 12: 8},
+         # B1, B2 on the records of their observer; A1, A2 on S1 or S2's at t0, then dense
+         {(3, 3, 1): 2, (6, 3, 2): 2, (12, 3, 4): 2, (2, 2, 1): 2, (6, 1, 6): 2, (12, 1, 12): 2}),
         # 648-dim checks: 5 here, 14 when every factor was read at a stage's end
-        (GHZM, 29, {3: 4, 6: 6, 24: 9, 81: 1, 162: 2, 324: 2, 648: 5}),
+        (GHZM, 29, {3: 4, 6: 6, 24: 9, 81: 1, 162: 2, 324: 2, 648: 5},
+         # the referee on 81 records of O0..O3, each an 8 x 8 block on S1..S3
+         # at most; B1..B3 on the 3 records of their observer
+         {(3, 3, 1): 4, (6, 3, 2): 3, (24, 3, 8): 3, (81, 81, 1): 1, (162, 81, 2): 1,
+          (324, 81, 4): 1, (648, 81, 8): 2}),
     ], ids=["eprb", "ghzm"])
     def test_each_factor_read_at_most_once_after_its_last_step(
-            self, exp, checks, dims, rng, monkeypatch):
+            self, exp, checks, dims, records, rng, monkeypatch):
         # per observable: its own factor at t0, then at each later stage each
         # factor a step of the stage acts on, at most once: on the block right
         # after the last step of the walk that acts on it, when the block holds
-        # it; all of a block's factors in one read, and no operator on the
-        # whole layout
+        # it; all of a block's factors in one read, on its record blocks, and
+        # no operator on the whole layout
         import heisensim.labels as labels
 
-        read, residuals, record_blocks = [], labels._residuals, labels._record_blocks
-        block_dims, records, embeds = Counter(), Counter(), []
+        read, residuals = [], labels._residuals
+        block_dims, blocks, embeds = Counter(), Counter(), []
 
-        def counted(matrix, layout, names):
+        def counted(view, axes, layout, names):
             read.append(list(names))
-            block_dims[matrix.shape[0]] += len(names)
-            return residuals(matrix, layout, names)
-
-        def gathered(matrix, dims):
-            view, axes = record_blocks(matrix, dims)
+            block_dims[layout.total_dim] += len(names)
             # the records the view holds, and each record block's dimension
-            records[matrix.shape[0], math.prod(view.shape[a[0]] for a in axes if len(a) == 1),
-                    math.prod(view.shape[a[0]] for a in axes if len(a) == 2)] += 1
-            return view, axes
+            blocks[layout.total_dim, math.prod(view.shape[a[0]] for a in axes if len(a) == 1),
+                   math.prod(view.shape[a[0]] for a in axes if len(a) == 2)] += 1
+            return residuals(view, axes, layout, names)
 
         def embedded(*args, **kwargs):
             embeds.append(args)
             return embed(*args, **kwargs)
 
         monkeypatch.setattr(labels, "_residuals", counted)
-        monkeypatch.setattr(labels, "_record_blocks", gathered)
         for module in [m for n, m in sys.modules.items() if n.startswith("heisensim")]:
             if getattr(module, "embed", None) is embed:
                 monkeypatch.setattr(module, "embed", embedded)
         exp.support_ledger([random_direction(rng) for _ in exp.measurements], 1e-10)
         assert (sum(block_dims.values()), block_dims, embeds) == (checks, dims, [])
         assert all(len(set(names)) == len(names) for names in read)
-        assert sum(records.values()) == len(read) == (12 if exp is EPRB else 15)
-        if exp is GHZM:
-            # the referee at 648 dims: 81 records of O0..O3, each an 8 x 8
-            # block on S1..S3
-            assert {key: n for key, n in records.items() if key[0] == 648} == {(648, 81, 8): 2}
+        assert len(read) == (12 if exp is EPRB else 15)
+        assert blocks == records
 
     @pytest.mark.parametrize("exp, dims", [
-        (EPRB, {3: 2, 6: 2, 12: 4}),
-        # each measurement conjugates the observer's group by its shifts
-        # alone: one 648-dim conjugation, by the entangler, not two
-        (GHZM, {3: 4, 24: 3, 81: 1, 162: 1, 324: 1, 648: 1}),
+        # B1, B2 on the 3 records of their observer, by the entangler; A1,
+        # A2 dense, by their measurement and then the entangler
+        (EPRB, {(3, 4): 2, (1, 6): 2, (1, 12): 2}),
+        # each measurement gathers records of the observer's: only the
+        # entangler conjugates, on S1..S3, every record's block at once
+        (GHZM, {(3, 8): 3, (81, 8): 1}),
     ], ids=["eprb", "ghzm"])
     def test_conjugations_by_group_dimension(self, exp, dims, rng, monkeypatch):
+        # per conjugation, the blocks conjugated at once and their dimension
         import heisensim.measure as measure
 
         conjugate, group_dims = measure._conjugate, Counter()
 
         def counted(layout, positions, a, rows, u):
-            group_dims[a.shape[-1]] += 1
+            group_dims[a.shape[-3], a.shape[-1]] += 1
             return conjugate(layout, positions, a, rows, u)
 
         monkeypatch.setattr(measure, "_conjugate", counted)

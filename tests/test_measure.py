@@ -332,7 +332,21 @@ class TestMeasurementUnitary:
         assert float(np.linalg.norm(commutator)) < 1e-12
 
 
+GRID_MESSAGE = r"^the sequence is a grid of 2 points; take one point's sequence with \.point\(p\)$"
+
+
+def two_point_grid(rng) -> InteractionSequence:
+    """A GHZM grid of two points, entangled."""
+    return GHZM._grid([[random_direction(rng) for _ in range(3)] for _ in range(2)], True)
+
+
 class TestHeisenbergEvolve:
+    def test_a_grid_is_rejected_with_its_point_count(self, rng):
+        seq, g = two_point_grid(rng), GHZM.observable(("G",), GHZM.presets["even"])
+        with pytest.raises(LayoutError, match=GRID_MESSAGE):
+            heisenberg_evolve(g, seq)
+        assert heisenberg_evolve(g, seq.point(1)).layout == GHZM.layout
+
     def test_empty_sequence_is_identity(self):
         b = embed(belief("O", (0.0, 1.0, -1.0)), OS_LAYOUT)
         out = heisenberg_evolve(b, InteractionSequence((), OS_LAYOUT))
@@ -417,6 +431,12 @@ class TestInteractionSequence:
                 (("a", Operator(OS_LAYOUT, np.eye(6))), ("b", Operator(single_factor("X", 2), np.eye(2)))),
                 OS_LAYOUT,
             )
+
+    def test_total_unitary_of_a_grid_is_rejected_with_its_point_count(self, rng):
+        seq = two_point_grid(rng)
+        with pytest.raises(LayoutError, match=GRID_MESSAGE):
+            seq.total_unitary()
+        assert seq.point(0).total_unitary().is_unitary()
 
     def test_total_unitary_order(self, rng):
         u1 = random_unitary(rng, 6)
@@ -566,11 +586,13 @@ def test_label_sums_match_dense_conjugation(case, seed):
     # a b on the union of both supports, which may overlap, evolved as one
     union = SubsystemLayout(tuple(f for f in layout.factors
                                   if f[0] in a.layout.labels + b.layout.labels))
-    sum_a, sum_b = evolve_label_sum(a, seq), evolve_label_sum(b, seq)
-    sum_ab = evolve_label_sum(Operator(union, embed(a, union).matrix @ embed(b, union).matrix),
-                              seq)
-    cases = ((sum_a, dense_a), (sum_b, dense_b),
-             (sum_ab, Operator(layout, dense_a.matrix @ dense_b.matrix)))
+    ab = Operator(union, embed(a, union).matrix @ embed(b, union).matrix)
+    sum_a, sum_b, sum_ab = (evolve_label_sum(op, seq) for op in (a, b, ab))
+    dense_ab = Operator(layout, dense_a.matrix @ dense_b.matrix)
+    # and unsplit, a diagonal observable carrying records for as long as the steps keep them
+    cases = ((sum_a, dense_a), (sum_b, dense_b), (sum_ab, dense_ab),
+             *((evolve_label_sum(op, seq, split=False), expected)
+               for op, expected in ((a, dense_a), (b, dense_b), (ab, dense_ab))))
     for label_sum, expected in cases:
         assert float(np.linalg.norm(dense(label_sum).matrix - expected.matrix)) < 1e-12
         indices = [int(rng.integers(d)) for d in layout.dims]
@@ -943,10 +965,11 @@ def test_unsplit_measurement_sums_what_its_block_conjugates(exp, examples):
     def check(drawn):
         layout = exp.layout
         for _, label, eigenvalues in exp.ledger:
-            summed = conjugated = LabelSum.local(
-                belief(label, eigenvalues), layout)
+            # unsplit from t0, so the observer's records are carried
+            summed = conjugated = evolve_label_sum(
+                belief(label, eigenvalues), InteractionSequence((), layout), split=False)
             for tag, u in reversed(exp.sequence(drawn, True).steps):
-                covered = {k for p, _ in summed.groups for k in p}
+                covered = {k for p, _ in summed.groups for k in p}.union(summed.records)
                 plain = (isinstance(u, Measurement)
                          and layout.position(u.layout.labels[0]) in covered)
                 summed = evolve_label_sum(summed, InteractionSequence(((tag, u),), layout),
@@ -966,6 +989,66 @@ def test_unsplit_measurement_sums_what_its_block_conjugates(exp, examples):
                 assert abs(r - expected) <= 1e-12 * max(1.0, expected), (label, factor)
 
     check()
+
+
+def recorded_observables(exp):
+    """The ledger's observables on an observer: those the record walk keeps
+    records for all the way."""
+    return [(name, eigenvalues) for name, label, eigenvalues in exp.ledger
+            if label in {observer for observer, _ in exp.measurements} | {"O0"}]
+
+
+@pytest.mark.parametrize("exp, examples", [(EPRB, 30), (GHZM, 15)], ids=["eprb", "ghzm"])
+def test_the_record_walk_matches_the_dense_walk(exp, examples):
+    # the same sum walked with and without records (a sum passed in carries
+    # none): within 1e-15 entry by entry, and the dense walk exactly 0
+    # wherever two of the records differ
+    n = len(exp.measurements)
+    layout = exp.layout
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.lists(directions, min_size=n, max_size=n))
+    def check(drawn):
+        for entangled in (True, False):
+            seq = exp.sequence(drawn, entangled)
+            for name, eigenvalues in recorded_observables(exp):
+                op = exp.observable((name,), eigenvalues)
+                recorded = evolve_label_sum(op, seq, split=False)
+                walked = evolve_label_sum(LabelSum.local(op, layout), seq, split=False)
+                assert recorded.records and not walked.records
+                x, y = recorded.block(), walked.block()
+                assert x.layout == y.layout
+                assert np.max(np.abs(x.matrix - y.matrix)) <= 1e-15
+                block = y.layout
+                tensor = y.matrix.reshape(block.dims * 2)
+                for k in recorded.records:
+                    j = block.position(layout.labels[k])
+                    pairs = np.moveaxis(tensor, (j, len(block) + j), (0, 1))
+                    assert not pairs[~np.eye(block.dims[j], dtype=bool)].any(), (name, k)
+
+    check()
+
+
+@pytest.mark.parametrize("label, before", [("O0", "end"), ("O1", "t3:parity")],
+                         ids=["referee-after-the-readout", "observer-before-the-readout"])
+def test_a_dense_step_on_a_record_moves_it_back_into_the_group(label, before, rng):
+    # a random unitary on one record factor of the referee: rule (c) moves
+    # that record back into the group, and the walk, with the records left
+    # or dense, matches the dense conjugation
+    steps = list(GHZM.sequence([random_direction(rng) for _ in range(3)], True).steps)
+    rotation = ("t4:rotate", Operator(single_factor(label, 3), random_unitary(rng, 3)))
+    steps.insert(len(steps) if before == "end" else [t for t, _ in steps].index(before),
+                 rotation)
+    seq = InteractionSequence(tuple(steps), GHZM.layout)
+    g = GHZM.observable(("G",), GHZM.presets["even"])
+    expected = conjugate_by(embed(g, GHZM.layout), seq.total_unitary())
+    assert float(np.linalg.norm(dense(evolve_label_sum(g, seq, split=False)).matrix
+                                - expected.matrix)) < 1e-12
+    # the walk up to the rotation keeps the records it does not act on
+    evolved = evolve_label_sum(g, InteractionSequence(tuple(steps[steps.index(rotation):]),
+                                                      GHZM.layout), split=False)
+    assert GHZM.layout.position(label) not in evolved.records
+    assert evolved.records == (() if label == "O0" else (0, 2, 3))
 
 
 class TestLabelSums:
@@ -1001,15 +1084,18 @@ class TestLabelSums:
 
     def test_referee_leaves_an_observer_it_reads_unchanged(self):
         # the parity readout's one-hot projectors on O1 commute with B1,
-        # which is diagonal there: the step is skipped, the same arrays out
+        # which is diagonal there: the step is skipped, the same arrays out;
+        # unsplit, B1 carries O1 as a record, one 1 x 1 block per record
         b1 = belief("O1", SPIN_BETA)
         seq = InteractionSequence(GHZM.readout, GHZM.layout)
-        start = LabelSum.local(b1, GHZM.layout)
         for split in (True, False):
+            start = LabelSum.local(b1, GHZM.layout)
+            start = start if split else start._recorded()
             evolved = evolve_label_sum(b1, seq, split)
-            assert len(evolved) == 1
-            assert [p for p, _ in evolved.groups] == [(1,)]
+            assert (len(evolved), evolved.records) == ((1, ()) if split else (3, (1,)))
+            assert [p for p, _ in evolved.groups] == ([(1,)] if split else [()])
             assert_allclose(evolved.groups[0][1], start.groups[0][1], atol=0)
+            assert np.array_equal(evolved.block().matrix, b1.matrix)
 
     def test_observable_diagonal_in_the_measured_basis_is_skipped(self, rng):
         a = Operator(single_factor("S", 2), np.diag(rng.normal(size=2)))

@@ -72,6 +72,14 @@ class TestSchrodingerEvolve:
         with pytest.raises(LayoutError):
             schrodinger_evolve(StateVector.basis(single_factor("X", 2), (0,)), seq)
 
+    def test_a_grid_is_rejected_with_its_point_count(self, rng):
+        # one state per point: the oracle takes each point's sequence
+        seq = GHZM._grid([[random_direction(rng) for _ in range(3)] for _ in range(2)], True)
+        with pytest.raises(LayoutError, match=r"^the sequence is a grid of 2 points; take one "
+                                              r"point's sequence with \.point\(p\)$"):
+            schrodinger_evolve(GHZM.initial_state(), seq)
+        assert schrodinger_evolve(GHZM.initial_state(), seq.point(1)).layout == GHZM.layout
+
     def test_norm_drift_detected(self):
         # a slightly contractive matrix passes the 1e-10 unitarity gate
         # but trips the stricter per-step norm guard
