@@ -79,13 +79,14 @@ def _carried_blocks(op: LabelSum) -> tuple[tuple[int, ...], np.ndarray, list[tup
     """The block positions of a sum that carries records, the view of its
     record blocks and the axes of each of the block's factors in it, laid
     out as :func:`~heisensim.tensor._record_blocks` lays out the dense
-    block: the group's row then column axes, then one axis per record."""
+    block: the group's row then column axes, then one axis per record, in
+    layout order."""
     ((group, a),), records, dims = op.groups, op.records, op.layout.dims
-    r, g = len(records), len(group)
+    g, order = len(group), sorted(range(len(records)), key=records.__getitem__)
     view = a.reshape(*(dims[k] for k in records), *(dims[k] for k in group * 2))
-    view = view.transpose(*range(r, r + 2 * g), *range(r))
+    view = view.transpose(*range(len(records), len(records) + 2 * g), *order)
     axes = {k: (j, g + j) for j, k in enumerate(group)}
-    axes.update((k, (2 * g + j,)) for j, k in enumerate(records))
+    axes.update((records[i], (2 * g + j,)) for j, i in enumerate(order))
     positions = tuple(sorted(axes))
     return positions, view, [axes[k] for k in positions]
 

@@ -494,10 +494,10 @@ class LabelSum:
     projector on the system. Walked over a grid, a stack that differs
     between points is ``(P, T, d_g, d_g)``: one sum per point.
 
-    An unsplit sum may carry ``records``: the ascending positions of factors
-    it is exactly diagonal on, kept as an index. Its one group then holds
-    one block per record, ``R`` of them in the row-major order of those
-    factors, and the sum is ``sum_r |r><r| (x) a[r]``: a term per record.
+    An unsplit sum may carry ``records``: the positions of factors it is
+    exactly diagonal on, kept as an index. Its one group then holds one
+    block per record, ``R`` of them in the row-major order of those factors
+    as listed, and the sum is ``sum_r |r><r| (x) a[r]``: a term per record.
     """
 
     layout: SubsystemLayout
@@ -650,9 +650,10 @@ def evolve_label_sum(op: Operator | LabelSum, seq: InteractionSequence,
     P_i`` per record; rule (c) on the other factors conjugates every
     record's block at once; and a step of rule (c) that acts on a record
     first moves it back into the group. A measurement that rule (a) cannot
-    skip on the records alone, or whose shifts are not permutations, ends
-    the records, and the walk goes on as above. A decision read off a stack
-    with a point axis raises :class:`GridSplit` here too. Split, a sum that
+    skip on the records alone, or that rule (b) takes with an observer that
+    is no record or shifts that are not permutations, moves every record
+    back, and the walk goes on as above. A decision read off a stack with a
+    point axis raises :class:`GridSplit` here too. Split, a sum that
     carries records first moves them all into its group.
     """
     layout = seq.layout
@@ -768,13 +769,9 @@ def _record_outcomes(layout: SubsystemLayout, label_sum: LabelSum, observer: int
         return LabelSum(layout, (_outcome_sum(layout, group, b, _merge(layout, controls)),),
                         records)
     where, outcome = onehot
-    merged = records + where
-    order = sorted(range(len(merged)), key=merged.__getitem__)
     b = np.swapaxes(b[..., outcome, :, :, :], -3, -4)
-    b = b.reshape(*b.shape[:lead], *(layout.dims[k] for k in merged), *b.shape[-2:]).transpose(
-        *range(lead), *(lead + k for k in order), lead + len(merged), lead + len(merged) + 1)
     return LabelSum(layout, ((group, b.reshape(*b.shape[:lead], -1, *b.shape[-2:])),),
-                    tuple(sorted(merged)))
+                    records + where)
 
 
 def heisenberg_evolve(op: Operator, seq: InteractionSequence) -> Operator:
