@@ -72,7 +72,7 @@ def acts_trivially_on(op: Operator, label: str) -> float:
     the mean offset of the others, is subtracted from each of its diagonal
     blocks, and the Frobenius norm of what is left is its residual.
     """
-    return _residuals(*_record_blocks(op.matrix, op.layout.dims), op.layout, [label])[0]
+    return support(op, labels=(label,)).residuals[label]
 
 
 def _carried_blocks(op: LabelSum) -> tuple[tuple[int, ...], np.ndarray, list[tuple[int, ...]]]:
